@@ -9,8 +9,10 @@ bound on the Z coordinate make every table finite.
 
 import csv
 import io
+import json
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, product
+from json.encoder import encode_basestring_ascii
 
 from unilcalc.polynomials import compact_str
 from unilcalc.unil import compact_literal, enumerate_truncated
@@ -25,6 +27,8 @@ class StructureSetDescriptor:
     has_Z: bool
 
     def count(self, z_bound=0):
+        if z_bound < 0:
+            raise ValueError("z bound must be >= 0")
         base = 1 << self.z2_count
         if self.has_Z:
             return base * (2 * z_bound + 1)
@@ -38,8 +42,8 @@ def structure_set_P(n):
     m, ell = divmod(n - 1, 4)
     ell += 1
     desc = StructureSetDescriptor(n, m, ell, 2 * m + ell // 4, ell == 3)
-    assert desc.z2_count >= 1
-    assert desc.has_Z == (n % 4 == 3)
+    if desc.z2_count < 1 or desc.has_Z != (n % 4 == 3):
+        raise RuntimeError(f"inconsistent structure-set descriptor {desc}")
     return desc
 
 
@@ -47,17 +51,15 @@ def structure_set_elements(desc, z_bound=0):
     """Truncated coordinate tuples in lexicographic order.
 
     A coordinate is a tuple of z2_count bits, with the Z value appended
-    as a final entry when present (|z| <= z_bound).
+    as a final entry when present (|z| <= z_bound).  ``product`` yields
+    the bits in lexicographic order, so no sort is needed.
     """
-    out = []
-    for bits in product((0, 1), repeat=desc.z2_count):
-        if desc.has_Z:
-            for z in range(-z_bound, z_bound + 1):
-                out.append(bits + (z,))
-        else:
-            out.append(bits)
-    out.sort()
-    return tuple(out)
+    if z_bound < 0:
+        raise ValueError("z bound must be >= 0")
+    bits = product((0, 1), repeat=desc.z2_count)
+    if not desc.has_Z:
+        return tuple(bits)
+    return tuple(b + (z,) for b in bits for z in range(-z_bound, z_bound + 1))
 
 
 def coord_str(desc, coord):
@@ -102,7 +104,7 @@ def relevant_unil(n):
     return "Zero"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifoldClass:
     pair: tuple
     theta: object
@@ -141,22 +143,46 @@ def enumerate_J(n, degree_cutoff=0, z_bound=0):
     """
     desc = structure_set_P(n)
     elements = structure_set_elements(desc, z_bound)
+    if degree_cutoff < 0:
+        raise ValueError("degree cutoff must be >= 0")
     group = relevant_unil(n)
     if group == "Zero":
         thetas = (None,)
     else:
         thetas = enumerate_truncated(group, degree_cutoff).orbit_reps
+    flagged = [(theta, theta is not None and not theta.is_zero()) for theta in thetas]
     epsilon = (-1) ** (n + 1)
-    rows = []
-    for pair in combinations_with_replacement(elements, 2):
-        for theta in thetas:
-            flagged = theta is not None and not theta.is_zero()
-            rows.append(ManifoldClass(pair, theta, flagged, epsilon))
-    return ClassificationTable(n, degree_cutoff, z_bound, tuple(rows))
+    rows = tuple(
+        ManifoldClass(pair, theta, flag, epsilon)
+        for pair in combinations_with_replacement(elements, 2)
+        for theta, flag in flagged
+    )
+    return ClassificationTable(n, degree_cutoff, z_bound, rows)
 
 
-def _row_key(desc, row):
-    return (row.pair, row.theta_str())
+def _row_texts(table):
+    """Yield (row, pair_coord_1, pair_coord_2, theta) with the columns'
+    text, rendering each distinct coordinate and theta of the table once.
+
+    Thetas are looked up by identity, which is cheap where hashing a UNil
+    element is not: the rows of a table share (and keep alive) the orbit
+    representatives they were built from.
+    """
+    desc = table.desc
+    coords = {}
+    thetas = {}
+    for row in table.rows:
+        a, b = row.pair
+        text_a = coords.get(a)
+        if text_a is None:
+            text_a = coords[a] = coord_str(desc, a)
+        text_b = coords.get(b)
+        if text_b is None:
+            text_b = coords[b] = coord_str(desc, b)
+        theta = thetas.get(id(row.theta))
+        if theta is None:
+            theta = thetas[id(row.theta)] = row.theta_str()
+        yield row, text_a, text_b, theta
 
 
 def bar_J(n, table):
@@ -172,23 +198,24 @@ def bar_J(n, table):
     if n % 4 != 3:
         return table
     desc = table.desc
-    by_key = {_row_key(desc, row): row for row in table.rows}
+    rows = list(_row_texts(table))
+    # (pair, theta text) -> the pair's coordinate texts
+    by_key = {(row.pair, theta): (a, b) for row, a, b, theta in rows}
     out = []
     seen = set()
-    for row in table.rows:
-        key = _row_key(desc, row)
+    for row, _, _, theta in rows:
+        key = (row.pair, theta)
         if key in seen:
             continue
         neg_pair = tuple(sorted(_negate_coord(desc, c) for c in row.pair))
-        neg_key = (neg_pair, row.theta_str())
+        neg_key = (neg_pair, theta)
         seen.add(key)
         if neg_key == key:
             out.append(row)
             continue
         seen.add(neg_key)
-        partner = by_key[neg_key]
-        absorbed = ";".join(coord_str(desc, c) for c in partner.pair)
-        out.append(replace(row, identified_with=absorbed))
+        absorbed = ";".join(by_key[neg_key])
+        out.append(ManifoldClass(row.pair, row.theta, row.not_connected_sum, row.epsilon, absorbed))
     return replace(table, rows=tuple(out), folded=True)
 
 
@@ -196,13 +223,13 @@ _COLUMNS = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "
 
 
 def table_rows_as_dicts(table):
-    desc = table.desc
-    for row in table.rows:
+    n = table.n
+    for row, coord_1, coord_2, theta in _row_texts(table):
         yield {
-            "n": table.n,
-            "pair_coord_1": coord_str(desc, row.pair[0]),
-            "pair_coord_2": coord_str(desc, row.pair[1]),
-            "theta": row.theta_str(),
+            "n": n,
+            "pair_coord_1": coord_1,
+            "pair_coord_2": coord_2,
+            "theta": theta,
             "not_connected_sum": row.not_connected_sum,
             "identified_with": row.identified_with,
         }
@@ -212,8 +239,11 @@ def table_to_csv(table):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    for d in table_rows_as_dicts(table):
-        writer.writerow([d[c] if c != "not_connected_sum" else int(d[c]) for c in _COLUMNS])
+    n = table.n
+    writer.writerows(
+        (n, coord_1, coord_2, theta, int(row.not_connected_sum), row.identified_with)
+        for row, coord_1, coord_2, theta in _row_texts(table)
+    )
     return buf.getvalue()
 
 
@@ -226,3 +256,43 @@ def table_to_json_dict(table):
         "folded": table.folded,
         "rows": list(table_rows_as_dicts(table)),
     }
+
+
+# One row of json.dumps(..., sort_keys=True, indent=2) on a table_rows_as_dicts
+# row, inside the top-level "rows" list.
+_JSON_ROW = """\
+    {
+      "identified_with": %s,
+      "n": %d,
+      "not_connected_sum": %s,
+      "pair_coord_1": %s,
+      "pair_coord_2": %s,
+      "theta": %s
+    }"""
+
+
+def table_json_text(doc):
+    """json.dumps(doc, sort_keys=True, indent=2) for a table_to_json_dict
+    payload, with the rows written from a fixed template.
+
+    ``indent`` turns off json's C encoder, so dumping a large table costs
+    one pure-Python call per token; here the header keys still go through
+    json.dumps and each row costs one template fill.
+    """
+    head, tail = json.dumps({**doc, "rows": []}, sort_keys=True, indent=2).split('"rows": []')
+    if not doc["rows"]:
+        return f'{head}"rows": []{tail}'
+    enc = encode_basestring_ascii
+    body = ",\n".join(
+        _JSON_ROW
+        % (
+            enc(r["identified_with"]),
+            r["n"],
+            "true" if r["not_connected_sum"] else "false",
+            enc(r["pair_coord_1"]),
+            enc(r["pair_coord_2"]),
+            enc(r["theta"]),
+        )
+        for r in doc["rows"]
+    )
+    return f'{head}"rows": [\n{body}\n  ]{tail}'

@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from unilcalc import __version__
-from unilcalc.classify import bar_J, enumerate_J, table_to_csv, table_to_json_dict
+from unilcalc.classify import (
+    bar_J,
+    enumerate_J,
+    table_json_text,
+    table_to_csv,
+    table_to_json_dict,
+)
 from unilcalc.forms import (
     QuadraticFormTheta,
     generator_switch_chain,
@@ -274,6 +280,28 @@ def _cmd_verify_paper(args):
     return CommandResult("pass" if all_ok else "fail", payload, human=tuple(lines))
 
 
+def _source_digest():
+    """sha256 over the package's Python sources, so that a table cached by
+    one version of the code is never served to another."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f"{path.name}\0{path.stat().st_size}\0".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _write_atomic(path, text):
+    """Write text to path through a temporary file in the same directory,
+    so that a reader sees the old file or the whole new one, never a part."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _cmd_classify(args):
     if args.n <= 3:
         raise ValueError("n > 3 required")
@@ -286,6 +314,7 @@ def _cmd_classify(args):
             "bar": args.bar,
             "format": args.format,
             "version": __version__,
+            "sources": _source_digest(),
         },
         sort_keys=True,
     )
@@ -303,11 +332,10 @@ def _cmd_classify(args):
         if args.format == "csv":
             text = table_to_csv(table)
         else:
-            text = json.dumps(table_to_json_dict(table), sort_keys=True, indent=2) + "\n"
+            text = table_json_text(table_to_json_dict(table)) + "\n"
         rows = len(table.rows)
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(text)
+            _write_atomic(cache_path, text)
     if args.output:
         Path(args.output).write_text(text)
     payload = {"n": args.n, "cache_hit": cache_hit, "sha256": digest, "rows": rows}

@@ -158,7 +158,8 @@ def element_order(e):
     d = e + e
     if d.is_zero():
         return 2
-    assert (d + d).is_zero()
+    if not (d + d).is_zero():
+        raise RuntimeError(f"element {e} has additive order above 4")
     return 4
 
 
@@ -255,14 +256,6 @@ class TruncatedEnumeration:
     orbits: int
 
 
-def _lex_key(e, d):
-    if isinstance(e, UNil2Element):
-        return tuple(e.arf_class.rep.coefficient(k) for k in range(d + 1))
-    xs = tuple(e.x.rep.coefficient(k) for k in range(d + 1))
-    ys = tuple(e.y.coefficient(k) for k in range(d + 1))
-    return xs + ys
-
-
 def enumerate_truncated(group, degree_cutoff):
     """All canonical elements supported on exponents <= degree_cutoff.
 
@@ -270,41 +263,51 @@ def enumerate_truncated(group, degree_cutoff):
     switch-orbit representatives (the lex-least member of each orbit),
     and the total / switch-fixed / orbit counts.  The orbit count is
     checked against the Burnside value (total + fixed) / 2.
+
+    The elements are built in ``product`` order over the coefficients,
+    which is already the lexicographic order.  On UNil_3 the orbit of
+    (x, y) is {(x, y), (x, y + pi(x))}: a fixed point when pi(x) = 0, and
+    otherwise a pair whose two y's first differ at the lowest exponent of
+    pi(x), so the lex-least member is the one with a 0 there.
     """
     d = degree_cutoff
     if d < 0:
         raise ValueError("degree cutoff must be >= 0")
-    elements = []
     if group == "UNil2":
-        sw = switch_unil2
         odd = [k for k in range(1, d + 1) if k % 2]
+        elements = []
         for mask in product((0, 1), repeat=len(odd)):
             cs = [0] * (d + 1)
             for k, c in zip(odd, mask):
                 cs[k] = c
             elements.append(UNil2Element(IdemQuotientClass(Polynomial("F2", tuple(cs)))))
+        reps = elements
+        fixed = len(elements)  # the switch is the identity on UNil_2
     elif group == "UNil3":
-        sw = switch_unil3
         ranges = [range(2) if k % 2 == 0 else range(4) for k in range(1, d + 1)]
+        ys = [Polynomial("F2", (0,) + ymask) for ymask in product((0, 1), repeat=d)]
+        elements = []
+        reps = []
+        fixed_x = 0
         for xcs in product(*ranges):
             x = VerschQuotientClass(Polynomial("Z4", (0,) + xcs))
-            for ymask in product((0, 1), repeat=d):
-                y = Polynomial("F2", (0,) + ymask)
-                elements.append(UNil3Element(x, y))
+            row = [UNil3Element(x, y) for y in ys]
+            elements += row
+            # lowest exponent k >= 1 where pi(x) has a 1
+            low = next((k for k, c in enumerate(xcs, 1) if c % 2), None)
+            if low is None:
+                fixed_x += 1
+                reps += row
+            else:
+                reps += [e for e, y in zip(row, ys) if not y.coefficient(low)]
+        fixed = fixed_x << d
     else:
         raise ValueError("group must be 'UNil2' or 'UNil3'")
-    elements.sort(key=lambda e: _lex_key(e, d))
-    fixed = sum(1 for e in elements if sw(e) == e)
-    seen = set()
-    reps = []
-    for e in elements:
-        if e in seen:
-            continue
-        reps.append(e)
-        seen.add(e)
-        seen.add(sw(e))
     orbits = len(reps)
-    assert 2 * orbits == len(elements) + fixed, "Burnside check failed"
+    if 2 * orbits != len(elements) + fixed:
+        raise RuntimeError(
+            f"Burnside check failed: {orbits} orbits, {len(elements)} elements, {fixed} fixed"
+        )
     return TruncatedEnumeration(tuple(elements), tuple(reps), len(elements), fixed, orbits)
 
 

@@ -56,3 +56,55 @@ def all_z4_vectors(max_exp):
     """Every Z4 coefficient tuple with zero constant term, exponents <= max_exp."""
     for tail in product(range(4), repeat=max_exp):
         yield (0,) + tail
+
+
+def unil_coefficient_tuple(e, max_exp):
+    """An enumerated UNil element as raw coefficients on exponents
+    0..max_exp: the F2 tuple for UNil_2, the x tuple then the y tuple for
+    UNil_3 (the same layout switch_orbits uses)."""
+    if hasattr(e, "arf_class"):
+        return tuple(e.arf_class.rep.coefficient(k) for k in range(max_exp + 1))
+    xs = tuple(e.x.rep.coefficient(k) for k in range(max_exp + 1))
+    return xs + tuple(e.y.coefficient(k) for k in range(max_exp + 1))
+
+
+def switch_orbits(group, max_exp):
+    """Brute-force switch orbits on UNil elements supported on exponents
+    <= max_exp, on raw coefficient tuples.
+
+    Canonical coordinates: UNil_2 has 0/1 coefficients at odd exponents
+    only; UNil_3 has x with Z4 coefficients at odd exponents and 0/1 at
+    even ones, y with 0/1 anywhere, constant terms zero.  The switch is the
+    identity on UNil_2 and (x, y) -> (x, y + (x mod 2)) on UNil_3.  The
+    elements are sorted by their tuple and each orbit {e, sw(e)} is
+    deduplicated, keeping its least member.  Returns (elements, reps,
+    fixed count).
+    """
+    d = max_exp
+    if group == "UNil2":
+        elements = [
+            (0,) + tail
+            for tail in product(*((0, 1) if k % 2 else (0,) for k in range(1, d + 1)))
+        ]
+
+        def sw(e):
+            return e
+
+    else:
+        xs = product(*(range(4) if k % 2 else range(2) for k in range(1, d + 1)))
+        ys = list(product((0, 1), repeat=d))
+        elements = [(0,) + x + (0,) + y for x in xs for y in ys]
+
+        def sw(e):
+            x, y = e[: d + 1], e[d + 1 :]
+            return x + tuple((a + b) % 2 for a, b in zip(x, y))
+
+    elements = sorted(set(elements))
+    seen = set()
+    reps = []
+    for e in elements:
+        if e not in seen:
+            reps.append(e)
+            seen.update((e, sw(e)))
+    fixed = sum(1 for e in elements if sw(e) == e)
+    return elements, reps, fixed

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -11,6 +13,7 @@ from unilcalc.classify import (
     relevant_unil,
     structure_set_P,
     structure_set_elements,
+    table_json_text,
     table_to_csv,
     table_to_json_dict,
 )
@@ -44,6 +47,13 @@ class TestStructureSet:
         for n in (0, 1, 2, 3):
             with pytest.raises(ValueError):
                 structure_set_P(n)
+
+    def test_negative_z_bound_rejected(self):
+        for n in (7, 8):
+            with pytest.raises(ValueError, match="z bound"):
+                structure_set_elements(structure_set_P(n), z_bound=-1)
+            with pytest.raises(ValueError, match="z bound"):
+                structure_set_P(n).count(z_bound=-1)
 
     def test_elements_match_count(self):
         for n, zb in ((4, 0), (5, 0), (7, 2), (8, 1)):
@@ -129,6 +139,13 @@ class TestEnumerateJ:
     def test_deterministic(self):
         assert enumerate_J(4, 1) == enumerate_J(4, 1)
 
+    def test_negative_bounds_rejected(self):
+        for n in (4, 6):
+            with pytest.raises(ValueError, match="degree cutoff"):
+                enumerate_J(n, degree_cutoff=-1)
+        with pytest.raises(ValueError, match="z bound"):
+            enumerate_J(7, z_bound=-1)
+
 
 class TestBarJ:
     def test_identity_away_from_three_mod_four(self):
@@ -207,3 +224,68 @@ class TestEmission:
         assert coord_str(d7, (1, 0, -2)) == "10:-2"
         d4 = structure_set_P(4)
         assert coord_str(d4, (1,)) == "1"
+
+
+def _reference_rows(table):
+    desc = structure_set_P(table.n)
+    for row in table.rows:
+        yield {
+            "n": table.n,
+            "pair_coord_1": coord_str(desc, row.pair[0]),
+            "pair_coord_2": coord_str(desc, row.pair[1]),
+            "theta": row.theta_str(),
+            "not_connected_sum": row.not_connected_sum,
+            "identified_with": row.identified_with,
+        }
+
+
+def _reference_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    columns = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
+    writer.writerow(columns)
+    for d in _reference_rows(table):
+        writer.writerow([int(d[c]) if c == "not_connected_sum" else d[c] for c in columns])
+    return buf.getvalue()
+
+
+def _reference_json(table):
+    doc = {
+        "n": table.n,
+        "degree_cutoff": table.degree_cutoff,
+        "z_bound": table.z_bound,
+        "epsilon": (-1) ** (table.n + 1),
+        "folded": table.folded,
+        "rows": list(_reference_rows(table)),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _table_cases():
+    """n = 4..11 with cutoffs 0..3 and z-bounds 0..3, each only where it
+    changes the table: the cutoff where the UNil group is nonzero, the
+    z-bound where n = 3 mod 4."""
+    for n in range(4, 12):
+        cutoffs = range(4) if relevant_unil(n) != "Zero" else (0,)
+        z_bounds = range(4) if n % 4 == 3 else (0,)
+        for cutoff in cutoffs:
+            for z_bound in z_bounds:
+                yield n, cutoff, z_bound
+
+
+class TestByteIdentity:
+    """The table writers against a plain renderer: csv.writer over the
+    ManifoldClass rows, and json.dumps with indent=2."""
+
+    @pytest.mark.parametrize("bar", [False, True])
+    @pytest.mark.parametrize("n,cutoff,z_bound", list(_table_cases()))
+    def test_csv_and_json(self, n, cutoff, z_bound, bar):
+        table = enumerate_J(n, cutoff, z_bound)
+        if bar:
+            table = bar_J(n, table)
+        assert table_to_csv(table) == _reference_csv(table)
+        assert table_json_text(table_to_json_dict(table)) == _reference_json(table)
+
+    def test_empty_rows_json(self):
+        table = ClassificationTable(4, 0, 0, ())
+        assert table_json_text(table_to_json_dict(table)) == _reference_json(table)

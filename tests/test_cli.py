@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from unilcalc import cli
 from unilcalc.cli import main
 from unilcalc.linking import (
     LinkingForm,
@@ -218,6 +219,42 @@ class TestClassify:
         run(capsys, "classify", "4", "--degree-cutoff", "1", "--format", "json")
         run(capsys, "classify", "6")
         assert len(list(tmp_path.glob("classify-*"))) == 3
+
+    def test_cache_key_varies_with_sources(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path))
+        first = run(capsys, "classify", "4", "--degree-cutoff", "1", "--format", "json")[1]
+        [cached] = tmp_path.glob("classify-*.json")
+        cached.write_text("stale\n")
+        # the same parameters under changed sources must miss the stale entry
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        second = run(capsys, "classify", "4", "--degree-cutoff", "1", "--format", "json")[1]
+        assert second == first
+        assert json.loads(second)["rows"]
+        assert len(list(tmp_path.glob("classify-*.json"))) == 2
+
+    def test_cache_write_leaves_only_the_table(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path / "cache"))
+        out = run(capsys, "classify", "4", "--degree-cutoff", "1")[1]
+        [entry] = (tmp_path / "cache").iterdir()
+        assert entry.name.startswith("classify-") and entry.suffix == ".csv"
+        assert entry.read_text() == out
+
+    def test_failed_cache_write_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path))
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        code, out, err = run(capsys, "classify", "4", "--degree-cutoff", "1")
+        assert code == 1 and out == ""
+        assert "error: disk full" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_z_bound_rejected(self, capsys):
+        code, out, err = run(capsys, "classify", "7", "--z-bound", "-1")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: z bound must be >= 0"]
 
 
 class TestEntryPoint:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tests.helpers_oracles import switch_orbits, unil_coefficient_tuple
 from unilcalc.polynomials import Polynomial, parse_poly, versch_reduce
 from unilcalc.unil import (
     B_coords,
@@ -259,12 +260,21 @@ class TestEnumerate:
             assert 2 * out.orbits == out.total + out.fixed
 
     def test_reps_are_lex_least(self):
-        from unilcalc.unil import _lex_key
-
         out = enumerate_truncated("UNil3", 2)
         assert out.total == 32 and out.fixed == 8 and out.orbits == 20
         for e in out.orbit_reps:
-            assert _lex_key(e, 2) <= _lex_key(switch_unil3(e), 2)
+            assert unil_coefficient_tuple(e, 2) <= unil_coefficient_tuple(switch_unil3(e), 2)
+
+    @pytest.mark.parametrize("group", ["UNil2", "UNil3"])
+    @pytest.mark.parametrize("d", range(6))
+    def test_against_orbit_oracle(self, group, d):
+        elements, reps, fixed = switch_orbits(group, d)
+        out = enumerate_truncated(group, d)
+        assert [unil_coefficient_tuple(e, d) for e in out.elements] == elements
+        assert [unil_coefficient_tuple(e, d) for e in out.orbit_reps] == reps
+        assert out.total == len(elements)
+        assert out.fixed == fixed
+        assert out.orbits == len(reps)
 
     def test_elements_are_distinct(self):
         out = enumerate_truncated("UNil3", 2)
