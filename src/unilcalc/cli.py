@@ -100,9 +100,11 @@ def _cmd_arf(args):
 
 def _cmd_witt_check(args):
     data = _read_json(args.form)
+    if not isinstance(data, dict):
+        raise ValueError("witt-check input must be a JSON object")
     form = LinkingForm.from_json_dict(data["form"] if "form" in data else data)
     payload = {"rank": form.rank}
-    if isinstance(data, dict) and "sublagrangian" in data:
+    if "sublagrangian" in data:
         S = Submodule.from_json_dict(data["sublagrangian"], form.rank)
         try:
             form = sublagrangian_reduce(form, S)
@@ -290,16 +292,28 @@ def _source_digest():
     return h.hexdigest()
 
 
-def _write_atomic(path, text):
-    """Write text to path through a temporary file in the same directory,
+def _write_atomic(path, data):
+    """Write bytes to path through a temporary file in the same directory,
     so that a reader sees the old file or the whole new one, never a part."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _cache_read(cache_dir, digest, fmt):
+    """The cached table for a key, or None.  An entry is named
+    classify-<key digest>-<sha256 of its bytes>.<fmt>; an entry whose bytes
+    do not match its name is deleted and counts as a miss."""
+    for path in sorted(cache_dir.glob(f"classify-{digest}-*.{fmt}")):
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() == path.stem.rpartition("-")[2]:
+            return data.decode()
+        path.unlink(missing_ok=True)
+    return None
 
 
 def _cmd_classify(args):
@@ -320,10 +334,10 @@ def _cmd_classify(args):
     )
     digest = hashlib.sha256(key.encode()).hexdigest()
     cache_dir = os.environ.get("UNILCALC_CACHE_DIR")
-    cache_path = Path(cache_dir) / f"classify-{digest}.{args.format}" if cache_dir else None
-    cache_hit = cache_path is not None and cache_path.exists()
+    cache_dir = Path(cache_dir) if cache_dir else None
+    text = _cache_read(cache_dir, digest, args.format) if cache_dir is not None else None
+    cache_hit = text is not None
     if cache_hit:
-        text = cache_path.read_text()
         rows = None
     else:
         table = enumerate_J(args.n, args.degree_cutoff, args.z_bound)
@@ -334,8 +348,10 @@ def _cmd_classify(args):
         else:
             text = table_json_text(table_to_json_dict(table)) + "\n"
         rows = len(table.rows)
-        if cache_path is not None:
-            _write_atomic(cache_path, text)
+        if cache_dir is not None:
+            data = text.encode()
+            sha = hashlib.sha256(data).hexdigest()
+            _write_atomic(cache_dir / f"classify-{digest}-{sha}.{args.format}", data)
     if args.output:
         Path(args.output).write_text(text)
     payload = {"n": args.n, "cache_hit": cache_hit, "sha256": digest, "rows": rows}

@@ -36,36 +36,48 @@ class DihedralRing:
 TRIVIAL = DihedralRing(1, 1)
 
 
-def _group_mul(j, delta, k, eps):
-    return j + (k if delta == 0 else -k), delta ^ eps
-
-
 def _group_inv(k, eps):
     return (k, 1) if eps else (-k, 0)
 
 
-@dataclass(frozen=True)
-class DihedralElement:
-    """Finite Z-linear combination of group elements; terms is a sorted
-    tuple of ((k, eps), coeff) with nonzero coeffs."""
+def _term_key(item):
+    (k, eps), _ = item
+    return eps, k
 
-    terms: tuple
-    ring: DihedralRing = TRIVIAL
+
+def _element(d, ring):
+    """An element from a dict that already holds nonzero coefficients only;
+    the dict is taken over, not copied."""
+    x = object.__new__(DihedralElement)
+    x._d = d
+    x.ring = ring
+    x._terms = None
+    return x
+
+
+class DihedralElement:
+    """Finite Z-linear combination of group elements, held as a dict
+    {(k, eps): c} with nonzero coefficients only.  Instances are values:
+    nothing mutates one after it is built."""
+
+    __slots__ = ("_d", "ring", "_terms")
+
+    def __init__(self, terms=(), ring=TRIVIAL):
+        self._d = {g: c for g, c in dict(terms).items() if c}
+        self.ring = ring
+        self._terms = None
 
     @classmethod
     def from_dict(cls, d, ring=TRIVIAL):
-        items = tuple(
-            sorted(((g, c) for g, c in d.items() if c), key=lambda it: (it[0][1], it[0][0]))
-        )
-        return cls(items, ring)
+        return _element({g: c for g, c in d.items() if c}, ring)
 
     @classmethod
     def zero(cls, ring=TRIVIAL):
-        return cls((), ring)
+        return _element({}, ring)
 
     @classmethod
     def monomial(cls, k, eps, c=1, ring=TRIVIAL):
-        return cls.from_dict({(k, eps): c}, ring)
+        return _element({(k, eps): c} if c else {}, ring)
 
     @classmethod
     def from_poly(cls, p, a_twist=False, ring=TRIVIAL):
@@ -73,71 +85,93 @@ class DihedralElement:
         if p.ring != "Z":
             p = p.map_ring("Z")
         eps = 1 if a_twist else 0
-        return cls.from_dict(
-            {(k, eps): c for k, c in enumerate(p.coeffs) if c}, ring
-        )
+        return _element({(k, eps): c for k, c in enumerate(p.coeffs) if c}, ring)
 
-    def _d(self):
-        return dict(self.terms)
+    @property
+    def terms(self):
+        """The sorted view: a tuple of ((k, eps), coeff), ordered by (eps, k)."""
+        if self._terms is None:
+            self._terms = tuple(sorted(self._d.items(), key=_term_key))
+        return self._terms
 
     def _check(self, other):
         if not isinstance(other, DihedralElement):
             raise TypeError(f"expected DihedralElement, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("sign character mismatch")
 
+    def __eq__(self, other):
+        if not isinstance(other, DihedralElement):
+            return NotImplemented
+        return self._d == other._d and (self.ring is other.ring or self.ring == other.ring)
+
+    def __hash__(self):
+        return hash((frozenset(self._d.items()), self.ring))
+
     def is_zero(self):
-        return not self.terms
+        return not self._d
 
     def __add__(self, other):
         self._check(other)
-        d = self._d()
-        for g, c in other.terms:
-            d[g] = d.get(g, 0) + c
-        return DihedralElement.from_dict(d, self.ring)
+        d = self._d.copy()
+        for g, c in other._d.items():
+            c += d.get(g, 0)
+            if c:
+                d[g] = c
+            else:
+                del d[g]
+        return _element(d, self.ring)
 
     def __neg__(self):
-        return DihedralElement(tuple((g, -c) for g, c in self.terms), self.ring)
+        return _element({g: -c for g, c in self._d.items()}, self.ring)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return DihedralElement.from_dict(
-                {g: c * other for g, c in self.terms}, self.ring
-            )
+            if not other:
+                return _element({}, self.ring)
+            return _element({g: c * other for g, c in self._d.items()}, self.ring)
         self._check(other)
         d = {}
-        for (j, delta), c1 in self.terms:
-            for (k, eps), c2 in other.terms:
-                g = _group_mul(j, delta, k, eps)
-                d[g] = d.get(g, 0) + c1 * c2
-        return DihedralElement.from_dict(d, self.ring)
+        get = d.get
+        right = other._d.items()
+        for (j, delta), c1 in self._d.items():
+            # (t^j a^delta)(t^k a^eps) = t^(j + (-1)^delta k) a^(delta xor eps)
+            if delta:
+                for (k, eps), c2 in right:
+                    g = (j - k, 1 - eps)
+                    d[g] = get(g, 0) + c1 * c2
+            else:
+                for (k, eps), c2 in right:
+                    g = (j + k, eps)
+                    d[g] = get(g, 0) + c1 * c2
+        return _element({g: c for g, c in d.items() if c}, self.ring)
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self * other
         return NotImplemented
 
+    # g -> g^(-1) and the switch both permute the group elements, so the
+    # images below never collide and need no summing
+
     def bar(self):
         """The involution g -> w(g) g^(-1)."""
-        d = {}
-        for (k, eps), c in self.terms:
-            g = _group_inv(k, eps)
-            d[g] = d.get(g, 0) + c * self.ring.weight(k, eps)
-        return DihedralElement.from_dict(d, self.ring)
+        w = self.ring.weight
+        return _element(
+            {_group_inv(k, eps): c * w(k, eps) for (k, eps), c in self._d.items()}, self.ring
+        )
 
     def switch(self):
         """The automorphism exchanging a and b."""
-        d = {}
-        for (k, eps), c in self.terms:
-            g = (1 - k, 1) if eps else (-k, 0)
-            d[g] = d.get(g, 0) + c
-        return DihedralElement.from_dict(d, self.ring)
+        return _element(
+            {((1 - k, 1) if eps else (-k, 0)): c for (k, eps), c in self._d.items()}, self.ring
+        )
 
     def __str__(self):
-        if not self.terms:
+        if not self._d:
             return "0"
         out = []
         for (k, eps), c in self.terms:
@@ -204,7 +238,7 @@ def quad_indeterminacy_equal(x, y, eps):
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     x._check(y)
-    d = (x - y)._d()
+    d = (x - y)._d
     ring = x.ring
     seen = set()
     for g in list(d):

@@ -147,7 +147,8 @@ def det(M):
             for j in range(k + 1, n):
                 num = gf2_mul(A[i][j], A[k][k]) ^ gf2_mul(A[i][k], A[k][j])
                 q, rem = gf2_divmod(num, prev)
-                assert not rem, "Bareiss division must be exact"
+                if rem:
+                    raise RuntimeError("Bareiss division must be exact")
                 A[i][j] = q
         prev = A[k][k]
     return A[n - 1][n - 1]

@@ -14,9 +14,12 @@ psi1 + psi1^* = -d*psi0, checked on construction.  The induction map
 carries Z[t] data into the dihedral ring: form entries and psi entries
 pick up a right factor of a, the differential d extends coefficients only.
 
-Chain scripts are plain text, one step per line: ``base_change [[b,0],[0,a]]``,
-``switch``, ``assert_equal <matrix literal>`` (forms) or
-``assert_equal d=[[..]] psi0=[[..]] psi1=[[..]]`` (resolutions).
+A chain is a sequence of steps ``("base_change", P)``, ``("switch", None)``
+and ``("assert_equal", {"theta": M})`` (forms) or ``("assert_equal", {"d": ..,
+"psi0": .., "psi1": ..})`` (resolutions).  The bundled chains are built as
+such steps.  User scripts are plain text, one step per line:
+``base_change [[b,0],[0,a]]``, ``switch``, ``assert_equal <matrix literal>``
+or ``assert_equal d=[[..]] psi0=[[..]] psi1=[[..]]``.
 """
 
 from __future__ import annotations
@@ -74,12 +77,12 @@ def _mmul(Am, Bm):
         return ()
     m = len(Bm[0])
     out = []
-    for i in range(n):
+    for ra in Am:
         row = []
         for j in range(m):
-            acc = _zero_like(Am[0][0])
-            for k in range(inner):
-                acc = acc + Am[i][k] * Bm[k][j]
+            acc = ra[0] * Bm[0][j]
+            for k in range(1, inner):
+                acc = acc + ra[k] * Bm[k][j]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -415,7 +418,7 @@ def parse_chain_script(text, ring):
 
 @dataclass(frozen=True)
 class ChainReport:
-    steps: tuple  # (label, rendered state) pairs, in execution order
+    steps: tuple  # (label, state) pairs in execution order; rendered by __str__
     ok: bool
     failure: str = None
 
@@ -436,20 +439,20 @@ def _build_target(state, payload):
 
 
 def verify_chain(start, script):
-    """Run a chain script against a start form or resolution.  Stops at the
-    first failing assert and reports the divergence; otherwise records every
-    intermediate state."""
+    """Run a chain, given as steps or as script text, against a start form
+    or resolution.  Stops at the first failing assert and reports the
+    divergence; otherwise records every intermediate state."""
     steps = parse_chain_script(script, start.ring) if isinstance(script, str) else tuple(script)
     state = start
-    records = [("start", str(state))]
+    records = [("start", state)]
     for n, (op, payload) in enumerate(steps, start=1):
         try:
             if op == "base_change":
                 state = base_change(state, payload)
-                records.append((f"step {n} base_change", str(state)))
+                records.append((f"step {n} base_change", state))
             elif op == "switch":
                 state = switch_form(state)
-                records.append((f"step {n} switch", str(state)))
+                records.append((f"step {n} switch", state))
             elif op == "assert_equal":
                 target = _build_target(state, payload)
                 diff = (
@@ -481,7 +484,7 @@ def _two_a_times_poly(g):
 
 
 def generator_switch_chain(p):
-    """Start form and script certifying that the switch of the induced
+    """Start form and chain steps certifying that the switch of the induced
     rank-2 generator with parameters (tp, 1) equals the induced generator
     with parameters (p, t)."""
     t, one = Polynomial.t("Z"), Polynomial.one("Z")
@@ -490,35 +493,28 @@ def generator_switch_chain(p):
     zero = DihedralElement.zero()
     mid = ((_poly_times_b_on_left(p), b), (zero, a))
     target = induce_F_form(GeneratorP(p, t).form())
-    script = "\n".join(
-        [
-            "base_change [[b, 0], [0, a]]",
-            f"assert_equal {render_matrix(mid)}",
-            "switch",
-            f"assert_equal {render_matrix(target.theta)}",
-        ]
+    steps = (
+        ("base_change", ((b, zero), (zero, a))),
+        ("assert_equal", {"theta": mid}),
+        ("switch", None),
+        ("assert_equal", {"theta": target.theta}),
     )
-    return start, script
+    return start, steps
 
 
 def resolution_switch_chain(p, g):
-    """Start resolution and script certifying that the switch of the
+    """Start resolution and chain steps certifying that the switch of the
     induced complex for (tp, g) equals the induced complex for (p, tg)."""
     t = Polynomial.t("Z")
     start = induce_F_resolution(standard_resolution(t * p, g))
     a, b = DihedralElement.monomial(0, 1), DihedralElement.monomial(1, 1)
+    zero = DihedralElement.zero()
     mid_psi0 = ((_poly_times_b_on_left(p), b), (b, _two_a_times_poly(g)))
-    mid_d = render_matrix(start.d)
     target = induce_F_resolution(standard_resolution(p, t * g))
-    script = "\n".join(
-        [
-            "base_change [[b, 0], [0, a]]",
-            f"assert_equal d={mid_d} psi0={render_matrix(mid_psi0)} psi1={render_matrix(_mneg(mid_psi0))}",
-            "switch",
-            (
-                f"assert_equal d={render_matrix(target.d)} "
-                f"psi0={render_matrix(target.psi0)} psi1={render_matrix(target.psi1)}"
-            ),
-        ]
+    steps = (
+        ("base_change", ((b, zero), (zero, a))),
+        ("assert_equal", {"d": start.d, "psi0": mid_psi0, "psi1": _mneg(mid_psi0)}),
+        ("switch", None),
+        ("assert_equal", {"d": target.d, "psi0": target.psi0, "psi1": target.psi1}),
     )
-    return start, script
+    return start, steps

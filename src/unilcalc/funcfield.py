@@ -168,7 +168,8 @@ def partial_fractions(num, den):
         for p2, e2 in fs[1:]:
             rest = gf2_mul(rest, gf2_pow(p2, e2))
         g1, u, v = gf2_gcdext(pie, rest)
-        assert g1 == 1
+        if g1 != 1:
+            raise RuntimeError("partial-fraction factors are not coprime")
         # r/(pie*rest) = r*v/pie + r*u/rest
         pieces.append((gf2_mul(r, v), (fs[0],)))
         pieces.append((gf2_mul(r, u), fs[1:]))
@@ -249,7 +250,8 @@ def artin_schreier_reduce(num, den=None):
             # replaces a/pi^m by w/pi^(m-1) + c/pi^(m/2)
             c = sqrt_mod(a, pi)
             w, r = gf2_divmod(gf2_mul(c, c), pi)
-            assert r == a
+            if r != a:
+                raise RuntimeError("sqrt_mod(a, pi) does not square back to a")
             levels[m] = 0
             levels[m - 1] = levels.get(m - 1, 0) ^ w
             levels[m // 2] = levels.get(m // 2, 0) ^ c

@@ -38,6 +38,15 @@ from unilcalc.polynomials import Polynomial, even_odd_decompose, parse_poly
 Z4_ZERO = (0, 0)
 
 
+def _poly_strings(value, what, length):
+    """value, if it is a JSON list of length polynomial strings."""
+    if not isinstance(value, list) or len(value) != length or not all(
+        isinstance(s, str) for s in value
+    ):
+        raise ValueError(f"{what} must be a list of {length} polynomial strings")
+    return value
+
+
 @dataclass(frozen=True)
 class LinkingForm:
     rank: int
@@ -69,11 +78,20 @@ class LinkingForm:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict) or not {"rank", "b_num", "q_num"} <= d.keys():
+            raise ValueError("a form must be a JSON object with rank, b_num and q_num")
+        k = d["rank"]
+        if type(k) is not int or k < 0:
+            raise ValueError("rank must be a non-negative integer")
+        rows = d["b_num"]
+        if not isinstance(rows, list) or len(rows) != k:
+            raise ValueError(f"b_num must be a list of {k} rows")
         b = tuple(
-            tuple(parse_poly(s, "F2").to_bits() for s in row) for row in d["b_num"]
+            tuple(parse_poly(s, "F2").to_bits() for s in _poly_strings(row, "b_num row", k))
+            for row in rows
         )
-        q = tuple(parse_poly(s, "Z4").to_z4pair() for s in d["q_num"])
-        return cls(d["rank"], b, q)
+        q = tuple(parse_poly(s, "Z4").to_z4pair() for s in _poly_strings(d["q_num"], "q_num", k))
+        return cls(k, b, q)
 
 
 @dataclass(frozen=True)
@@ -111,8 +129,11 @@ class Submodule:
 
     @classmethod
     def from_json_dict(cls, d, ambient_rank):
+        if not isinstance(d, dict) or not isinstance(d.get("generators"), list):
+            raise ValueError("a submodule must be a JSON object with a generators list")
         gens = [
-            [parse_poly(s, "F2").to_bits() for s in row] for row in d["generators"]
+            [parse_poly(s, "F2").to_bits() for s in _poly_strings(row, "generator", ambient_rank)]
+            for row in d["generators"]
         ]
         return cls.from_generators(gens, ambient_rank)
 
@@ -298,7 +319,8 @@ def arf_even(form, rng=None):
     if not is_even(form):
         raise ValueError("Arf invariant needs an even form")
     k = form.rank
-    assert k % 2 == 0, "nonsingular alternating forms have even rank"
+    if k % 2:
+        raise RuntimeError("nonsingular alternating forms have even rank")
     q2 = tuple(hi for _, hi in form.q_num)
     basis = [
         tuple(F2Rational(1 if i == j else 0) for j in range(k)) for i in range(k)

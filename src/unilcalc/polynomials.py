@@ -29,6 +29,10 @@ RINGS = ("Z", "F2", "Z4", "Q")
 
 _MOD = {"F2": 2, "Z4": 4}
 
+# parse_poly builds a dense coefficient tuple, so it refuses exponents above
+# this before allocating anything
+MAX_EXPONENT = 1 << 16
+
 
 def _canon(ring, c):
     if ring == "Q":
@@ -207,6 +211,19 @@ def _split_terms(text):
     return out
 
 
+def _exponent(text, pos):
+    """The exponent spelled by text (1 when absent), checked to lie in
+    0..MAX_EXPONENT; an over-long digit string is refused unread."""
+    if text is None:
+        return 1
+    digits = text.lstrip("-").lstrip("0") or "0"
+    if text[0] == "-" and digits != "0":
+        raise ValueError(f"negative exponent at position {pos}")
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise ValueError(f"exponent above the limit {MAX_EXPONENT} at position {pos}")
+    return int(digits)
+
+
 def parse_poly(text, ring):
     """Parse the textual polynomial grammar; errors carry the offset."""
     if ring not in RINGS:
@@ -224,15 +241,13 @@ def parse_poly(text, ring):
             raise ValueError(f"bad term {raw.strip()!r} at position {pos}")
         if m.group("ct") is not None:
             c = Fraction(m.group("ct"))
-            e = int(m.group("e1") or 1)
+            e = _exponent(m.group("e1"), pos)
         elif m.group("st") is not None:
             c = Fraction(-1 if m.group("st") == "-" else 1)
-            e = int(m.group("e2") or 1)
+            e = _exponent(m.group("e2"), pos)
         else:
             c = Fraction(m.group("c"))
             e = 0
-        if e < 0:
-            raise ValueError(f"negative exponent at position {pos}")
         if ring != "Q":
             if c.denominator != 1:
                 raise ValueError(f"fractional coefficient at position {pos}")

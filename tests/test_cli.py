@@ -11,7 +11,7 @@ from unilcalc.linking import (
     Submodule,
     witt_four_term_instance,
 )
-from unilcalc.polynomials import Polynomial
+from unilcalc.polynomials import MAX_EXPONENT, Polynomial
 
 
 def run(capsys, *argv):
@@ -42,6 +42,16 @@ class TestReduce:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "reduce", "idem", "t^^2")
         assert code == 1 and "position" in err
+
+    def test_exponent_limit(self, capsys):
+        code, out, _ = run(capsys, "reduce", "idem", f"t^{MAX_EXPONENT}")
+        assert code == 0 and out == "t\n"
+        for exponent in (MAX_EXPONENT + 1, "9" * 5000):
+            code, out, err = run(capsys, "reduce", "idem", f"t+t^{exponent}")
+            assert code == 1 and out == ""
+            assert err.splitlines()[0] == (
+                f"error: exponent above the limit {MAX_EXPONENT} at position 1"
+            )
 
     def test_elapsed_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "reduce", "idem", "t")
@@ -135,6 +145,47 @@ class TestWittCheck:
         assert code == 1 and "failed" in out
 
 
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        ("arf", {"rank": 2}, "a form must be a JSON object with rank, b_num and q_num"),
+        ("arf", [1, 2], "a form must be a JSON object with rank, b_num and q_num"),
+        ("arf", {"rank": "2", "b_num": [], "q_num": []}, "rank must be a non-negative integer"),
+        ("arf", {"rank": 1, "b_num": [], "q_num": ["0"]}, "b_num must be a list of 1 rows"),
+        (
+            "arf",
+            {"rank": 1, "b_num": [[1]], "q_num": ["1"]},
+            "b_num row must be a list of 1 polynomial strings",
+        ),
+        (
+            "arf",
+            {"rank": 1, "b_num": [["1"]], "q_num": "1"},
+            "q_num must be a list of 1 polynomial strings",
+        ),
+        ("witt-check", [1, 2], "witt-check input must be a JSON object"),
+        ("witt-check", "form", "witt-check input must be a JSON object"),
+        ("witt-check", {"form": [1]}, "a form must be a JSON object with rank, b_num and q_num"),
+        (
+            "witt-check",
+            {"form": hyperbolic_json(), "sublagrangian": [["1", "0"]]},
+            "a submodule must be a JSON object with a generators list",
+        ),
+        (
+            "witt-check",
+            {"form": hyperbolic_json(), "sublagrangian": {"generators": [["1"]]}},
+            "generator must be a list of 2 polynomial strings",
+        ),
+    ],
+)
+def test_malformed_json_rejected(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines()[0] == f"error: {message}"
+    assert "Traceback" not in err
+
+
 class TestVerifyPaper:
     def test_quick_pass_with_report(self, capsys, tmp_path):
         report = tmp_path / "report.json"
@@ -155,7 +206,11 @@ class TestVerifyPaper:
     def test_negative_control_fails_with_location(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--degree", "1", "--negative-control")
         assert code == 1
-        assert "FAIL at" in out and "entry" in out
+        assert out.splitlines()[0] == (
+            "generator_switch_chain: FAIL at p=0: step 2 assert_equal: "
+            "lambda entry (0,1): -1*t^1*a vs 1*t^1*a"
+        )
+        assert out.splitlines()[-1] == "verification FAILED"
 
     def test_seed_changes_nothing(self, capsys):
         a = run(capsys, "verify-paper", "--degree", "1", "--seed", "0", "--format", "json")[1]
@@ -206,12 +261,22 @@ class TestClassify:
         files = list(tmp_path.glob("classify-*.csv"))
         assert len(files) == 1
         assert files[0].read_text() == first
+        # a valid hit must short-circuit recomputation
+        enumerate_J = cli.enumerate_J
+
+        def recomputed(*args):
+            raise AssertionError("table recomputed on a cache hit")
+
+        monkeypatch.setattr(cli, "enumerate_J", recomputed)
         second = run(capsys, "classify", "4", "--degree-cutoff", "1")[1]
         assert second == first
-        # a hit must short-circuit recomputation: served bytes come from the file
+        # an entry whose bytes do not match its hash is a miss and is replaced
+        monkeypatch.setattr(cli, "enumerate_J", enumerate_J)
         files[0].write_text("sentinel\n")
         third = run(capsys, "classify", "4", "--degree-cutoff", "1")[1]
-        assert third == "sentinel\n"
+        assert third == first
+        assert list(tmp_path.glob("classify-*.csv")) == files
+        assert files[0].read_text() == first
 
     def test_cache_key_varies_with_parameters(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path))

@@ -55,6 +55,34 @@ class TestGroupLaw:
             assert x * (y + z) == x * y + x * z
 
 
+class TestRepresentation:
+    def test_insertion_order_does_not_matter(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            d = {(rng.randint(-3, 3), rng.randint(0, 1)): rng.randint(-4, 4) for _ in range(5)}
+            shuffled = list(d.items())
+            rng.shuffle(shuffled)
+            x, y = DihedralElement.from_dict(d), DihedralElement.from_dict(dict(shuffled))
+            assert x == y and hash(x) == hash(y)
+            assert x.terms == tuple(sorted(x.terms, key=lambda it: (it[0][1], it[0][0])))
+            assert all(c for _, c in x.terms)
+            assert DihedralElement(x.terms, x.ring) == x
+
+    def test_cancellation_leaves_no_terms(self):
+        rng = random.Random(67)
+        for _ in range(50):
+            x = rand_elem(rng, nterms=5)
+            assert (x + (-x)).terms == ()
+            assert (x - x).is_zero() and x - x == DihedralElement.zero()
+
+    def test_ring_takes_part_in_equality(self):
+        twisted = DihedralRing(-1, 1)
+        assert DihedralElement.monomial(1, 0, ring=twisted) != T
+        assert DihedralElement.monomial(1, 0, ring=DihedralRing(1, 1)) == T
+        with pytest.raises(ValueError, match="sign character"):
+            T + DihedralElement.monomial(1, 0, ring=twisted)
+
+
 class TestInvolution:
     def test_examples(self):
         assert T.bar() == T.switch()  # t -> t^-1

@@ -73,6 +73,21 @@ def rand_monomial_P(rng, n=2):
     return tuple(rows)
 
 
+def render_chain_script(steps):
+    lines = []
+    for op, payload in steps:
+        if op == "switch":
+            lines.append("switch")
+        elif op == "base_change":
+            lines.append(f"base_change {render_matrix(payload)}")
+        elif set(payload) == {"theta"}:
+            lines.append(f"assert_equal {render_matrix(payload['theta'])}")
+        else:
+            named = " ".join(f"{k}={render_matrix(payload[k])}" for k in ("d", "psi0", "psi1"))
+            lines.append(f"assert_equal {named}")
+    return "\n".join(lines)
+
+
 class TestThetaViews:
     def test_generator_views(self):
         p, g = T + ONE, T * T
@@ -298,9 +313,11 @@ class TestChains:
 
     def test_corrupted_chain_fails_located(self):
         # flip the sign of an off-diagonal entry, which changes lambda
-        start, script = generator_switch_chain(T + ONE)
-        bad = script.replace(", 1*t^1*a]", ", -1*t^1*a]", 1)
-        assert bad != script
+        start, steps = generator_switch_chain(T + ONE)
+        op, payload = steps[1]
+        (x, y), row1 = payload["theta"]
+        assert op == "assert_equal" and y == B
+        bad = (steps[0], (op, {"theta": ((x, -y), row1)})) + steps[2:]
         report = verify_chain(start, bad)
         assert not report.ok
         assert "step 2" in report.failure
@@ -309,10 +326,25 @@ class TestChains:
     def test_sign_flip_on_a_type_diagonal_is_indeterminate(self):
         # for eps = -1 the diagonal is read mod {v + vbar}; negating an
         # a-type term shifts by 2*t^k*a, which is in the lattice
-        start, script = generator_switch_chain(T + ONE)
-        shifted = script.replace("assert_equal [[1*t^0*a", "assert_equal [[-1*t^0*a", 1)
-        assert shifted != script
-        assert verify_chain(start, shifted).ok
+        start, steps = generator_switch_chain(T + ONE)
+        op, payload = steps[1]
+        (x, y), row1 = payload["theta"]
+        assert x.terms[0] == ((0, 1), 1)
+        shifted = DihedralElement.from_dict({**dict(x.terms), (0, 1): -1})
+        assert shifted != x
+        flipped = (steps[0], (op, {"theta": ((shifted, y), row1)})) + steps[2:]
+        assert verify_chain(start, flipped).ok
+
+    def test_structured_chains_match_their_scripts(self):
+        # written out as text and parsed back, the bundled chains give the
+        # same steps and the same report
+        rng = random.Random(191)
+        for _ in range(8):
+            p, g = bits_poly(rng, rng.randint(0, 3)), bits_poly(rng, rng.randint(0, 3))
+            for start, steps in (generator_switch_chain(p), resolution_switch_chain(p, g)):
+                script = render_chain_script(steps)
+                assert parse_chain_script(script, TRIVIAL) == steps
+                assert str(verify_chain(start, script)) == str(verify_chain(start, steps))
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="line 2"):
