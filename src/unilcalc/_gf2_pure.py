@@ -8,6 +8,8 @@ This module is the reference implementation; unilcalc._gf2_fast is a
 compiled twin with the same interface.  Pick one through unilcalc.kernels.
 """
 
+import functools
+
 BACKEND = "python"
 
 
@@ -99,45 +101,45 @@ def z4_neg(lo, hi):
     return lo, hi ^ lo
 
 
-def _pad_byte(x):
-    r = 0
-    for i in range(8):
-        if x >> i & 1:
-            r |= 1 << (16 * i)
-    return r
+@functools.cache
+def _pad_table(w):
+    """Byte x -> the 8 bits of x placed one per w-bit field."""
+    return tuple(sum(1 << (w * i) for i in range(8) if x >> i & 1) for x in range(256))
 
 
-_PAD16 = [_pad_byte(x) for x in range(256)]
-
-
-def _pad16(a):
-    # one 16-bit field per coefficient, so one bignum multiply performs the
-    # whole integer convolution; safe while conv coefficients stay < 2^16,
-    # i.e. for any degree this package will ever see
+def _pad(a, table, w):
     r = 0
     k = 0
     while a:
-        r |= _PAD16[a & 0xFF] << k
+        r |= table[a & 0xFF] << k
         a >>= 8
-        k += 128
+        k += 8 * w
     return r
 
 
 def z4_mul(alo, ahi, blo, bhi):
-    if (alo | ahi) == 0 or (blo | bhi) == 0:
+    a, b = alo | ahi, blo | bhi
+    if not (a and b):
         return 0, 0
-    A = _pad16(alo) + (_pad16(ahi) << 1)
-    B = _pad16(blo) + (_pad16(bhi) << 1)
+    # one w-bit field per coefficient, so one bignum multiply performs the
+    # whole integer convolution: a convolution coefficient sums at most n
+    # products of coefficients <= 3, n the length of the shorter operand,
+    # so it is <= 9n < 2^w
+    w = (9 * (a if a < b else b).bit_length()).bit_length()
+    table = _pad_table(w)
+    A = _pad(alo, table, w) + (_pad(ahi, table, w) << 1)
+    B = _pad(blo, table, w) + (_pad(bhi, table, w) << 1)
     P = A * B
+    mask = (1 << w) - 1
     lo = hi = 0
     k = 0
     while P:
-        c = P & 0xFFFF
+        c = P & mask
         if c & 1:
             lo |= 1 << k
         if c & 2:
             hi |= 1 << k
-        P >>= 16
+        P >>= w
         k += 1
     return lo, hi
 

@@ -15,7 +15,14 @@ from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
 
 from unilcalc.polynomials import compact_str
-from unilcalc.unil import compact_literal, enumerate_truncated
+from unilcalc.unil import compact_literal, enumerate_truncated, orbit_count
+
+
+# enumerate_J refuses a table with more rows than this before it enumerates
+# anything.  A row costs a few hundred bytes until it is written out; the
+# largest table the tests, README and benchmark use (classify 8
+# --degree-cutoff 5) has 152,064 rows.
+MAX_TABLE_ROWS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,18 @@ class ClassificationTable:
         return structure_set_P(self.n)
 
 
+def table_row_count(n, degree_cutoff=0, z_bound=0):
+    """The number of rows of enumerate_J(n, degree_cutoff, z_bound), in
+    closed form: unordered pairs of structure-set coordinates times
+    switch-orbits of the relevant UNil group."""
+    coords = structure_set_P(n).count(z_bound)
+    if degree_cutoff < 0:
+        raise ValueError("degree cutoff must be >= 0")
+    group = relevant_unil(n)
+    orbits = 1 if group == "Zero" else orbit_count(group, degree_cutoff)
+    return coords * (coords + 1) // 2 * orbits
+
+
 def enumerate_J(n, degree_cutoff=0, z_bound=0):
     """The classification table for P^n # P^n under truncation.
 
@@ -141,10 +160,11 @@ def enumerate_J(n, degree_cutoff=0, z_bound=0):
     relevant UNil group; a row is flagged not_connected_sum when its
     theta-orbit is nonzero.
     """
+    rows = table_row_count(n, degree_cutoff, z_bound)
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(f"the table would have {rows} rows, above the limit {MAX_TABLE_ROWS}")
     desc = structure_set_P(n)
     elements = structure_set_elements(desc, z_bound)
-    if degree_cutoff < 0:
-        raise ValueError("degree cutoff must be >= 0")
     group = relevant_unil(n)
     if group == "Zero":
         thetas = (None,)

@@ -234,7 +234,14 @@ _FIXTURES = (
 )
 
 
+# verify-paper's sweeps run 2^(degree+1) instances each, so every degree
+# doubles the run: degree 12 takes about 30 s on one x86_64 core
+MAX_VERIFY_DEGREE = 12
+
+
 def _cmd_verify_paper(args):
+    if not 0 <= args.degree <= MAX_VERIFY_DEGREE:
+        raise ValueError(f"--degree must be between 0 and {MAX_VERIFY_DEGREE}")
     results = []
     all_ok = True
     for name, fn in _FIXTURES:
@@ -392,7 +399,12 @@ def _build_parser():
     p.set_defaults(func=_cmd_witt_check)
 
     p = sub.add_parser("verify-paper", help="run the bundled verification fixtures")
-    p.add_argument("--degree", type=int, default=4, help="polynomial degree bound for sweeps")
+    p.add_argument(
+        "--degree",
+        type=int,
+        default=4,
+        help=f"polynomial degree bound for sweeps, 0..{MAX_VERIFY_DEGREE}",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--negative-control", action="store_true", help="corrupt a fixture; must fail")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from unilcalc.kernels import gf2_deg, gf2_divmod, gf2_gcd, gf2_mod, gf2_mul
+from unilcalc.kernels import gf2_deg, gf2_divmod, gf2_gcd, gf2_mod, gf2_mul, gf2_spread
 from unilcalc.polynomials import Polynomial, idem_reduce
 
 
@@ -38,17 +38,6 @@ def gf2_pow(a, n):
     return r
 
 
-def gf2_powmod(a, n, m):
-    r = 1
-    a = gf2_mod(a, m)
-    while n:
-        if n & 1:
-            r = gf2_mod(gf2_mul(r, a), m)
-        a = gf2_mod(gf2_mul(a, a), m)
-        n >>= 1
-    return r
-
-
 def is_irreducible(f):
     d = gf2_deg(f)
     if d <= 0:
@@ -66,24 +55,106 @@ def is_irreducible(f):
     return b == 2
 
 
+def _derivative(f):
+    """f' over F2: the odd-exponent bits of f, shifted down by one."""
+    even = ((1 << 2 * f.bit_length()) - 1) // 3  # 1 at exponents 0, 2, 4, ...
+    return (f >> 1) & even
+
+
+def _sqrt_of_square(f):
+    """The square root of a square f in F2[t]: f(t^2) -> f(t), by keeping
+    the even-exponent bits."""
+    return int(bin(f)[:1:-1][::2][::-1], 2)
+
+
+def _squarefree(f):
+    """Squarefree decomposition: [(g, m), ...] with each g squarefree of
+    degree >= 1, the g pairwise coprime, and f = prod g^m.
+
+    Yun's loop over c = gcd(f, f') collects the factors whose multiplicity
+    is odd; what is left in c is a square (every multiplicity even), whose
+    square root is decomposed again with the multiplicities doubled.
+    """
+    out = []
+    c = gf2_gcd(f, _derivative(f))
+    w = gf2_divmod(f, c)[0]
+    m = 1
+    while w != 1:
+        y = gf2_gcd(w, c)
+        z = gf2_divmod(w, y)[0]
+        if z != 1:
+            out.append((z, m))
+        w = y
+        c = gf2_divmod(c, y)[0]
+        m += 1
+    if c != 1:
+        out += [(g, 2 * e) for g, e in _squarefree(_sqrt_of_square(c))]
+    return out
+
+
+def _distinct_degree(g):
+    """[(g_d, d), ...] for squarefree g, g_d the product of the degree-d
+    irreducible factors of g: t^(2^d) - t is the product of every monic
+    irreducible whose degree divides d."""
+    out = []
+    h = 2  # t^(2^d) mod g
+    d = 0
+    while gf2_deg(g) >= 2 * (d + 1):
+        d += 1
+        h = gf2_mod(gf2_spread(h), g)
+        p = gf2_gcd(h ^ 2, g)
+        if p != 1:
+            out.append((p, d))
+            g = gf2_divmod(g, p)[0]
+            h = gf2_mod(h, g)
+    if g != 1:
+        out.append((g, gf2_deg(g)))
+    return out
+
+
+def _equal_degree(g, d):
+    """The irreducible factors of g, a squarefree product of irreducibles
+    of degree d, split by gcd(Tr(t^j), g) with the trace
+    Tr(a) = a + a^2 + ... + a^(2^(d-1)) mod g.
+
+    Tr is F2-linear and maps onto F2 modulo each factor, so the vectors of
+    its residues span F2^r; they cannot all be 0 or all 1 on the basis
+    t^0 .. t^(deg g - 1), and t^0 = 1 gives a constant vector, so some
+    t^j with 0 < j < deg g splits g whenever r >= 2.
+    """
+    n = gf2_deg(g)
+    if n == d:
+        return [g]
+    for j in range(1, n):
+        a = tr = gf2_mod(1 << j, g)
+        for _ in range(d - 1):
+            a = gf2_mod(gf2_spread(a), g)
+            tr ^= a
+        p = gf2_gcd(tr, g)
+        if 0 < gf2_deg(p) < n:
+            return _equal_degree(p, d) + _equal_degree(gf2_divmod(g, p)[0], d)
+    raise RuntimeError(f"no trace split of {g:#b} into degree-{d} factors")
+
+
 def factor(f):
-    """Monic irreducible factorization, as a sorted tuple of (pi, mult)."""
+    """Monic irreducible factorization, as a sorted tuple of (pi, mult).
+
+    Squarefree, then distinct-degree, then equal-degree factorization;
+    the product of the factors is checked against f.
+    """
     if f == 0:
         raise ValueError("cannot factor 0")
-    out = []
-    c = 2
-    while gf2_deg(f) >= 1:
-        if gf2_deg(c) > gf2_deg(f) // 2:
-            out.append((f, 1))
-            break
-        q, r = gf2_divmod(f, c)
-        if r == 0:
-            m = 0
-            while r == 0:
-                f, m = q, m + 1
-                q, r = gf2_divmod(f, c)
-            out.append((c, m))
-        c += 1
+    out = [
+        (pi, m)
+        for g, m in _squarefree(f)
+        for gd, d in _distinct_degree(g)
+        for pi in _equal_degree(gd, d)
+    ]
+    prod = 1
+    for pi, m in out:
+        prod = gf2_mul(prod, gf2_pow(pi, m))
+    if prod != f:
+        raise RuntimeError(f"factorization of {f:#b} does not multiply back")
     return tuple(sorted(out))
 
 

@@ -32,6 +32,10 @@ _MOD = {"F2": 2, "Z4": 4}
 # parse_poly builds a dense coefficient tuple, so it refuses exponents above
 # this before allocating anything
 MAX_EXPONENT = 1 << 16
+# parse_poly refuses a coefficient numerator or denominator with more digits
+# than this before converting it; it stays below Python's own default limit
+# on int/str conversion (4300 digits), whose message names no position
+MAX_COEFFICIENT_DIGITS = 4000
 
 
 def _canon(ring, c):
@@ -224,6 +228,20 @@ def _exponent(text, pos):
     return int(digits)
 
 
+def _coefficient(text, pos):
+    """The Fraction spelled by text ([+-]digits[/digits]).  A numerator or
+    denominator of more than MAX_COEFFICIENT_DIGITS digits, leading zeros
+    aside, is refused unread, and so is a zero denominator."""
+    num, _, den = text.lstrip("+-").partition("/")
+    num, den = num.lstrip("0") or "0", den.lstrip("0") or ("1" if not den else "0")
+    if max(len(num), len(den)) > MAX_COEFFICIENT_DIGITS:
+        raise ValueError(f"coefficient above {MAX_COEFFICIENT_DIGITS} digits at position {pos}")
+    if den == "0":
+        raise ValueError(f"zero denominator at position {pos}")
+    sign = -1 if text.startswith("-") else 1
+    return Fraction(sign * int(num), int(den))
+
+
 def parse_poly(text, ring):
     """Parse the textual polynomial grammar; errors carry the offset."""
     if ring not in RINGS:
@@ -240,13 +258,13 @@ def parse_poly(text, ring):
         if not m:
             raise ValueError(f"bad term {raw.strip()!r} at position {pos}")
         if m.group("ct") is not None:
-            c = Fraction(m.group("ct"))
+            c = _coefficient(m.group("ct"), pos)
             e = _exponent(m.group("e1"), pos)
         elif m.group("st") is not None:
             c = Fraction(-1 if m.group("st") == "-" else 1)
             e = _exponent(m.group("e2"), pos)
         else:
-            c = Fraction(m.group("c"))
+            c = _coefficient(m.group("c"), pos)
             e = 0
         if ring != "Q":
             if c.denominator != 1:

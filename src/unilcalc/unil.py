@@ -256,6 +256,26 @@ class TruncatedEnumeration:
     orbits: int
 
 
+def orbit_count(group, degree_cutoff):
+    """The number of switch-orbits enumerate_truncated(group, degree_cutoff)
+    lists, in closed form.
+
+    With o odd and e even exponents in 1..d: UNil_2 has 2^o elements, all
+    fixed; UNil_3 has 4^o * 2^e choices of x and 2^d of y, and (x, y) is
+    fixed iff pi(x) = 0, i.e. x has coefficients in {0, 2} at odd and 0 at
+    even exponents, so 2^o * 2^d are fixed.  Burnside gives the orbits.
+    """
+    d = degree_cutoff
+    if d < 0:
+        raise ValueError("degree cutoff must be >= 0")
+    odd, even = (d + 1) // 2, d // 2
+    if group == "UNil2":
+        return 1 << odd
+    if group == "UNil3":
+        return ((1 << 2 * odd + even + d) + (1 << odd + d)) // 2
+    raise ValueError("group must be 'UNil2' or 'UNil3'")
+
+
 def enumerate_truncated(group, degree_cutoff):
     """All canonical elements supported on exponents <= degree_cutoff.
 

@@ -108,3 +108,37 @@ def switch_orbits(group, max_exp):
             seen.update((e, sw(e)))
     fixed = sum(1 for e in elements if sw(e) == e)
     return elements, reps, fixed
+
+
+def f2_poly_divmod(a, b):
+    """Long division of bit-packed F2 polynomials, written out here so that
+    the factorization oracle shares no kernel code with the library."""
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def trial_division_factor(f):
+    """Monic irreducible factorization of a nonzero bit-packed F2
+    polynomial, as a sorted tuple of (pi, mult): divide by every
+    polynomial of degree >= 1 in increasing order while it divides, up to
+    half the degree of what is left.  Exponential in the degree of the
+    second-largest factor, so for small f only."""
+    out = []
+    c = 2
+    while f.bit_length() > 1:
+        if 2 * (c.bit_length() - 1) > f.bit_length() - 1:
+            out.append((f, 1))
+            break
+        m = 0
+        q, r = f2_poly_divmod(f, c)
+        while r == 0:
+            f, m = q, m + 1
+            q, r = f2_poly_divmod(f, c)
+        if m:
+            out.append((c, m))
+        c += 1
+    return tuple(sorted(out))

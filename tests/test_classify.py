@@ -5,6 +5,7 @@ import json
 import pytest
 
 from unilcalc.classify import (
+    MAX_TABLE_ROWS,
     ClassificationTable,
     bar_I,
     bar_J,
@@ -14,6 +15,7 @@ from unilcalc.classify import (
     structure_set_P,
     structure_set_elements,
     table_json_text,
+    table_row_count,
     table_to_csv,
     table_to_json_dict,
 )
@@ -145,6 +147,26 @@ class TestEnumerateJ:
                 enumerate_J(n, degree_cutoff=-1)
         with pytest.raises(ValueError, match="z bound"):
             enumerate_J(7, z_bound=-1)
+
+    def test_row_count_closed_form(self):
+        for n in range(4, 12):
+            for d in range(4):
+                for z in range(3):
+                    assert table_row_count(n, d, z) == len(enumerate_J(n, d, z).rows)
+        assert table_row_count(8, 5) == 152_064
+        assert table_row_count(8, 6) < MAX_TABLE_ROWS < table_row_count(8, 7)
+
+    def test_oversized_table_rejected_before_enumerating(self, monkeypatch):
+        import unilcalc.classify
+
+        def refuse(*_args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(unilcalc.classify, "enumerate_truncated", refuse)
+        monkeypatch.setattr(unilcalc.classify, "structure_set_elements", refuse)
+        for n, d, z in ((4, 12, 0), (7, 0, 10**9)):
+            with pytest.raises(ValueError, match=f"above the limit {MAX_TABLE_ROWS}"):
+                enumerate_J(n, d, z)
 
 
 class TestBarJ:

@@ -5,13 +5,14 @@ import sys
 import pytest
 
 from unilcalc import cli
+from unilcalc.classify import MAX_TABLE_ROWS
 from unilcalc.cli import main
 from unilcalc.linking import (
     LinkingForm,
     Submodule,
     witt_four_term_instance,
 )
-from unilcalc.polynomials import MAX_EXPONENT, Polynomial
+from unilcalc.polynomials import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT, Polynomial
 
 
 def run(capsys, *argv):
@@ -52,6 +53,19 @@ class TestReduce:
             assert err.splitlines()[0] == (
                 f"error: exponent above the limit {MAX_EXPONENT} at position 1"
             )
+
+    def test_coefficient_limit(self, capsys):
+        limit = MAX_COEFFICIENT_DIGITS
+        for coeff in ("9" * (limit + 1), "1/" + "9" * 5000, "9" * 5000):
+            code, out, err = run(capsys, "reduce", "versch", f"t+{coeff}*t^2")
+            assert code == 1 and out == ""
+            assert err.splitlines() == [
+                f"error: coefficient above {limit} digits at position 1"
+            ]
+        code, out, _ = run(capsys, "reduce", "versch", f"t+{'0' * 5000}{'9' * limit}*t^3")
+        assert code == 0 and out == "3*t^3+t\n"
+        code, out, err = run(capsys, "reduce", "idem", "t+1/0")
+        assert code == 1 and err.splitlines() == ["error: zero denominator at position 1"]
 
     def test_elapsed_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "reduce", "idem", "t")
@@ -212,6 +226,18 @@ class TestVerifyPaper:
         )
         assert out.splitlines()[-1] == "verification FAILED"
 
+    @pytest.mark.parametrize("degree", [-1, cli.MAX_VERIFY_DEGREE + 1])
+    def test_degree_out_of_range_rejected(self, capsys, degree):
+        code, out, err = run(capsys, "verify-paper", "--degree", str(degree))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: --degree must be between 0 and {cli.MAX_VERIFY_DEGREE}"
+        ]
+
+    def test_degree_zero_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify-paper", "--degree", "0")
+        assert code == 0 and out.splitlines()[-1] == "all fixtures passed"
+
     def test_seed_changes_nothing(self, capsys):
         a = run(capsys, "verify-paper", "--degree", "1", "--seed", "0", "--format", "json")[1]
         b = run(capsys, "verify-paper", "--degree", "1", "--seed", "5", "--format", "json")[1]
@@ -320,6 +346,20 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "7", "--z-bound", "-1")
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: z bound must be >= 0"]
+
+
+    def test_oversized_table_rejected(self, capsys, monkeypatch):
+        import unilcalc.classify
+
+        def refuse(*_args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(unilcalc.classify, "enumerate_truncated", refuse)
+        code, out, err = run(capsys, "classify", "4", "--degree-cutoff", "12")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: the table would have 1611005952 rows, above the limit {MAX_TABLE_ROWS}"
+        ]
 
 
 class TestEntryPoint:

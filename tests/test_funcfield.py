@@ -7,12 +7,14 @@ from unilcalc.funcfield import (
     artin_schreier_reduce,
     factor,
     gf2_gcdext,
+    gf2_pow,
     is_irreducible,
     partial_fractions,
     sqrt_mod,
 )
 from unilcalc.kernels import gf2_deg, gf2_mod, gf2_mul
 from unilcalc.polynomials import Polynomial, parse_poly
+from tests.helpers_oracles import trial_division_factor
 
 
 def bits(s):
@@ -45,6 +47,53 @@ class TestFactorization:
                 for _ in range(m):
                     prod = gf2_mul(prod, pi)
             assert prod == f
+
+    def test_factor_matches_trial_division(self):
+        for f in range(1, 1 << 12):
+            assert factor(f) == trial_division_factor(f), bin(f)
+        with pytest.raises(ValueError):
+            factor(0)
+
+    def test_factor_matches_sympy(self):
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        def sympy_factor(f):
+            coeffs = [ZZ(int(b)) for b in bin(f)[2:]]
+            _, fs = galoistools.gf_factor(coeffs, 2, ZZ)
+            return tuple(sorted((int("".join(str(int(c)) for c in p), 2), m) for p, m in fs))
+
+        rng = random.Random(43)
+        cases = [rng.getrandbits(d) | 1 << d for d in (3, 57, 120, 200)]
+        g, h = rng.getrandbits(50) | 1 << 50, rng.getrandbits(40) | 1 << 40
+        cases += [
+            gf2_pow(g, 2),
+            gf2_pow(rng.getrandbits(49) | 1 << 49, 4),
+            gf2_mul(gf2_pow(h, 3), gf2_pow(rng.getrandbits(40) | 1 << 40, 2)),
+        ]
+        same_degree = set()
+        while len(same_degree) < 8:
+            pi = rng.getrandbits(20) | 1 << 20
+            if is_irreducible(pi):
+                same_degree.add(pi)
+        prod = 1
+        for pi in same_degree:
+            prod = gf2_mul(prod, pi)
+        cases.append(prod)
+        for f in cases:
+            assert gf2_deg(f) <= 200
+            assert factor(f) == sympy_factor(f), bin(f)
+
+    def test_factor_beyond_trial_division(self):
+        # trial division would try about 2^40 divisors here
+        rng = random.Random(47)
+        pis = []
+        while len(pis) < 2:
+            pi = rng.getrandbits(40) | 1 << 40 | 1
+            if is_irreducible(pi) and pi not in pis:
+                pis.append(pi)
+        f = gf2_pow(gf2_mul(*pis), 2)
+        assert factor(f) == tuple(sorted((pi, 2) for pi in pis))
 
     def test_gcdext(self):
         rng = random.Random(23)

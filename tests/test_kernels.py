@@ -116,6 +116,19 @@ class TestZ4:
             assert Polynomial.from_z4pair(*impl.z4_sq_lift(f)) == sq
 
 
+@pytest.mark.parametrize("n", [7300, 8000])
+def test_pure_z4_mul_wide_operands(n):
+    # (3 + 3t + ... + 3t^(n-1))^2 has coefficient 9*min(k+1, 2n-1-k) at t^k,
+    # above 2^16 from n = 7282 on, so fixed 16-bit fields would carry into
+    # their neighbours; the compiled twin still packs 16-bit fields
+    ones = (1 << n) - 1
+    lo, hi = PURE.z4_mul(ones, ones, ones, ones)
+    for k in range(2 * n - 1):
+        c = min(k + 1, 2 * n - 1 - k) % 4
+        assert (lo >> k & 1, hi >> k & 1) == (c & 1, c >> 1), k
+    assert (lo | hi) >> (2 * n - 1) == 0
+
+
 @pytest.mark.skipif(FAST is None, reason="compiled kernel not built")
 class TestBackendAgreement:
     def test_all_primitives_agree(self):

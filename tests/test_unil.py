@@ -16,6 +16,7 @@ from unilcalc.unil import (
     j2,
     n_class_combination,
     n_class_of_generator,
+    orbit_count,
     parse_unil3,
     pi_map,
     switch_unil2,
@@ -251,6 +252,15 @@ class TestEnumerate:
             enumerate_truncated("UNil3", -1)
         with pytest.raises(ValueError):
             enumerate_truncated("UNil7", 1)
+
+    def test_orbit_count_closed_form(self):
+        for group in ("UNil2", "UNil3"):
+            for d in range(6):
+                assert orbit_count(group, d) == enumerate_truncated(group, d).orbits
+        with pytest.raises(ValueError):
+            orbit_count("UNil3", -1)
+        with pytest.raises(ValueError):
+            orbit_count("UNil7", 1)
 
     def test_burnside_against_brute_force(self):
         for d in (1, 2, 3):
