@@ -129,19 +129,12 @@ def z4_mul(alo, ahi, blo, bhi):
     table = _pad_table(w)
     A = _pad(alo, table, w) + (_pad(ahi, table, w) << 1)
     B = _pad(blo, table, w) + (_pad(bhi, table, w) << 1)
-    P = A * B
-    mask = (1 << w) - 1
-    lo = hi = 0
-    k = 0
-    while P:
-        c = P & mask
-        if c & 1:
-            lo |= 1 << k
-        if c & 2:
-            hi |= 1 << k
-        P >>= w
-        k += 1
-    return lo, hi
+    # read bits 0 and 1 of every field off the binary string of the
+    # product, which takes linear time where shifting P field by field
+    # copies it each time; s[j] is bit len(s) - 1 - j of P
+    s = format(A * B, "b")
+    n = len(s)
+    return int(s[(n - 1) % w :: w], 2), int(s[(n - 2) % w :: w] or "0", 2)
 
 
 def z4_sq_lift(f):

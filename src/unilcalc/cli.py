@@ -98,7 +98,13 @@ def _cmd_arf(args):
     return CommandResult("value", payload, human=(str(cls),))
 
 
+def _check_jobs(args):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+
+
 def _cmd_witt_check(args):
+    _check_jobs(args)
     data = _read_json(args.form)
     if not isinstance(data, dict):
         raise ValueError("witt-check input must be a JSON object")
@@ -242,6 +248,7 @@ MAX_VERIFY_DEGREE = 12
 def _cmd_verify_paper(args):
     if not 0 <= args.degree <= MAX_VERIFY_DEGREE:
         raise ValueError(f"--degree must be between 0 and {MAX_VERIFY_DEGREE}")
+    _check_jobs(args)
     results = []
     all_ok = True
     for name, fn in _FIXTURES:

@@ -15,7 +15,10 @@ determines q everywhere from basis values; eval_bq implements it with
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import os
 from dataclasses import dataclass
 
 from unilcalc.f2linalg import (
@@ -36,6 +39,11 @@ from unilcalc.kernels import gf2_deg, gf2_divmod, gf2_mul, z4_add, z4_mul, z4_ne
 from unilcalc.polynomials import Polynomial, even_odd_decompose, parse_poly
 
 Z4_ZERO = (0, 0)
+
+# find_lagrangian refuses a search whose q = 0 filter would test more rows
+# than this (search_rows); a pure-Python filter tests about a million rows
+# a second
+MAX_SEARCH_ROWS = 10_000_000
 
 
 def _poly_strings(value, what, length):
@@ -356,44 +364,108 @@ def arf_even(form, rng=None):
     return artin_schreier_reduce(total)
 
 
+def search_rows(k, bound):
+    """How many candidate rows the q = 0 filter tests, at most, in a
+    lagrangian search of rank k at this degree bound.
+
+    Row i of a pivot pattern is filtered once per (pivot value, degrees of
+    the later pivots).  With n = 2^(bound+1) - 1 nonzero pivot values and
+    F = 2^(bound+1) values per free slot, summing 2^d over the degrees d
+    of each later pivot gives n again, so row i tests n^(r-i) * F^free
+    rows, free being the non-pivot slots after its pivot.  C(p, i) *
+    C(k-1-p, r-1-i) patterns put pivot i at slot p.  Lists after an empty
+    one are never built, so a search may test fewer."""
+    r = k // 2
+    F = 1 << (bound + 1)
+    n = F - 1
+    total = 0
+    for i in range(r):
+        for p in range(i, k - r + i + 1):
+            free = (k - 1 - p) - (r - 1 - i)
+            patterns = math.comb(p, i) * math.comb(k - 1 - p, r - 1 - i)
+            total += patterns * n ** (r - i) * F**free
+    return total
+
+
+@functools.lru_cache(maxsize=1)
+def _slot_tables(form, bound):
+    """Per-slot tables for one search, indexed by coefficients of degree
+    <= bound: sq[c][f] = f^2 q(e_c), and cross[(i, j)][a] = a b_ij for
+    i < j with b_ij != 0."""
+    k = form.rank
+    values = range(1 << (bound + 1))
+    sq = tuple(tuple(z4_mul(*z4_sq_lift(f), *qc) for f in values) for qc in form.q_num)
+    cross = {
+        (i, j): tuple(gf2_mul(a, form.b_num[i][j]) for a in values)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if form.b_num[i][j]
+    }
+    return sq, cross
+
+
+def _q_zero_rows(tables, pivot, pval, spans):
+    """The rows (0, ..., 0, pval, x_(pivot+1), ..., x_(k-1)), x_c running
+    over spans[c] in itertools.product order, on which q vanishes.
+
+    q is built slot by slot: setting slot c to v adds v^2 q(e_c) and
+    2 v b(x, e_c), where x is the row so far, so each row costs one table
+    lookup and at most one gf2_mul per slot."""
+    sq, cross = tables
+    k = len(spans)
+    row = [0] * k
+    row[pivot] = pval
+    rows = []
+
+    def extend(c, lo, hi):
+        if c == k:
+            if not (lo or hi):
+                rows.append(tuple(row))
+            return
+        bx = 0  # numerator of b(x, e_c); row[c:] is not read
+        for i in range(pivot, c):
+            a = row[i]
+            if a and (i, c) in cross:
+                bx ^= cross[i, c][a]
+        sqc = sq[c]
+        for v in spans[c]:
+            slo, shi = sqc[v]
+            vhi = hi ^ shi ^ (lo & slo)
+            if bx and v:
+                vhi ^= gf2_mul(bx, v)
+            row[c] = v
+            extend(c + 1, lo ^ slo, vhi)
+
+    extend(pivot + 1, *sq[pivot][pval])
+    return rows
+
+
 def _lagrangian_candidates(form, pivots, bound):
     """Canonical-echelon candidate generators for one pivot pattern, with
     rows pre-filtered by q(row) = 0."""
     k = form.rank
     r = len(pivots)
-    pivot_space = range(1, 1 << (bound + 1))
+    tables = _slot_tables(form, bound)
     free_space = range(1 << (bound + 1))
-    for pvals in itertools.product(pivot_space, repeat=r):
-        deg_of = {pivots[i]: gf2_deg(pvals[i]) for i in range(r)}
+    # the rows for row i depend only on its pivot value and on the degrees
+    # of the later pivots, which bound the slots reduced mod those pivots
+    lists = {}
+    for pvals in itertools.product(range(1, 1 << (bound + 1)), repeat=r):
         per_row = []
         for i in range(r):
-            slots = []
-            for c in range(k):
-                if c < pivots[i]:
-                    slots.append((c, None))  # echelon zero
-                elif c == pivots[i]:
-                    slots.append((c, (pvals[i],)))
-                elif c in deg_of:
-                    slots.append((c, range(1 << deg_of[c])))  # reduced mod later pivot
-                else:
-                    slots.append((c, free_space))
-            var = [(c, opts) for c, opts in slots if opts is not None]
-            rows = []
-            for vals in itertools.product(*(opts for _, opts in var)):
-                row = [0] * k
-                for (c, _), val in zip(var, vals):
-                    row[c] = val
-                row = tuple(row)
-                if eval_bq(form, row, row)[1] == Z4_ZERO:
-                    rows.append(row)
+            later = tuple(gf2_deg(v) for v in pvals[i + 1 :])
+            key = (i, pvals[i], later)
+            rows = lists.get(key)
+            if rows is None:
+                spans = [free_space] * k
+                for c, d in zip(pivots[i + 1 :], later):
+                    spans[c] = range(1 << d)
+                rows = lists[key] = _q_zero_rows(tables, pivots[i], pvals[i], spans)
             if not rows:
-                per_row = None
                 break
             per_row.append(rows)
-        if per_row is None:
-            continue
-        for combo in itertools.product(*per_row):
-            yield combo
+        else:
+            yield from itertools.product(*per_row)
 
 
 def _search_pattern(args):
@@ -420,19 +492,36 @@ def find_lagrangian(form, degree_bound, jobs=1):
     """Exhaustive search for L with L = L-perp and q|L = 0, over canonical
     echelon generator matrices with entries of degree <= degree_bound.
     Returns the first witness in canonical order, or None (no witness below
-    the bound is not a nonexistence proof)."""
+    the bound is not a nonexistence proof).  A search whose q = 0 filter
+    would test more than MAX_SEARCH_ROWS rows (see search_rows) is refused
+    before anything is built.  jobs > 1 searches the pivot patterns in a
+    pool of at most min(jobs, cpu count, patterns) processes."""
+    if degree_bound < 0:
+        raise ValueError("the degree bound must be non-negative")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     k = form.rank
     if k == 0:
         return Submodule(0, ())
     if k % 2:
         return None
-    r = k // 2
-    patterns = list(itertools.combinations(range(k), r))
+    # for k >= 2 the search tests at least 2^(bound+1) - 1 rows, so a bound
+    # this large is refused without computing 2^(bound+1)
+    if (
+        degree_bound >= MAX_SEARCH_ROWS.bit_length()
+        or search_rows(k, degree_bound) > MAX_SEARCH_ROWS
+    ):
+        raise ValueError(
+            f"a lagrangian search of rank {k} at degree bound {degree_bound} "
+            f"tests more than {MAX_SEARCH_ROWS} candidate rows"
+        )
+    patterns = list(itertools.combinations(range(k), k // 2))
     tasks = [(form, piv, degree_bound) for piv in patterns]
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(patterns))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_search_pattern, tasks)
         return next((res for res in results if res is not None), None)
     for task in tasks:

@@ -142,3 +142,33 @@ def trial_division_factor(f):
             out.append((c, m))
         c += 1
     return tuple(sorted(out))
+
+
+def lagrangian_candidates_by_eval_bq(form, pivots, bound):
+    """Reference for linking._lagrangian_candidates: for every pivot value
+    tuple, build each row's full product of slot values and keep the rows
+    with eval_bq(form, row, row) giving q = 0, then yield the product of
+    the kept rows.  No tables, no incremental q and no reuse of row lists
+    between pivot value tuples."""
+    from unilcalc.linking import eval_bq
+
+    k = form.rank
+    r = len(pivots)
+    free_space = range(1 << (bound + 1))
+    for pvals in product(range(1, 1 << (bound + 1)), repeat=r):
+        deg_of = {pivots[i]: pvals[i].bit_length() - 1 for i in range(r)}
+        per_row = []
+        for i in range(r):
+            slots = []
+            for c in range(pivots[i] + 1, k):
+                slots.append(range(1 << deg_of[c]) if c in deg_of else free_space)
+            rows = []
+            for vals in product(*slots):
+                row = (0,) * pivots[i] + (pvals[i],) + vals
+                if eval_bq(form, row, row)[1] == (0, 0):
+                    rows.append(row)
+            if not rows:
+                break
+            per_row.append(rows)
+        else:
+            yield from product(*per_row)

@@ -8,6 +8,7 @@ from unilcalc import cli
 from unilcalc.classify import MAX_TABLE_ROWS
 from unilcalc.cli import main
 from unilcalc.linking import (
+    MAX_SEARCH_ROWS,
     LinkingForm,
     Submodule,
     witt_four_term_instance,
@@ -149,6 +150,27 @@ class TestWittCheck:
             assert doc["even"] is True and doc["arf"] == "0"
             assert doc["witt_trivial_witness"] is True
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--bound", "-1"), "the degree bound must be non-negative"),
+            (("--bound", "-3"), "the degree bound must be non-negative"),
+            (
+                ("--bound", "40"),
+                "a lagrangian search of rank 2 at degree bound 40 tests more than "
+                f"{MAX_SEARCH_ROWS} candidate rows",
+            ),
+            (("--jobs", "0"), "--jobs must be at least 1"),
+            (("--jobs", "-2"), "--jobs must be at least 1"),
+        ],
+    )
+    def test_bad_search_arguments_rejected(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(hyperbolic_json()))
+        code, out, err = run(capsys, "witt-check", str(path), *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_bad_sublagrangian_fails(self, capsys, tmp_path):
         form = hyperbolic_json()
         path = tmp_path / "f.json"
@@ -233,6 +255,12 @@ class TestVerifyPaper:
         assert err.splitlines() == [
             f"error: --degree must be between 0 and {cli.MAX_VERIFY_DEGREE}"
         ]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run(capsys, "verify-paper", "--degree", "0", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: --jobs must be at least 1"]
 
     def test_degree_zero_accepted(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--degree", "0")

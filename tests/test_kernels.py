@@ -116,6 +116,23 @@ class TestZ4:
             assert Polynomial.from_z4pair(*impl.z4_sq_lift(f)) == sq
 
 
+@pytest.mark.parametrize(
+    "la,lb",
+    # 28 and 29 coefficients straddle a change of field width
+    [(1, 1), (1, 3000), (28, 29), (64, 65), (9, 2999), (511, 700), (3000, 3000)],
+)
+def test_pure_z4_mul_long_operands(la, lb):
+    rng = random.Random(la * 7919 + lb)
+
+    def operand(n):
+        lo, hi = rng.getrandbits(n), rng.getrandbits(n)
+        return lo | 1 << (n - 1), hi  # exactly n coefficients
+
+    a, b = operand(la), operand(lb)
+    pa, pb = Polynomial.from_z4pair(*a), Polynomial.from_z4pair(*b)
+    assert Polynomial.from_z4pair(*PURE.z4_mul(*a, *b)) == pa * pb
+
+
 @pytest.mark.parametrize("n", [7300, 8000])
 def test_pure_z4_mul_wide_operands(n):
     # (3 + 3t + ... + 3t^(n-1))^2 has coefficient 9*min(k+1, 2n-1-k) at t^k,

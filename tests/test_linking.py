@@ -1,10 +1,16 @@
+import itertools
+import multiprocessing
+import os
 import random
 
 import pytest
 
+from tests.helpers_oracles import lagrangian_candidates_by_eval_bq
+from unilcalc import linking
 from unilcalc.funcfield import artin_schreier_reduce
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
 from unilcalc.linking import (
+    MAX_SEARCH_ROWS,
     LinkingForm,
     Submodule,
     arf_even,
@@ -17,6 +23,7 @@ from unilcalc.linking import (
     negate,
     orthogonal_complement,
     resolution_to_linking,
+    search_rows,
     sublagrangian_reduce,
     witt_four_term_instance,
 )
@@ -36,16 +43,21 @@ def hyperbolic(q1=(0, 0), q2=(0, 0)):
 
 
 def rand_even_form(rng, k=2, deg=2):
+    return rand_form(rng, k, deg, even=True)
+
+
+def rand_form(rng, k=2, deg=2, even=False):
+    """A random nonsingular form; an odd one draws its diagonal too."""
     from unilcalc.f2linalg import det
 
     while True:
         b = [[0] * k for _ in range(k)]
         for i in range(k):
-            for j in range(i + 1, k):
+            for j in range(i + 1 if even else i, k):
                 b[i][j] = b[j][i] = rng.randrange(1 << (deg + 1))
         bt = tuple(tuple(row) for row in b)
         if det(bt) == 1:
-            q = tuple((0, rng.randrange(1 << (deg + 1))) for _ in range(k))
+            q = tuple((b[i][i], rng.randrange(1 << (deg + 1))) for i in range(k))
             return LinkingForm(k, bt, q)
 
 
@@ -394,6 +406,139 @@ class TestFindLagrangian:
         G, S = witt_four_term_instance(T)
         red = sublagrangian_reduce(G, S)
         assert find_lagrangian(red, 1, jobs=2) == find_lagrangian(red, 1)
+
+
+def reduced_four_term(bits):
+    p = Polynomial("Z", tuple(bits >> k & 1 for k in range(4)))
+    return sublagrangian_reduce(*witt_four_term_instance(p))
+
+
+class TestCandidateFilter:
+    """_lagrangian_candidates against the eval_bq filter it replaced."""
+
+    @staticmethod
+    def assert_same_stream(form, bound, limit=200):
+        for pivots in itertools.combinations(range(form.rank), form.rank // 2):
+            got = itertools.islice(linking._lagrangian_candidates(form, pivots, bound), limit)
+            want = itertools.islice(lagrangian_candidates_by_eval_bq(form, pivots, bound), limit)
+            assert list(got) == list(want), (form, pivots, bound)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_four_term_instances(self, bound):
+        for bits in range(16):
+            self.assert_same_stream(reduced_four_term(bits), bound)
+
+    @pytest.mark.parametrize("even", [True, False])
+    def test_random_forms(self, even):
+        rng = random.Random(257 + even)
+        for k, forms, bounds in ((2, 8, range(4)), (4, 3, range(3))):
+            for _ in range(forms):
+                f = rand_form(rng, k, deg=2, even=even)
+                for bound in bounds:
+                    self.assert_same_stream(f, bound)
+
+    def test_first_witness_unchanged(self):
+        # the witnesses find_lagrangian returned before rows were filtered
+        # slot by slot
+        for bits, bound, basis in (
+            (0b1010, 3, ((2, 0, 1, 2), (0, 1, 1, 6))),
+            (0b1000, 3, ((1, 1, 0, 6), (0, 3, 1, 11))),
+            (0b1111, 3, ((1, 0, 0, 4), (0, 3, 1, 7))),
+            (0b1011, 2, None),
+            (0b1100, 2, None),
+        ):
+            L = find_lagrangian(reduced_four_term(bits), bound)
+            assert (L and L.basis) == basis
+
+    def test_z4_mul_calls_do_not_grow_with_rows(self, monkeypatch):
+        # an exhaustive search: only the per-slot tables call z4_mul, once
+        # per (slot, coefficient); filtering rows through eval_bq took
+        # thousands of calls
+        red = reduced_four_term(0b1011)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return z4_mul(*args)
+
+        monkeypatch.setattr(linking, "z4_mul", counting)
+        linking._slot_tables.cache_clear()
+        assert find_lagrangian(red, 2) is None
+        assert len(calls) <= red.rank << 3
+
+
+class TestSearchLimits:
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            find_lagrangian(hyperbolic(), -1)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_search_rows_counts_row_lists(self, k, bound):
+        # one row list per (pattern, row, pivot value, degrees of the later
+        # pivots), each the product of its slots' value ranges
+        free = 1 << (bound + 1)
+        lists = {}
+        for pivots in itertools.combinations(range(k), k // 2):
+            for pvals in itertools.product(range(1, free), repeat=k // 2):
+                for i, p in enumerate(pivots):
+                    degs = dict((c, v.bit_length() - 1) for c, v in zip(pivots, pvals))
+                    later = tuple(degs[c] for c in pivots[i + 1 :])
+                    n = 1
+                    for c in range(p + 1, k):
+                        n *= 1 << degs[c] if c in degs else free
+                    lists[pivots, i, pvals[i], later] = n
+        assert search_rows(k, bound) == sum(lists.values())
+
+    def test_limit_covers_the_bundled_searches(self):
+        # verify-paper searches the reduced rank-4 forms at bound 3
+        assert search_rows(4, 3) <= MAX_SEARCH_ROWS
+
+    @pytest.mark.parametrize("k,bound", [(8, 2), (4, 6), (2, 10**9), (60, 0)])
+    def test_oversized_search_refused_before_building(self, monkeypatch, k, bound):
+        def no_tables(*args):
+            raise AssertionError("tables built for a refused search")
+
+        monkeypatch.setattr(linking, "_slot_tables", no_tables)
+        form = direct_sum([hyperbolic()] * (k // 2))
+        with pytest.raises(ValueError, match=f"more than {MAX_SEARCH_ROWS} candidate rows"):
+            find_lagrangian(form, bound)
+
+
+class FakePool:
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return list(map(fn, tasks))
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            find_lagrangian(hyperbolic(), 1, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,size",
+        [(1000, 64, 6), (1000, 3, 3), (4, 64, 4), (2, None, None), (1000, 1, None)],
+    )
+    def test_pool_size_clamped(self, monkeypatch, jobs, cpus, size):
+        # rank 4 has 6 pivot patterns; a pool of one is no pool
+        FakePool.sizes = []
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        red = reduced_four_term(0b10)
+        assert find_lagrangian(red, 1, jobs=jobs) == find_lagrangian(red, 1)
+        assert FakePool.sizes == ([] if size is None else [size])
 
 
 class TestJson:

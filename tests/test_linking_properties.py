@@ -1,0 +1,41 @@
+"""Property test of the slot-by-slot q in the lagrangian search filter."""
+
+import random
+
+import pytest
+
+from tests.test_linking import rand_form
+from unilcalc import linking
+from unilcalc.kernels import z4_neg
+from unilcalc.linking import LinkingForm, direct_sum, eval_bq
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    even=st.booleans(),
+    bound=st.integers(0, 3),
+)
+def test_slot_by_slot_q_equals_eval_bq(seed, k, even, bound):
+    """The filter keeps a row exactly when its slot-by-slot q is 0.  Append
+    a rank-2 block with q(e) = -V, V = eval_bq's q(x): q(x, 1, 0) is then
+    q(x) - V, so the filter keeps (x, 1, 0) exactly when its q(x) is V."""
+    rng = random.Random(seed)
+    if even and k % 2:
+        k += 1
+    f = rand_form(rng, k, deg=2, even=even)
+    x = tuple(rng.randrange(1 << (bound + 1)) for _ in range(k))
+    lo, hi = eval_bq(f, x, x)[1]
+    g = direct_sum([f, LinkingForm(2, ((lo, 1), (1, 0)), (z4_neg(lo, hi), (0, 0)))])
+    row = x + (1, 0)
+    pivot = next(c for c, v in enumerate(row) if v)
+    spans = [(v,) for v in row]
+    tables = linking._slot_tables(g, bound)
+    assert linking._q_zero_rows(tables, pivot, row[pivot], spans) == [row]
+    # and a different V is not matched
+    g2 = direct_sum([f, LinkingForm(2, ((lo, 1), (1, 0)), (z4_neg(lo, hi ^ 1), (0, 0)))])
+    assert linking._q_zero_rows(linking._slot_tables(g2, bound), pivot, row[pivot], spans) == []
