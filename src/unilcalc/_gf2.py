@@ -2,15 +2,13 @@
 
 An element of F2[t] is a nonnegative int whose bit k is the coefficient of
 t^k.  An element of Z4[t] is a pair of such ints (lo, hi); the coefficient
-of t^k is lo_k + 2*hi_k.
-
-This module is the reference implementation; unilcalc._gf2_fast is a
-compiled twin with the same interface.  Pick one through unilcalc.kernels.
+of t^k is lo_k + 2*hi_k.  The rest of the package imports these
+functions through unilcalc.kernels.
 """
 
 import functools
 
-BACKEND = "python"
+BACKEND = "python"  # reported by the benchmark harness in perfbench
 
 
 def gf2_deg(a):
@@ -103,18 +101,21 @@ def z4_neg(lo, hi):
 
 @functools.cache
 def _pad_table(w):
-    """Byte x -> the 8 bits of x placed one per w-bit field."""
-    return tuple(sum(1 << (w * i) for i in range(8) if x >> i & 1) for x in range(256))
+    """Byte x -> the 8 bits of x placed one per w-bit field, as the w
+    little-endian bytes those 8 fields fill."""
+    return tuple(
+        sum(1 << (w * i) for i in range(8) if x >> i & 1).to_bytes(w, "little")
+        for x in range(256)
+    )
 
 
-def _pad(a, table, w):
-    r = 0
-    k = 0
-    while a:
-        r |= table[a & 0xFF] << k
-        a >>= 8
-        k += 8 * w
-    return r
+def _pad(a, table):
+    # every byte of a spreads to exactly w whole bytes, so the padded int is
+    # the join of their table entries, built in linear time
+    return int.from_bytes(
+        b"".join([table[x] for x in a.to_bytes((a.bit_length() + 7) // 8, "little")]),
+        "little",
+    )
 
 
 def z4_mul(alo, ahi, blo, bhi):
@@ -127,8 +128,8 @@ def z4_mul(alo, ahi, blo, bhi):
     # so it is <= 9n < 2^w
     w = (9 * (a if a < b else b).bit_length()).bit_length()
     table = _pad_table(w)
-    A = _pad(alo, table, w) + (_pad(ahi, table, w) << 1)
-    B = _pad(blo, table, w) + (_pad(bhi, table, w) << 1)
+    A = _pad(alo, table) + (_pad(ahi, table) << 1)
+    B = _pad(blo, table) + (_pad(bhi, table) << 1)
     # read bits 0 and 1 of every field off the binary string of the
     # product, which takes linear time where shifting P field by field
     # copies it each time; s[j] is bit len(s) - 1 - j of P

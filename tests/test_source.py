@@ -17,3 +17,13 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_holds_only_python_sources():
+    # the classify cache is keyed on the package's *.py files alone
+    # (cli._source_digest), so a compiled or generated module here could
+    # change the answers without changing the cache key
+    found = sorted(
+        path.name for path in SRC.iterdir() if path.name != "__pycache__" and path.suffix != ".py"
+    )
+    assert not found, f"non-Python files in the package: {found}"
