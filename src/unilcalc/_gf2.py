@@ -52,26 +52,9 @@ def gf2_gcd(a, b):
     return a
 
 
-def _spread_byte(x):
-    r = 0
-    for i in range(8):
-        if x >> i & 1:
-            r |= 1 << (2 * i)
-    return r
-
-
-_SPREAD8 = [_spread_byte(x) for x in range(256)]
-
-
 def gf2_spread(a):
     """a(t^2), which equals the mod-2 part of the integer square of a lift."""
-    r = 0
-    k = 0
-    while a:
-        r |= _SPREAD8[a & 0xFF] << k
-        a >>= 8
-        k += 16
-    return r
+    return _pad(a, _pad_table(2))
 
 
 def gf2_cross_square(a):

@@ -10,19 +10,26 @@ bound on the Z coordinate make every table finite.
 import csv
 import io
 import json
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, product
+from functools import cached_property
+from itertools import chain, combinations_with_replacement, islice, product
 from json.encoder import encode_basestring_ascii
 
 from unilcalc.polynomials import compact_str
-from unilcalc.unil import compact_literal, enumerate_truncated, orbit_count
+from unilcalc.unil import compact_literal, orbit_count, orbit_reps
 
 
-# enumerate_J refuses a table with more rows than this before it enumerates
-# anything.  A row costs a few hundred bytes until it is written out; the
-# largest table the tests, README and benchmark use (classify 8
-# --degree-cutoff 5) has 152,064 rows.
+# enumerate_J refuses a table with more rows than this.  Rows are made and
+# written a chunk at a time, so the limit bounds the time and the size of the
+# output, not memory: at about 4 us (one x86_64 core) and 50 bytes of CSV or
+# 200 of JSON a row, the largest admitted table takes about 8 s and writes up
+# to 400 MB.  The largest table the tests, README and benchmark use (classify
+# 8 --degree-cutoff 5) has 152,064 rows.
 MAX_TABLE_ROWS = 2_000_000
+
+# rows per chunk of written output
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -111,45 +118,123 @@ def relevant_unil(n):
     return "Zero"
 
 
-@dataclass(frozen=True, slots=True)
-class ManifoldClass:
-    pair: tuple
-    theta: object
-    not_connected_sum: bool
-    epsilon: int
-    identified_with: str = ""
+Row = namedtuple(
+    "Row", ("pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
+)
+Row.__doc__ = """One table row as it is written: the pair's coordinates and the theta
+orbit as text, whether the class is not a connected sum, and the pair a
+folded row absorbed ("" when none)."""
 
-    def theta_str(self):
-        if self.theta is None:
-            return "0"
-        if hasattr(self.theta, "arf_class"):
-            return f"[{compact_str(self.theta.arf_class.rep)}]"
-        return compact_literal(self.theta)
+
+def _theta_text(theta):
+    if hasattr(theta, "arf_class"):
+        return f"[{compact_str(theta.arf_class.rep)}]"
+    return compact_literal(theta)
+
+
+class TableRows:
+    """The rows of a table, made afresh on each iteration, so that no table
+    holds them; len() is the closed-form count.
+
+    A row is a pair of structure-set coordinates crossed with a theta
+    orbit.  Each coordinate and each theta is rendered once per table.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self._len = table_row_count(table.n, table.degree_cutoff, table.z_bound, table.folded)
+
+    def __len__(self):
+        return self._len
+
+    @cached_property
+    def _thetas(self):
+        """The text of each switch-orbit of the UNil group, and whether the
+        orbit is nonzero, as two lists."""
+        group = relevant_unil(self.table.n)
+        if group == "Zero":
+            return ["0"], [False]
+        texts, flags = [], []
+        for theta in orbit_reps(group, self.table.degree_cutoff):
+            texts.append(_theta_text(theta))
+            flags.append(not theta.is_zero())
+        return texts, flags
+
+    def _pairs(self):
+        """(coordinate text 1, coordinate text 2, identified_with) per pair of
+        the table, in lexicographic order.
+
+        A folded table keeps a pair (a, b) when its negation (na, nb) =
+        sorted(-a, -b) is not smaller, and names the negation when it
+        differs: the pairs come in lexicographic order, so that is the pair
+        the survivor absorbed.
+        """
+        t = self.table
+        desc = t.desc
+        elements = structure_set_elements(desc, t.z_bound)
+        text = {e: coord_str(desc, e) for e in elements}
+        for a, b in combinations_with_replacement(elements, 2):
+            absorbed = ""
+            if t.folded:
+                neg = tuple(sorted((_negate_coord(desc, a), _negate_coord(desc, b))))
+                if neg < (a, b):
+                    continue
+                if neg != (a, b):
+                    absorbed = f"{text[neg[0]]};{text[neg[1]]}"
+            yield text[a], text[b], absorbed
+
+    def __iter__(self):
+        texts, flags = self._thetas
+        for a, b, absorbed in self._pairs():
+            for theta, flag in zip(texts, flags):
+                yield Row(a, b, theta, flag, absorbed)
 
 
 @dataclass(frozen=True)
 class ClassificationTable:
+    """A classification table, named by its parameters; its rows are made
+    each time they are iterated."""
+
     n: int
     degree_cutoff: int
     z_bound: int
-    rows: tuple
     folded: bool = False
 
     @property
     def desc(self):
         return structure_set_P(self.n)
 
+    @property
+    def epsilon(self):
+        return (-1) ** (self.n + 1)
 
-def table_row_count(n, degree_cutoff=0, z_bound=0):
-    """The number of rows of enumerate_J(n, degree_cutoff, z_bound), in
-    closed form: unordered pairs of structure-set coordinates times
-    switch-orbits of the relevant UNil group."""
-    coords = structure_set_P(n).count(z_bound)
+    @cached_property
+    def rows(self):
+        return TableRows(self)
+
+
+def table_row_count(n, degree_cutoff=0, z_bound=0, folded=False):
+    """The number of rows of enumerate_J(n, degree_cutoff, z_bound), folded
+    by bar_J when ``folded``, in closed form: unordered pairs of
+    structure-set coordinates times switch-orbits of the relevant UNil
+    group.
+
+    Negation folds the pairs by Burnside, (pairs + fixed pairs) / 2: a pair
+    is fixed when both its Z coordinates are 0, or when it is {(bits, z),
+    (bits, -z)} with z > 0.
+    """
+    desc = structure_set_P(n)
+    coords = desc.count(z_bound)
     if degree_cutoff < 0:
         raise ValueError("degree cutoff must be >= 0")
     group = relevant_unil(n)
     orbits = 1 if group == "Zero" else orbit_count(group, degree_cutoff)
-    return coords * (coords + 1) // 2 * orbits
+    pairs = coords * (coords + 1) // 2
+    if folded and desc.has_Z:
+        bits = 1 << desc.z2_count
+        fixed = bits * (bits + 1) // 2 + bits * z_bound
+        pairs = (pairs + fixed) // 2
+    return pairs * orbits
 
 
 def enumerate_J(n, degree_cutoff=0, z_bound=0):
@@ -158,51 +243,13 @@ def enumerate_J(n, degree_cutoff=0, z_bound=0):
     Rows are unordered pairs (with repetition) of structure-set
     coordinates crossed with switch-orbit representatives of the
     relevant UNil group; a row is flagged not_connected_sum when its
-    theta-orbit is nonzero.
+    theta-orbit is nonzero.  Every limit is checked here; the rows are
+    made only when they are iterated.
     """
     rows = table_row_count(n, degree_cutoff, z_bound)
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"the table would have {rows} rows, above the limit {MAX_TABLE_ROWS}")
-    desc = structure_set_P(n)
-    elements = structure_set_elements(desc, z_bound)
-    group = relevant_unil(n)
-    if group == "Zero":
-        thetas = (None,)
-    else:
-        thetas = enumerate_truncated(group, degree_cutoff).orbit_reps
-    flagged = [(theta, theta is not None and not theta.is_zero()) for theta in thetas]
-    epsilon = (-1) ** (n + 1)
-    rows = tuple(
-        ManifoldClass(pair, theta, flag, epsilon)
-        for pair in combinations_with_replacement(elements, 2)
-        for theta, flag in flagged
-    )
-    return ClassificationTable(n, degree_cutoff, z_bound, rows)
-
-
-def _row_texts(table):
-    """Yield (row, pair_coord_1, pair_coord_2, theta) with the columns'
-    text, rendering each distinct coordinate and theta of the table once.
-
-    Thetas are looked up by identity, which is cheap where hashing a UNil
-    element is not: the rows of a table share (and keep alive) the orbit
-    representatives they were built from.
-    """
-    desc = table.desc
-    coords = {}
-    thetas = {}
-    for row in table.rows:
-        a, b = row.pair
-        text_a = coords.get(a)
-        if text_a is None:
-            text_a = coords[a] = coord_str(desc, a)
-        text_b = coords.get(b)
-        if text_b is None:
-            text_b = coords[b] = coord_str(desc, b)
-        theta = thetas.get(id(row.theta))
-        if theta is None:
-            theta = thetas[id(row.theta)] = row.theta_str()
-        yield row, text_a, text_b, theta
+    return ClassificationTable(n, degree_cutoff, z_bound)
 
 
 def bar_J(n, table):
@@ -217,69 +264,44 @@ def bar_J(n, table):
         raise ValueError("dimension does not match the table")
     if n % 4 != 3:
         return table
-    desc = table.desc
-    rows = list(_row_texts(table))
-    # (pair, theta text) -> the pair's coordinate texts
-    by_key = {(row.pair, theta): (a, b) for row, a, b, theta in rows}
-    out = []
-    seen = set()
-    for row, _, _, theta in rows:
-        key = (row.pair, theta)
-        if key in seen:
-            continue
-        neg_pair = tuple(sorted(_negate_coord(desc, c) for c in row.pair))
-        neg_key = (neg_pair, theta)
-        seen.add(key)
-        if neg_key == key:
-            out.append(row)
-            continue
-        seen.add(neg_key)
-        absorbed = ";".join(by_key[neg_key])
-        out.append(ManifoldClass(row.pair, row.theta, row.not_connected_sum, row.epsilon, absorbed))
-    return replace(table, rows=tuple(out), folded=True)
+    return replace(table, folded=True)
 
 
 _COLUMNS = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
 
 
-def table_rows_as_dicts(table):
-    n = table.n
-    for row, coord_1, coord_2, theta in _row_texts(table):
-        yield {
-            "n": n,
-            "pair_coord_1": coord_1,
-            "pair_coord_2": coord_2,
-            "theta": theta,
-            "not_connected_sum": row.not_connected_sum,
-            "identified_with": row.identified_with,
-        }
+def _batches(rows):
+    """The rows in runs of at most CHUNK_ROWS, as iterators that are not
+    stored: each run must be used up before the next is taken."""
+    it = iter(rows)
+    for first in it:
+        yield chain((first,), islice(it, CHUNK_ROWS - 1))
+
+
+# table_to_csv and table_to_json return their generators instead of being
+# generators, so that perfbench/tracer.py, which skips generator functions,
+# records each call and counts the rows of the tables given to table_to_csv.
 
 
 def table_to_csv(table):
+    """The table as CSV text, in chunks of CHUNK_ROWS rows."""
+    return _csv_chunks(table)
+
+
+def _csv_chunks(table):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
     n = table.n
-    writer.writerows(
-        (n, coord_1, coord_2, theta, int(row.not_connected_sum), row.identified_with)
-        for row, coord_1, coord_2, theta in _row_texts(table)
-    )
-    return buf.getvalue()
+    for batch in _batches(table.rows):
+        writer.writerows((n, a, b, theta, int(flag), absorbed) for a, b, theta, flag, absorbed in batch)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
-def table_to_json_dict(table):
-    return {
-        "n": table.n,
-        "degree_cutoff": table.degree_cutoff,
-        "z_bound": table.z_bound,
-        "epsilon": (-1) ** (table.n + 1),
-        "folded": table.folded,
-        "rows": list(table_rows_as_dicts(table)),
-    }
-
-
-# One row of json.dumps(..., sort_keys=True, indent=2) on a table_rows_as_dicts
-# row, inside the top-level "rows" list.
+# One row of json.dumps(..., sort_keys=True, indent=2) on a table's JSON
+# document, inside the top-level "rows" list.
 _JSON_ROW = """\
     {
       "identified_with": %s,
@@ -291,28 +313,39 @@ _JSON_ROW = """\
     }"""
 
 
-def table_json_text(doc):
-    """json.dumps(doc, sort_keys=True, indent=2) for a table_to_json_dict
-    payload, with the rows written from a fixed template.
+def table_to_json(table):
+    """The table as the text of json.dumps(doc, sort_keys=True, indent=2)
+    plus a newline, in chunks of CHUNK_ROWS rows, where doc holds n,
+    degree_cutoff, z_bound, epsilon, folded and the rows as objects keyed
+    by the CSV columns.
 
     ``indent`` turns off json's C encoder, so dumping a large table costs
     one pure-Python call per token; here the header keys still go through
-    json.dumps and each row costs one template fill.
+    json.dumps and each row costs one template fill.  A table always has a
+    row, so the list is never empty.
     """
-    head, tail = json.dumps({**doc, "rows": []}, sort_keys=True, indent=2).split('"rows": []')
-    if not doc["rows"]:
-        return f'{head}"rows": []{tail}'
+    return _json_chunks(table)
+
+
+def _json_chunks(table):
+    doc = {
+        "n": table.n,
+        "degree_cutoff": table.degree_cutoff,
+        "z_bound": table.z_bound,
+        "epsilon": table.epsilon,
+        "folded": table.folded,
+        "rows": [],
+    }
+    head, tail = json.dumps(doc, sort_keys=True, indent=2).split('"rows": []')
     enc = encode_basestring_ascii
-    body = ",\n".join(
-        _JSON_ROW
-        % (
-            enc(r["identified_with"]),
-            r["n"],
-            "true" if r["not_connected_sum"] else "false",
-            enc(r["pair_coord_1"]),
-            enc(r["pair_coord_2"]),
-            enc(r["theta"]),
+    n = table.n
+    yield f'{head}"rows": [\n'
+    for i, batch in enumerate(_batches(table.rows)):
+        if i:
+            yield ",\n"
+        yield ",\n".join(
+            _JSON_ROW
+            % (enc(absorbed), n, "true" if flag else "false", enc(a), enc(b), enc(theta))
+            for a, b, theta, flag, absorbed in batch
         )
-        for r in doc["rows"]
-    )
-    return f'{head}"rows": [\n{body}\n  ]{tail}'
+    yield f"\n  ]{tail}\n"

@@ -3,6 +3,8 @@ Witt checks on JSON forms, the bundled verification suite, and
 classification tables with a content-addressed cache."""
 
 import argparse
+import codecs
+import contextlib
 import hashlib
 import json
 import os
@@ -16,9 +18,9 @@ from unilcalc import __version__
 from unilcalc.classify import (
     bar_J,
     enumerate_J,
-    table_json_text,
+    table_row_count,
     table_to_csv,
-    table_to_json_dict,
+    table_to_json,
 )
 from unilcalc.forms import (
     QuadraticFormTheta,
@@ -59,7 +61,8 @@ class CommandResult:
     payload: dict
     elapsed: float = 0.0
     human: tuple = ()
-    raw_output: str = None
+    notes: tuple = ()  # lines for stderr, before the elapsed time
+    streamed: bool = False  # the command wrote its own stdout
 
 
 _fmt_poly = compact_str
@@ -306,28 +309,56 @@ def _source_digest():
     return h.hexdigest()
 
 
-def _write_atomic(path, data):
-    """Write bytes to path through a temporary file in the same directory,
-    so that a reader sees the old file or the whole new one, never a part."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+# bytes per read when a cache entry is hashed or copied
+_COPY_BYTES = 1 << 16
+
+
+def _cache_write(cache_dir, digest, fmt, chunks):
+    """Write a table's text chunks to the cache, hashing them on the way, as
+    classify-<key digest>-<sha256 of the bytes>.<fmt>.  The bytes go to a
+    temporary file in the same directory that is then renamed, so that a
+    reader sees a whole entry or none."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    tmp = cache_dir / f".classify-{digest}.{os.getpid()}.tmp"
+    h = hashlib.sha256()
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode()
+                h.update(data)
+                fh.write(data)
+        os.replace(tmp, cache_dir / f"classify-{digest}-{h.hexdigest()}.{fmt}")
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def _cache_read(cache_dir, digest, fmt):
-    """The cached table for a key, or None.  An entry is named
-    classify-<key digest>-<sha256 of its bytes>.<fmt>; an entry whose bytes
-    do not match its name is deleted and counts as a miss."""
+    """The cached table for a key as a binary file rewound to its start, or
+    None.  An entry is opened once and hashed in full before any of its bytes
+    is served, so what is served is what was hashed; an entry whose bytes do
+    not match the sha256 in its name is deleted and counts as a miss."""
     for path in sorted(cache_dir.glob(f"classify-{digest}-*.{fmt}")):
-        data = path.read_bytes()
-        if hashlib.sha256(data).hexdigest() == path.stem.rpartition("-")[2]:
-            return data.decode()
+        fh = open(path, "rb")
+        h = hashlib.sha256()
+        try:
+            while data := fh.read(_COPY_BYTES):
+                h.update(data)
+        except OSError:
+            fh.close()
+            raise
+        if h.hexdigest() == path.stem.rpartition("-")[2]:
+            fh.seek(0)
+            return fh
+        fh.close()
         path.unlink(missing_ok=True)
     return None
+
+
+def _write_out(path, chunks):
+    """Write text chunks to the file at path, or to stdout when path is empty."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as dest:
+        for chunk in chunks:
+            dest.write(chunk)
 
 
 def _cmd_classify(args):
@@ -349,27 +380,34 @@ def _cmd_classify(args):
     digest = hashlib.sha256(key.encode()).hexdigest()
     cache_dir = os.environ.get("UNILCALC_CACHE_DIR")
     cache_dir = Path(cache_dir) if cache_dir else None
-    text = _cache_read(cache_dir, digest, args.format) if cache_dir is not None else None
-    cache_hit = text is not None
+    entry = _cache_read(cache_dir, digest, args.format) if cache_dir is not None else None
+    cache_hit = entry is not None
     if cache_hit:
-        rows = None
+        rows = None  # the payload reports rows only for a table it computed
+        count = table_row_count(args.n, args.degree_cutoff, args.z_bound, args.bar)
     else:
         table = enumerate_J(args.n, args.degree_cutoff, args.z_bound)
         if args.bar:
             table = bar_J(args.n, table)
-        if args.format == "csv":
-            text = table_to_csv(table)
-        else:
-            text = table_json_text(table_to_json_dict(table)) + "\n"
-        rows = len(table.rows)
+        rows = count = len(table.rows)
+        chunks = table_to_csv(table) if args.format == "csv" else table_to_json(table)
         if cache_dir is not None:
-            data = text.encode()
-            sha = hashlib.sha256(data).hexdigest()
-            _write_atomic(cache_dir / f"classify-{digest}-{sha}.{args.format}", data)
-    if args.output:
-        Path(args.output).write_text(text)
+            # the table is written to the cache first and then served from
+            # it, as a hit is, so a failed write prints no table
+            _cache_write(cache_dir, digest, args.format, chunks)
+            entry = _cache_read(cache_dir, digest, args.format)
+            if entry is None:
+                raise OSError(f"the cache entry for key {digest} vanished after it was written")
+    if entry is None:
+        _write_out(args.output, chunks)
+    else:
+        with entry:
+            data = iter(lambda: entry.read(_COPY_BYTES), b"")
+            _write_out(args.output, codecs.iterdecode(data, "utf-8"))
+    state = "off" if cache_dir is None else "hit" if cache_hit else "miss"
     payload = {"n": args.n, "cache_hit": cache_hit, "sha256": digest, "rows": rows}
-    return CommandResult("value", payload, raw_output=None if args.output else text)
+    note = f"classify: cache {state}, key {digest[:16]}, {count} rows"
+    return CommandResult("value", payload, notes=(note,), streamed=not args.output)
 
 
 def _build_parser():
@@ -442,13 +480,15 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = replace(result, elapsed=time.perf_counter() - t0)
-    if result.raw_output is not None:
-        sys.stdout.write(result.raw_output)
+    if result.streamed:
+        pass  # the table is already on stdout
     elif getattr(args, "format", "text") == "json":
         doc = {"status": result.status, **result.payload}
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for line in result.human:
             print(line)
+    for line in result.notes:
+        print(line, file=sys.stderr)
     print(f"elapsed: {result.elapsed:.3f}s", file=sys.stderr)
     return 0 if result.status != "fail" else 1

@@ -276,13 +276,10 @@ def orbit_count(group, degree_cutoff):
     raise ValueError("group must be 'UNil2' or 'UNil3'")
 
 
-def enumerate_truncated(group, degree_cutoff):
-    """All canonical elements supported on exponents <= degree_cutoff.
-
-    Returns the elements in lexicographic coefficient order, the
-    switch-orbit representatives (the lex-least member of each orbit),
-    and the total / switch-fixed / orbit counts.  The orbit count is
-    checked against the Burnside value (total + fixed) / 2.
+def _element_rows(group, d):
+    """Yield (elements, orbit representatives, fixed count) for the canonical
+    elements supported on exponents <= d, one row per x-coordinate on UNil_3
+    (one row in all on UNil_2), in lexicographic coefficient order.
 
     The elements are built in ``product`` order over the coefficients,
     which is already the lexicographic order.  On UNil_3 the orbit of
@@ -290,7 +287,6 @@ def enumerate_truncated(group, degree_cutoff):
     otherwise a pair whose two y's first differ at the lowest exponent of
     pi(x), so the lex-least member is the one with a 0 there.
     """
-    d = degree_cutoff
     if d < 0:
         raise ValueError("degree cutoff must be >= 0")
     if group == "UNil2":
@@ -301,28 +297,46 @@ def enumerate_truncated(group, degree_cutoff):
             for k, c in zip(odd, mask):
                 cs[k] = c
             elements.append(UNil2Element(IdemQuotientClass(Polynomial("F2", tuple(cs)))))
-        reps = elements
-        fixed = len(elements)  # the switch is the identity on UNil_2
+        # the switch is the identity on UNil_2
+        yield elements, elements, len(elements)
     elif group == "UNil3":
         ranges = [range(2) if k % 2 == 0 else range(4) for k in range(1, d + 1)]
         ys = [Polynomial("F2", (0,) + ymask) for ymask in product((0, 1), repeat=d)]
-        elements = []
-        reps = []
-        fixed_x = 0
         for xcs in product(*ranges):
             x = VerschQuotientClass(Polynomial("Z4", (0,) + xcs))
             row = [UNil3Element(x, y) for y in ys]
-            elements += row
             # lowest exponent k >= 1 where pi(x) has a 1
             low = next((k for k, c in enumerate(xcs, 1) if c % 2), None)
             if low is None:
-                fixed_x += 1
-                reps += row
+                yield row, row, len(row)
             else:
-                reps += [e for e, y in zip(row, ys) if not y.coefficient(low)]
-        fixed = fixed_x << d
+                yield row, [e for e, y in zip(row, ys) if not y.coefficient(low)], 0
     else:
         raise ValueError("group must be 'UNil2' or 'UNil3'")
+
+
+def orbit_reps(group, degree_cutoff):
+    """Yield the switch-orbit representatives enumerate_truncated lists, in
+    its order, holding one row of elements at a time."""
+    for _, reps, _ in _element_rows(group, degree_cutoff):
+        yield from reps
+
+
+def enumerate_truncated(group, degree_cutoff):
+    """All canonical elements supported on exponents <= degree_cutoff.
+
+    Returns the elements in lexicographic coefficient order, the
+    switch-orbit representatives (the lex-least member of each orbit),
+    and the total / switch-fixed / orbit counts.  The orbit count is
+    checked against the Burnside value (total + fixed) / 2.
+    """
+    elements = []
+    reps = []
+    fixed = 0
+    for row, row_reps, row_fixed in _element_rows(group, degree_cutoff):
+        elements += row
+        reps += row_reps
+        fixed += row_fixed
     orbits = len(reps)
     if 2 * orbits != len(elements) + fixed:
         raise RuntimeError(

@@ -6,7 +6,10 @@ sets, so the canonical-form routines are checked against something they
 cannot share a bug with.
 """
 
-from itertools import product
+import csv
+import io
+import json
+from itertools import combinations_with_replacement, product
 
 
 def f2_span(gens):
@@ -172,3 +175,103 @@ def lagrangian_candidates_by_eval_bq(form, pivots, bound):
             per_row.append(rows)
         else:
             yield from product(*per_row)
+
+
+class ReferenceRow:
+    """A classification-table row as an object holding its coordinates and
+    its theta element, as tables were built before rows were streamed."""
+
+    def __init__(self, pair, theta, not_connected_sum, identified_with=""):
+        self.pair = pair
+        self.theta = theta
+        self.not_connected_sum = not_connected_sum
+        self.identified_with = identified_with
+
+    def theta_str(self):
+        from unilcalc.polynomials import compact_str
+        from unilcalc.unil import compact_literal
+
+        if self.theta is None:
+            return "0"
+        if hasattr(self.theta, "arf_class"):
+            return f"[{compact_str(self.theta.arf_class.rep)}]"
+        return compact_literal(self.theta)
+
+
+def reference_rows(n, degree_cutoff, z_bound, bar=False):
+    """Every row of classify n --degree-cutoff d --z-bound B [--bar] in one
+    list: pairs of coordinates crossed with the orbit representatives, then,
+    for --bar at n = 3 mod 4, folded with a dict from (pair, theta text) to
+    the pair's coordinate texts and a set of the keys already seen."""
+    from unilcalc.classify import coord_str, relevant_unil, structure_set_P, structure_set_elements
+    from unilcalc.unil import enumerate_truncated
+
+    desc = structure_set_P(n)
+    group = relevant_unil(n)
+    thetas = (None,) if group == "Zero" else enumerate_truncated(group, degree_cutoff).orbit_reps
+    rows = [
+        ReferenceRow(pair, theta, theta is not None and not theta.is_zero())
+        for pair in combinations_with_replacement(structure_set_elements(desc, z_bound), 2)
+        for theta in thetas
+    ]
+    if not bar or n % 4 != 3:
+        return rows
+
+    def negate(c):
+        return c[:-1] + (-c[-1],)
+
+    by_key = {(r.pair, r.theta_str()): tuple(coord_str(desc, c) for c in r.pair) for r in rows}
+    out = []
+    seen = set()
+    for r in rows:
+        key = (r.pair, r.theta_str())
+        if key in seen:
+            continue
+        neg_key = (tuple(sorted(negate(c) for c in r.pair)), key[1])
+        seen.add(key)
+        if neg_key == key:
+            out.append(r)
+            continue
+        seen.add(neg_key)
+        out.append(ReferenceRow(r.pair, r.theta, r.not_connected_sum, ";".join(by_key[neg_key])))
+    return out
+
+
+def _reference_dicts(n, rows):
+    from unilcalc.classify import coord_str, structure_set_P
+
+    desc = structure_set_P(n)
+    for r in rows:
+        yield {
+            "n": n,
+            "pair_coord_1": coord_str(desc, r.pair[0]),
+            "pair_coord_2": coord_str(desc, r.pair[1]),
+            "theta": r.theta_str(),
+            "not_connected_sum": r.not_connected_sum,
+            "identified_with": r.identified_with,
+        }
+
+
+def reference_csv(n, degree_cutoff, z_bound, bar=False):
+    """The CSV text of classify, from csv.writer over reference_rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    columns = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
+    writer.writerow(columns)
+    for d in _reference_dicts(n, reference_rows(n, degree_cutoff, z_bound, bar)):
+        writer.writerow([int(d[c]) if c == "not_connected_sum" else d[c] for c in columns])
+    return buf.getvalue()
+
+
+def reference_json(n, degree_cutoff, z_bound, bar=False):
+    """The JSON text of classify --format json, from json.dumps with
+    indent=2 over reference_rows."""
+    doc = {
+        "n": n,
+        "degree_cutoff": degree_cutoff,
+        "z_bound": z_bound,
+        "epsilon": (-1) ** (n + 1),
+        "folded": bar and n % 4 == 3,
+        "rows": list(_reference_dicts(n, reference_rows(n, degree_cutoff, z_bound, bar))),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

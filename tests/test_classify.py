@@ -1,12 +1,12 @@
-import csv
-import io
 import json
 
 import pytest
 
+from tests.helpers_oracles import reference_csv, reference_json, reference_rows
+from unilcalc import cli
 from unilcalc.classify import (
+    CHUNK_ROWS,
     MAX_TABLE_ROWS,
-    ClassificationTable,
     bar_I,
     bar_J,
     coord_str,
@@ -14,11 +14,20 @@ from unilcalc.classify import (
     relevant_unil,
     structure_set_P,
     structure_set_elements,
-    table_json_text,
     table_row_count,
     table_to_csv,
-    table_to_json_dict,
+    table_to_json,
 )
+
+
+def parse_coord(text):
+    """A coordinate tuple from its coord_str text, e.g. "10:-2" -> (1, 0, -2)."""
+    bits, _, z = text.partition(":")
+    return tuple(int(c) for c in bits) + ((int(z),) if z else ())
+
+
+def pair_of(row):
+    return parse_coord(row.pair_coord_1), parse_coord(row.pair_coord_2)
 
 
 class TestStructureSet:
@@ -124,8 +133,8 @@ class TestEnumerateJ:
         assert sum(r.not_connected_sum for r in t.rows) == 10
 
     def test_epsilon(self):
-        assert enumerate_J(4).rows[0].epsilon == -1
-        assert enumerate_J(5).rows[0].epsilon == 1
+        assert enumerate_J(4).epsilon == -1
+        assert enumerate_J(5).epsilon == 1
 
     def test_product_invariant(self):
         from math import comb
@@ -139,7 +148,9 @@ class TestEnumerateJ:
             assert sum(r.not_connected_sum for r in t.rows) == pairs * (orbits - 1)
 
     def test_deterministic(self):
-        assert enumerate_J(4, 1) == enumerate_J(4, 1)
+        t = enumerate_J(4, 1)
+        assert t == enumerate_J(4, 1)
+        assert list(t.rows) == list(t.rows) == list(enumerate_J(4, 1).rows)
 
     def test_negative_bounds_rejected(self):
         for n in (4, 6):
@@ -152,9 +163,18 @@ class TestEnumerateJ:
         for n in range(4, 12):
             for d in range(4):
                 for z in range(3):
-                    assert table_row_count(n, d, z) == len(enumerate_J(n, d, z).rows)
+                    rows = enumerate_J(n, d, z).rows
+                    assert table_row_count(n, d, z) == len(rows) == sum(1 for _ in rows)
         assert table_row_count(8, 5) == 152_064
         assert table_row_count(8, 6) < MAX_TABLE_ROWS < table_row_count(8, 7)
+
+    @pytest.mark.parametrize("n", [7, 11])
+    def test_folded_row_count_closed_form(self, n):
+        for z in range(5):
+            folded = bar_J(n, enumerate_J(n, 0, z))
+            expect = len(reference_rows(n, 0, z, bar=True))
+            assert table_row_count(n, 0, z, folded=True) == len(folded.rows) == expect
+            assert sum(1 for _ in folded.rows) == expect
 
     def test_oversized_table_rejected_before_enumerating(self, monkeypatch):
         import unilcalc.classify
@@ -162,7 +182,7 @@ class TestEnumerateJ:
         def refuse(*_args):
             raise AssertionError("enumerated")
 
-        monkeypatch.setattr(unilcalc.classify, "enumerate_truncated", refuse)
+        monkeypatch.setattr(unilcalc.classify, "orbit_reps", refuse)
         monkeypatch.setattr(unilcalc.classify, "structure_set_elements", refuse)
         for n, d, z in ((4, 12, 0), (7, 0, 10**9)):
             with pytest.raises(ValueError, match=f"above the limit {MAX_TABLE_ROWS}"):
@@ -186,7 +206,7 @@ class TestBarJ:
         def negate(pair):
             return tuple(sorted(c[:-1] + (-c[-1],) for c in pair))
 
-        orbits = {frozenset((row.pair, negate(row.pair))) for row in t.rows}
+        orbits = {frozenset((pair_of(row), negate(pair_of(row)))) for row in t.rows}
         assert len(folded.rows) == len(orbits)
 
     def test_at_most_two_to_one(self):
@@ -198,89 +218,61 @@ class TestBarJ:
     def test_negation_fixed_rows_unmarked(self):
         folded = bar_J(7, enumerate_J(7, z_bound=1))
         for row in folded.rows:
-            if all(c[-1] == 0 for c in row.pair):
+            if all(c[-1] == 0 for c in pair_of(row)):
                 assert row.identified_with == ""
 
     def test_survivor_is_lex_least(self):
         folded = bar_J(7, enumerate_J(7, z_bound=2))
         for row in folded.rows:
             if row.identified_with:
-                neg = tuple(sorted(c[:-1] + (-c[-1],) for c in row.pair))
-                assert row.pair <= neg
+                neg = tuple(sorted(c[:-1] + (-c[-1],) for c in pair_of(row)))
+                assert pair_of(row) <= neg
 
 
 class TestEmission:
     def test_csv_shape(self):
-        out = table_to_csv(enumerate_J(6))
+        out = "".join(table_to_csv(enumerate_J(6)))
         lines = out.strip().split("\n")
         assert lines[0] == "n,pair_coord_1,pair_coord_2,theta,not_connected_sum,identified_with"
         assert len(lines) == 11
         assert all(line.startswith("6,") for line in lines[1:])
 
     def test_csv_deterministic(self):
-        a = table_to_csv(enumerate_J(4, 1))
-        b = table_to_csv(enumerate_J(4, 1))
+        a = "".join(table_to_csv(enumerate_J(4, 1)))
+        b = "".join(table_to_csv(enumerate_J(4, 1)))
         assert a == b
 
     def test_csv_flags_as_ints(self):
-        out = table_to_csv(enumerate_J(4, 1))
+        out = "".join(table_to_csv(enumerate_J(4, 1)))
         assert ",1," in out and ",0," in out
 
     def test_theta_strings_round_trip(self):
         from unilcalc.unil import parse_unil3
 
         t = enumerate_J(4, 1)
-        for d in table_to_json_dict(t)["rows"]:
+        for d in json.loads("".join(table_to_json(t)))["rows"]:
             parse_unil3(d["theta"])
 
     def test_json_payload(self):
         t = enumerate_J(7, z_bound=1)
-        payload = table_to_json_dict(bar_J(7, t))
+        payload = json.loads("".join(table_to_json(bar_J(7, t))))
         assert payload["folded"] is True
         assert payload["epsilon"] == 1
         assert len(payload["rows"]) < len(t.rows)
-        json.dumps(payload)
+
+    def test_chunks_hold_at_most_chunk_rows(self):
+        t = enumerate_J(8, 3)
+        assert CHUNK_ROWS < len(t.rows) < 2 * CHUNK_ROWS
+        chunks = list(table_to_csv(t))
+        assert [c.count("\n") for c in chunks] == [CHUNK_ROWS + 1, len(t.rows) - CHUNK_ROWS]
+        rows = [c.count('"pair_coord_1"') for c in table_to_json(t)]
+        assert max(rows) == CHUNK_ROWS and sum(rows) == len(t.rows)
 
     def test_coord_strings(self):
         d7 = structure_set_P(7)
         assert coord_str(d7, (1, 0, -2)) == "10:-2"
         d4 = structure_set_P(4)
         assert coord_str(d4, (1,)) == "1"
-
-
-def _reference_rows(table):
-    desc = structure_set_P(table.n)
-    for row in table.rows:
-        yield {
-            "n": table.n,
-            "pair_coord_1": coord_str(desc, row.pair[0]),
-            "pair_coord_2": coord_str(desc, row.pair[1]),
-            "theta": row.theta_str(),
-            "not_connected_sum": row.not_connected_sum,
-            "identified_with": row.identified_with,
-        }
-
-
-def _reference_csv(table):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    columns = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
-    writer.writerow(columns)
-    for d in _reference_rows(table):
-        writer.writerow([int(d[c]) if c == "not_connected_sum" else d[c] for c in columns])
-    return buf.getvalue()
-
-
-def _reference_json(table):
-    doc = {
-        "n": table.n,
-        "degree_cutoff": table.degree_cutoff,
-        "z_bound": table.z_bound,
-        "epsilon": (-1) ** (table.n + 1),
-        "folded": table.folded,
-        "rows": list(_reference_rows(table)),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _table_cases():
@@ -296,18 +288,28 @@ def _table_cases():
 
 
 class TestByteIdentity:
-    """The table writers against a plain renderer: csv.writer over the
-    ManifoldClass rows, and json.dumps with indent=2."""
+    """The streamed writers, and the CLI on a cache miss and on a hit,
+    against the reference table in helpers_oracles: whole lists of row
+    objects, the dict-and-set fold, csv.writer and json.dumps with
+    indent=2."""
 
     @pytest.mark.parametrize("bar", [False, True])
     @pytest.mark.parametrize("n,cutoff,z_bound", list(_table_cases()))
-    def test_csv_and_json(self, n, cutoff, z_bound, bar):
+    def test_csv_and_json(self, n, cutoff, z_bound, bar, tmp_path, monkeypatch, capsys):
         table = enumerate_J(n, cutoff, z_bound)
         if bar:
             table = bar_J(n, table)
-        assert table_to_csv(table) == _reference_csv(table)
-        assert table_json_text(table_to_json_dict(table)) == _reference_json(table)
-
-    def test_empty_rows_json(self):
-        table = ClassificationTable(4, 0, 0, ())
-        assert table_json_text(table_to_json_dict(table)) == _reference_json(table)
+        expect = {
+            "csv": reference_csv(n, cutoff, z_bound, bar),
+            "json": reference_json(n, cutoff, z_bound, bar),
+        }
+        assert "".join(table_to_csv(table)) == expect["csv"]
+        assert "".join(table_to_json(table)) == expect["json"]
+        monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path))
+        argv = ["classify", str(n), "--degree-cutoff", str(cutoff), "--z-bound", str(z_bound)]
+        for fmt, text in expect.items():
+            for state in ("miss", "hit"):
+                assert cli.main(argv + ["--format", fmt] + ["--bar"] * bar) == 0
+                out, err = capsys.readouterr()
+                assert out == text
+                assert f"classify: cache {state}," in err

@@ -370,6 +370,47 @@ class TestClassify:
         assert "error: disk full" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_stderr_names_cache_state_key_and_rows(self, capsys, tmp_path, monkeypatch):
+        argv = ("classify", "7", "--z-bound", "1", "--bar")
+        lines = [run(capsys, *argv)[2].splitlines()]
+        monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path))
+        lines += [run(capsys, *argv)[2].splitlines() for _ in range(2)]
+        [entry] = tmp_path.glob("classify-*.csv")
+        key = entry.name.split("-")[1][:16]
+        assert [line[0] for line in lines] == [
+            f"classify: cache {state}, key {key}, 46 rows" for state in ("off", "miss", "hit")
+        ]
+        assert all(len(line) == 2 and line[1].startswith("elapsed: ") for line in lines)
+
+    def test_output_with_cache_writes_the_entry(self, capsys, tmp_path, monkeypatch):
+        import hashlib
+
+        monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path / "cache"))
+        for i in range(2):  # a miss, then a hit
+            target = tmp_path / f"table{i}.json"
+            argv = ("classify", "5", "--degree-cutoff", "2", "--format", "json", "--output", str(target))
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and json.loads(out)["cache_hit"] == bool(i)
+            [entry] = (tmp_path / "cache").iterdir()
+            data = target.read_bytes()
+            assert data == entry.read_bytes()
+            assert entry.stem.rpartition("-")[2] == hashlib.sha256(data).hexdigest()
+
+    def test_streamed_table_memory_is_flat(self, capsys, tmp_path):
+        # the JSON text is 28 MB; a table held whole peaks far above the bound
+        import tracemalloc
+
+        target = tmp_path / "table.json"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "classify", "8", "--degree-cutoff", "5", "--format", "json",
+                             "--output", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and target.stat().st_size > 25_000_000
+        assert peak < 8_000_000
+
     def test_negative_z_bound_rejected(self, capsys):
         code, out, err = run(capsys, "classify", "7", "--z-bound", "-1")
         assert code == 1 and out == ""
@@ -382,7 +423,7 @@ class TestClassify:
         def refuse(*_args):
             raise AssertionError("enumerated")
 
-        monkeypatch.setattr(unilcalc.classify, "enumerate_truncated", refuse)
+        monkeypatch.setattr(unilcalc.classify, "orbit_reps", refuse)
         code, out, err = run(capsys, "classify", "4", "--degree-cutoff", "12")
         assert code == 1 and out == ""
         assert err.splitlines() == [

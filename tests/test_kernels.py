@@ -62,6 +62,13 @@ class TestF2:
                     expect |= 1 << (2 * i)
             assert kernels.gf2_spread(a) == expect
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 84, 2048, 65537])
+    def test_spread_wide_operand(self, n):
+        # 65,537 bits is the longest operand MAX_EXPONENT admits
+        a = random.Random(n).getrandbits(n) | 1 << (n - 1)
+        assert kernels.gf2_spread(a) == int("0".join(format(a, "b")), 2)
+        assert kernels.gf2_spread(0) == 0
+
     def test_cross_square_lift_identity(self):
         # lift(a)^2 = spread(a) + 2*cross(a) mod 4, coefficientwise
         rng = random.Random(13)
