@@ -246,6 +246,20 @@ def enumerate_J(n, degree_cutoff=0, z_bound=0):
     theta-orbit is nonzero.  Every limit is checked here; the rows are
     made only when they are iterated.
     """
+    # table_row_count raises 2 to the power z2_count (about n / 2) and, for a
+    # UNil group, to about twice the cutoff d.  Those exponents are bounded
+    # first, so that a huge n or cutoff is refused before the power is
+    # computed.  A table has at least as many rows as coordinates, which
+    # number at least 2^z2_count (and 2 z_bound + 1 with a Z coordinate),
+    # and as switch-orbits, which number at least 2^((d + 1) // 2).
+    desc, group = structure_set_P(n), relevant_unil(n)
+    limit_bits = MAX_TABLE_ROWS.bit_length()
+    if (
+        desc.z2_count >= limit_bits
+        or (desc.has_Z and z_bound > MAX_TABLE_ROWS)
+        or (group != "Zero" and (degree_cutoff + 1) // 2 >= limit_bits)
+    ):
+        raise ValueError(f"the table would have too many rows, above the limit {MAX_TABLE_ROWS}")
     rows = table_row_count(n, degree_cutoff, z_bound)
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"the table would have {rows} rows, above the limit {MAX_TABLE_ROWS}")

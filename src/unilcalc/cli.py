@@ -3,56 +3,16 @@ Witt checks on JSON forms, the bundled verification suite, and
 classification tables with a content-addressed cache."""
 
 import argparse
-import codecs
-import contextlib
-import hashlib
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from unilcalc import __version__
-from unilcalc.classify import (
-    bar_J,
-    enumerate_J,
-    table_row_count,
-    table_to_csv,
-    table_to_json,
-)
-from unilcalc.forms import (
-    QuadraticFormTheta,
-    generator_switch_chain,
-    resolution_switch_chain,
-    verify_chain,
-)
-from unilcalc.linking import (
-    LinkingForm,
-    Submodule,
-    arf_even,
-    find_lagrangian,
-    is_even,
-    sublagrangian_reduce,
-    witt_four_term_instance,
-)
-from unilcalc.polynomials import (
-    Polynomial,
-    compact_str,
-    idem_reduce,
-    parse_poly,
-    versch_reduce,
-)
-from unilcalc.unil import (
-    B_coords,
-    compact_literal,
-    enumerate_truncated,
-    n_class_combination,
-    parse_unil3,
-    pi_map,
-    switch_unil3,
-)
+
+# Each command imports the layers it runs in the first lines of its body,
+# so that start-up, which dominates the small commands, loads only those.
 
 
 @dataclass(frozen=True)
@@ -65,10 +25,6 @@ class CommandResult:
     streamed: bool = False  # the command wrote its own stdout
 
 
-_fmt_poly = compact_str
-_fmt_unil3 = compact_literal
-
-
 def _read_json(source):
     if source == "-":
         return json.load(sys.stdin)
@@ -77,22 +33,28 @@ def _read_json(source):
 
 
 def _cmd_reduce(args):
+    from unilcalc.polynomials import compact_str, idem_reduce, parse_poly, versch_reduce
+
     if args.kind == "idem":
         rep = idem_reduce(parse_poly(args.poly, "F2")).rep
     else:
         rep = versch_reduce(parse_poly(args.poly, "Z4")).rep
-    out = _fmt_poly(rep)
+    out = compact_str(rep)
     payload = {"kind": args.kind, "input": args.poly, "canonical": out}
     return CommandResult("value", payload, human=(out,))
 
 
 def _cmd_sw(args):
+    from unilcalc.unil import compact_literal, parse_unil3, switch_unil3
+
     e = parse_unil3(args.element)
-    out = _fmt_unil3(switch_unil3(e))
+    out = compact_literal(switch_unil3(e))
     return CommandResult("value", {"input": args.element, "switched": out}, human=(out,))
 
 
 def _cmd_arf(args):
+    from unilcalc.linking import LinkingForm, arf_even, is_even
+
     form = LinkingForm.from_json_dict(_read_json(args.form))
     if not is_even(form):
         raise ValueError("the form is not even; the Arf invariant needs an even form")
@@ -107,6 +69,17 @@ def _check_jobs(args):
 
 
 def _cmd_witt_check(args):
+    from unilcalc.linking import (
+        LinkingForm,
+        Submodule,
+        arf_even,
+        find_lagrangian,
+        is_even,
+        sublagrangian_reduce,
+    )
+
+    if args.bound < 0:
+        raise ValueError("the degree bound must be non-negative")
     _check_jobs(args)
     data = _read_json(args.form)
     if not isinstance(data, dict):
@@ -126,121 +99,15 @@ def _cmd_witt_check(args):
         cls = arf_even(form)
         payload["arf"] = str(cls)
         payload["arf_zero"] = cls.is_zero()
-    L = find_lagrangian(form, args.bound, jobs=args.jobs)
+    # a form with a lagrangian is 0 in the Witt group, so a nonzero Arf class
+    # rules one out at every bound (Connolly-Davis, Geom. Topol. 8, 2004)
+    L = None
+    if payload.get("arf_zero", True):
+        L = find_lagrangian(form, args.bound, jobs=args.jobs)
     payload["lagrangian"] = None if L is None else Submodule.to_json_dict(L)["generators"]
     payload["witt_trivial_witness"] = L is not None
     lines = [f"{k} = {payload[k]}" for k in sorted(payload)]
     return CommandResult("value", payload, human=tuple(lines))
-
-
-def _bit_polys(degree):
-    for bits in range(1 << (degree + 1)):
-        yield Polynomial("Z", tuple(bits >> k & 1 for k in range(degree + 1)))
-
-
-def _fx_generator_chain(degree, corrupt):
-    for i, p in enumerate(_bit_polys(degree)):
-        start, script = generator_switch_chain(p)
-        if corrupt and i == 0:
-            theta = tuple(
-                tuple(-c if (r, s) == (0, 1) else c for s, c in enumerate(row))
-                for r, row in enumerate(start.theta)
-            )
-            start = QuadraticFormTheta(start.ring, theta, start.epsilon)
-        report = verify_chain(start, script)
-        yield f"p={_fmt_poly(p)}", report.ok, report.failure
-
-
-def _fx_resolution_chain(degree, _corrupt):
-    d = min(degree, 4)
-    for p in _bit_polys(d):
-        for g in _bit_polys(d):
-            start, script = resolution_switch_chain(p, g)
-            report = verify_chain(start, script)
-            yield f"p={_fmt_poly(p)} g={_fmt_poly(g)}", report.ok, report.failure
-            if not report.ok:
-                return
-
-
-def _fx_sublagrangian(degree, _corrupt, seed=0):
-    for i, p in enumerate(_bit_polys(degree)):
-        label = f"p={_fmt_poly(p)}"
-        G, S = witt_four_term_instance(p)
-        try:
-            red = sublagrangian_reduce(G, S)
-        except ValueError as exc:
-            yield label, False, str(exc)
-            return
-        if red.rank != 4 or not is_even(red):
-            yield label, False, f"reduction has rank {red.rank}, even={is_even(red)}"
-            return
-        cls = arf_even(red, rng=random.Random(seed * 100003 + i))
-        yield label, cls.is_zero(), None if cls.is_zero() else f"arf = {cls}, expected 0"
-
-
-def _fx_lagrangian_search(degree, _corrupt, jobs=1):
-    for p in _bit_polys(min(degree, 2)):
-        G, S = witt_four_term_instance(p)
-        red = sublagrangian_reduce(G, S)
-        L = find_lagrangian(red, 3, jobs=jobs)
-        ok = L is not None
-        yield f"p={_fmt_poly(p)}", ok, None if ok else "no lagrangian within degree bound 3"
-
-
-def _fx_switch_laws(_degree, _corrupt):
-    elements = enumerate_truncated("UNil3", 3).elements
-    for e in elements:
-        label = str(e)
-        se = switch_unil3(e)
-        if switch_unil3(se) != e:
-            yield label, False, "sw applied twice is not the identity"
-            return
-        b1, b2 = B_coords(e)
-        if B_coords(se) != (b1, b1 + b2):
-            yield label, False, f"B(sw e) = {B_coords(se)}, expected ({b1}, {b1 + b2})"
-            return
-        if switch_unil3(e.doubled()) != e.doubled():
-            yield label, False, "sw moved a multiple of two"
-            return
-        if (se == e) != pi_map(e.x).is_zero():
-            yield label, False, "fixed-point criterion pi(x) = 0 violated"
-            return
-        yield label, True, None
-
-
-def _fx_burnside(_degree, _corrupt):
-    for group, dmax in (("UNil2", 4), ("UNil3", 4)):
-        for d in range(dmax + 1):
-            out = enumerate_truncated(group, d)
-            orbits = {frozenset((e, switch_unil3(e))) for e in out.elements} if group == "UNil3" else {
-                frozenset((e,)) for e in out.elements
-            }
-            ok = out.orbits == len(orbits) and 2 * out.orbits == out.total + out.fixed
-            yield f"{group} d={d}", ok, None if ok else (
-                f"orbit count {out.orbits} vs brute force {len(orbits)}"
-            )
-            if not ok:
-                return
-
-
-def _fx_dictionary(degree, _corrupt):
-    t, one = Polynomial.t("Z"), Polynomial.one("Z")
-    for p in _bit_polys(degree):
-        tp = t * p
-        total = n_class_combination([(1, t, p), (1, p, t), (-1, one, tp), (-1, tp, one)])
-        ok = total.is_zero()
-        yield f"p={_fmt_poly(p)}", ok, None if ok else f"four-term combination = {total}"
-
-
-_FIXTURES = (
-    ("generator_switch_chain", _fx_generator_chain),
-    ("resolution_switch_chain", _fx_resolution_chain),
-    ("four_term_sublagrangian", _fx_sublagrangian),
-    ("lagrangian_search", _fx_lagrangian_search),
-    ("switch_and_B_laws", _fx_switch_laws),
-    ("burnside_orbits", _fx_burnside),
-    ("verschiebung_dictionary", _fx_dictionary),
-)
 
 
 # verify-paper's sweeps run 2^(degree+1) instances each, so every degree
@@ -249,12 +116,14 @@ MAX_VERIFY_DEGREE = 12
 
 
 def _cmd_verify_paper(args):
+    from unilcalc.fixtures import FIXTURES
+
     if not 0 <= args.degree <= MAX_VERIFY_DEGREE:
         raise ValueError(f"--degree must be between 0 and {MAX_VERIFY_DEGREE}")
     _check_jobs(args)
     results = []
     all_ok = True
-    for name, fn in _FIXTURES:
+    for name, fn in FIXTURES:
         kwargs = {}
         if name == "four_term_sublagrangian":
             kwargs["seed"] = args.seed
@@ -286,7 +155,8 @@ def _cmd_verify_paper(args):
         "status": "pass" if all_ok else "fail",
     }
     if args.report:
-        Path(args.report).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        with open(args.report, "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     lines = []
     for r in results:
         if r["failure"] is None:
@@ -302,6 +172,9 @@ def _cmd_verify_paper(args):
 def _source_digest():
     """sha256 over the package's Python sources, so that a table cached by
     one version of the code is never served to another."""
+    import hashlib
+    from pathlib import Path
+
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(f"{path.name}\0{path.stat().st_size}\0".encode())
@@ -318,6 +191,8 @@ def _cache_write(cache_dir, digest, fmt, chunks):
     classify-<key digest>-<sha256 of the bytes>.<fmt>.  The bytes go to a
     temporary file in the same directory that is then renamed, so that a
     reader sees a whole entry or none."""
+    import hashlib
+
     cache_dir.mkdir(parents=True, exist_ok=True)
     tmp = cache_dir / f".classify-{digest}.{os.getpid()}.tmp"
     h = hashlib.sha256()
@@ -337,6 +212,8 @@ def _cache_read(cache_dir, digest, fmt):
     None.  An entry is opened once and hashed in full before any of its bytes
     is served, so what is served is what was hashed; an entry whose bytes do
     not match the sha256 in its name is deleted and counts as a miss."""
+    import hashlib
+
     for path in sorted(cache_dir.glob(f"classify-{digest}-*.{fmt}")):
         fh = open(path, "rb")
         h = hashlib.sha256()
@@ -356,12 +233,20 @@ def _cache_read(cache_dir, digest, fmt):
 
 def _write_out(path, chunks):
     """Write text chunks to the file at path, or to stdout when path is empty."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as dest:
-        for chunk in chunks:
-            dest.write(chunk)
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w") as dest:
+        dest.writelines(chunks)
 
 
 def _cmd_classify(args):
+    import codecs
+    import hashlib
+    from pathlib import Path
+
+    from unilcalc.classify import bar_J, enumerate_J, table_row_count, table_to_csv, table_to_json
+
     if args.n <= 3:
         raise ValueError("n > 3 required")
     key = json.dumps(
@@ -383,13 +268,12 @@ def _cmd_classify(args):
     entry = _cache_read(cache_dir, digest, args.format) if cache_dir is not None else None
     cache_hit = entry is not None
     if cache_hit:
-        rows = None  # the payload reports rows only for a table it computed
         count = table_row_count(args.n, args.degree_cutoff, args.z_bound, args.bar)
     else:
         table = enumerate_J(args.n, args.degree_cutoff, args.z_bound)
         if args.bar:
             table = bar_J(args.n, table)
-        rows = count = len(table.rows)
+        count = len(table.rows)
         chunks = table_to_csv(table) if args.format == "csv" else table_to_json(table)
         if cache_dir is not None:
             # the table is written to the cache first and then served from
@@ -405,7 +289,7 @@ def _cmd_classify(args):
             data = iter(lambda: entry.read(_COPY_BYTES), b"")
             _write_out(args.output, codecs.iterdecode(data, "utf-8"))
     state = "off" if cache_dir is None else "hit" if cache_hit else "miss"
-    payload = {"n": args.n, "cache_hit": cache_hit, "sha256": digest, "rows": rows}
+    payload = {"n": args.n, "cache_hit": cache_hit, "sha256": digest, "rows": count}
     note = f"classify: cache {state}, key {digest[:16]}, {count} rows"
     return CommandResult("value", payload, notes=(note,), streamed=not args.output)
 

@@ -1,0 +1,132 @@
+"""The verify-paper fixtures.  Each is a generator taking (degree,
+corrupt) and yielding (instance label, ok, failure message or None) per
+instance; a fixture stops at its first failing instance."""
+
+import random
+
+from unilcalc.forms import (
+    QuadraticFormTheta,
+    generator_switch_chain,
+    resolution_switch_chain,
+    verify_chain,
+)
+from unilcalc.linking import (
+    arf_even,
+    find_lagrangian,
+    is_even,
+    sublagrangian_reduce,
+    witt_four_term_instance,
+)
+from unilcalc.polynomials import Polynomial, compact_str
+from unilcalc.unil import B_coords, enumerate_truncated, n_class_combination, pi_map, switch_unil3
+
+
+def _bit_polys(degree):
+    for bits in range(1 << (degree + 1)):
+        yield Polynomial("Z", tuple(bits >> k & 1 for k in range(degree + 1)))
+
+
+def _fx_generator_chain(degree, corrupt):
+    for i, p in enumerate(_bit_polys(degree)):
+        start, script = generator_switch_chain(p)
+        if corrupt and i == 0:
+            theta = tuple(
+                tuple(-c if (r, s) == (0, 1) else c for s, c in enumerate(row))
+                for r, row in enumerate(start.theta)
+            )
+            start = QuadraticFormTheta(start.ring, theta, start.epsilon)
+        report = verify_chain(start, script)
+        yield f"p={compact_str(p)}", report.ok, report.failure
+
+
+def _fx_resolution_chain(degree, _corrupt):
+    d = min(degree, 4)
+    for p in _bit_polys(d):
+        for g in _bit_polys(d):
+            start, script = resolution_switch_chain(p, g)
+            report = verify_chain(start, script)
+            yield f"p={compact_str(p)} g={compact_str(g)}", report.ok, report.failure
+            if not report.ok:
+                return
+
+
+def _fx_sublagrangian(degree, _corrupt, seed=0):
+    for i, p in enumerate(_bit_polys(degree)):
+        label = f"p={compact_str(p)}"
+        G, S = witt_four_term_instance(p)
+        try:
+            red = sublagrangian_reduce(G, S)
+        except ValueError as exc:
+            yield label, False, str(exc)
+            return
+        if red.rank != 4 or not is_even(red):
+            yield label, False, f"reduction has rank {red.rank}, even={is_even(red)}"
+            return
+        cls = arf_even(red, rng=random.Random(seed * 100003 + i))
+        yield label, cls.is_zero(), None if cls.is_zero() else f"arf = {cls}, expected 0"
+
+
+def _fx_lagrangian_search(degree, _corrupt, jobs=1):
+    for p in _bit_polys(min(degree, 2)):
+        G, S = witt_four_term_instance(p)
+        red = sublagrangian_reduce(G, S)
+        L = find_lagrangian(red, 3, jobs=jobs)
+        ok = L is not None
+        yield f"p={compact_str(p)}", ok, None if ok else "no lagrangian within degree bound 3"
+
+
+def _fx_switch_laws(_degree, _corrupt):
+    elements = enumerate_truncated("UNil3", 3).elements
+    for e in elements:
+        label = str(e)
+        se = switch_unil3(e)
+        if switch_unil3(se) != e:
+            yield label, False, "sw applied twice is not the identity"
+            return
+        b1, b2 = B_coords(e)
+        if B_coords(se) != (b1, b1 + b2):
+            yield label, False, f"B(sw e) = {B_coords(se)}, expected ({b1}, {b1 + b2})"
+            return
+        if switch_unil3(e.doubled()) != e.doubled():
+            yield label, False, "sw moved a multiple of two"
+            return
+        if (se == e) != pi_map(e.x).is_zero():
+            yield label, False, "fixed-point criterion pi(x) = 0 violated"
+            return
+        yield label, True, None
+
+
+def _fx_burnside(_degree, _corrupt):
+    for group, dmax in (("UNil2", 4), ("UNil3", 4)):
+        for d in range(dmax + 1):
+            out = enumerate_truncated(group, d)
+            orbits = {frozenset((e, switch_unil3(e))) for e in out.elements} if group == "UNil3" else {
+                frozenset((e,)) for e in out.elements
+            }
+            ok = out.orbits == len(orbits) and 2 * out.orbits == out.total + out.fixed
+            yield f"{group} d={d}", ok, None if ok else (
+                f"orbit count {out.orbits} vs brute force {len(orbits)}"
+            )
+            if not ok:
+                return
+
+
+def _fx_dictionary(degree, _corrupt):
+    t, one = Polynomial.t("Z"), Polynomial.one("Z")
+    for p in _bit_polys(degree):
+        tp = t * p
+        total = n_class_combination([(1, t, p), (1, p, t), (-1, one, tp), (-1, tp, one)])
+        ok = total.is_zero()
+        yield f"p={compact_str(p)}", ok, None if ok else f"four-term combination = {total}"
+
+
+# (name, fixture) in the order verify-paper runs and reports them
+FIXTURES = (
+    ("generator_switch_chain", _fx_generator_chain),
+    ("resolution_switch_chain", _fx_resolution_chain),
+    ("four_term_sublagrangian", _fx_sublagrangian),
+    ("lagrangian_search", _fx_lagrangian_search),
+    ("switch_and_B_laws", _fx_switch_laws),
+    ("burnside_orbits", _fx_burnside),
+    ("verschiebung_dictionary", _fx_dictionary),
+)

@@ -373,6 +373,8 @@ def parse_unil3(text):
         return UNil3Element.zero()
     total = UNil3Element.zero()
     i = skip_ws(0)
+    if i == n:
+        raise ValueError("empty element at position 0")
     first = True
     while i < n:
         if not first:

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import unilcalc.classify
+import unilcalc.linking
 from unilcalc import cli
 from unilcalc.classify import MAX_TABLE_ROWS
 from unilcalc.cli import main
@@ -11,6 +15,7 @@ from unilcalc.linking import (
     MAX_SEARCH_ROWS,
     LinkingForm,
     Submodule,
+    direct_sum,
     witt_four_term_instance,
 )
 from unilcalc.polynomials import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT, Polynomial
@@ -91,6 +96,12 @@ class TestSw:
         code, _, err = run(capsys, "sw", "q9[t]")
         assert code == 1 and "position" in err
 
+    @pytest.mark.parametrize("literal", ["", "   "])
+    def test_empty_literal_rejected(self, capsys, literal):
+        code, out, err = run(capsys, "sw", literal)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: empty element at position 0"]
+
 
 class TestArf:
     def test_nonzero_class(self, capsys, tmp_path):
@@ -133,6 +144,25 @@ class TestWittCheck:
         doc = json.loads(out)
         assert code == 0
         assert doc["witt_trivial_witness"] is False and doc["lagrangian"] is None
+
+    def test_nonzero_arf_class_skips_the_search(self, capsys, tmp_path, monkeypatch):
+        # three hyperbolic planes, the first with q = (2t, 2): its search at
+        # bound 2 keeps 40.5M row combinations, but its Arf class is t, so it
+        # has no lagrangian at any bound
+        qs = (((0, 0b10), (0, 1)), ((0, 0), (0, 0)), ((0, 0), (0, 0)))
+        form = direct_sum([LinkingForm(2, ((0, 1), (1, 0)), q) for q in qs])
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(form.to_json_dict()))
+
+        def search(*_args, **_kwargs):
+            raise AssertionError("searched a form with a nonzero Arf class")
+
+        monkeypatch.setattr(unilcalc.linking, "find_lagrangian", search)
+        code, out, _ = run(capsys, "witt-check", str(path), "--bound", "2", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["rank"] == 6
+        assert doc["arf"] == "1*t^1" and doc["arf_zero"] is False
+        assert doc["lagrangian"] is None and doc["witt_trivial_witness"] is False
 
     def test_sublagrangian_pipeline(self, capsys, tmp_path):
         G, S = witt_four_term_instance(Polynomial.t("Z"))
@@ -316,16 +346,16 @@ class TestClassify:
         assert len(files) == 1
         assert files[0].read_text() == first
         # a valid hit must short-circuit recomputation
-        enumerate_J = cli.enumerate_J
+        enumerate_J = unilcalc.classify.enumerate_J
 
         def recomputed(*args):
             raise AssertionError("table recomputed on a cache hit")
 
-        monkeypatch.setattr(cli, "enumerate_J", recomputed)
+        monkeypatch.setattr(unilcalc.classify, "enumerate_J", recomputed)
         second = run(capsys, "classify", "4", "--degree-cutoff", "1")[1]
         assert second == first
         # an entry whose bytes do not match its hash is a miss and is replaced
-        monkeypatch.setattr(cli, "enumerate_J", enumerate_J)
+        monkeypatch.setattr(unilcalc.classify, "enumerate_J", enumerate_J)
         files[0].write_text("sentinel\n")
         third = run(capsys, "classify", "4", "--degree-cutoff", "1")[1]
         assert third == first
@@ -396,6 +426,13 @@ class TestClassify:
             assert data == entry.read_bytes()
             assert entry.stem.rpartition("-")[2] == hashlib.sha256(data).hexdigest()
 
+    def test_payload_rows_on_miss_and_hit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("UNILCALC_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ("classify", "7", "--z-bound", "1", "--bar", "--format", "json",
+                "--output", str(tmp_path / "table.json"))
+        docs = [json.loads(run(capsys, *argv)[1]) for _ in range(2)]
+        assert [(d["cache_hit"], d["rows"]) for d in docs] == [(False, 46), (True, 46)]
+
     def test_streamed_table_memory_is_flat(self, capsys, tmp_path):
         # the JSON text is 28 MB; a table held whole peaks far above the bound
         import tracemalloc
@@ -418,8 +455,6 @@ class TestClassify:
 
 
     def test_oversized_table_rejected(self, capsys, monkeypatch):
-        import unilcalc.classify
-
         def refuse(*_args):
             raise AssertionError("enumerated")
 
@@ -428,6 +463,26 @@ class TestClassify:
         assert code == 1 and out == ""
         assert err.splitlines() == [
             f"error: the table would have 1611005952 rows, above the limit {MAX_TABLE_ROWS}"
+        ]
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("1000001", "--z-bound", "1"),
+            ("8", "--degree-cutoff", "2000000"),
+            (str(10**11),),
+            ("8", "--degree-cutoff", str(10**11)),
+            ("7", "--z-bound", str(10**11)),
+        ],
+    )
+    def test_huge_exponent_rejected_before_counting(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "classify", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: the table would have too many rows, above the limit {MAX_TABLE_ROWS}"
         ]
 
 
@@ -446,3 +501,57 @@ class TestEntryPoint:
             [sys.executable, "-m", "unilcalc"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+# runs cli.main on its arguments, then prints the package modules and hashlib
+# found in sys.modules as a JSON list, as the last line of stderr
+_LIST_MODULES = """
+import json, sys
+from unilcalc import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+loaded = sorted(m for m in sys.modules if m.startswith("unilcalc.") or m == "hashlib")
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+LAYERS = {
+    f"unilcalc.{name}"
+    for name in ("polynomials", "funcfield", "f2linalg", "dihedral", "forms", "linking", "unil",
+                 "classify", "fixtures")
+}
+
+
+class TestImports:
+    """Each command loads only the layers it runs."""
+
+    @staticmethod
+    def loaded(*argv):
+        src = os.path.dirname(os.path.dirname(unilcalc.classify.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "UNILCALC_CACHE_DIR"}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIST_MODULES, *argv], capture_output=True, text=True, env=env
+        )
+        return set(json.loads(proc.stderr.splitlines()[-1]))
+
+    def test_version_loads_no_layer(self):
+        assert not self.loaded("--version") & LAYERS
+
+    @pytest.mark.parametrize("command", ["arf", "witt-check"])
+    def test_linking_commands(self, tmp_path, command):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(hyperbolic_json()))
+        loaded = self.loaded(command, str(path))
+        assert "unilcalc.linking" in loaded
+        forbidden = {"unilcalc.forms", "unilcalc.dihedral", "unilcalc.unil", "unilcalc.classify",
+                     "hashlib"}
+        assert not loaded & forbidden
+
+    def test_classify(self):
+        loaded = self.loaded("classify", "4", "--degree-cutoff", "1")
+        assert "unilcalc.classify" in loaded
+        forbidden = {"unilcalc.linking", "unilcalc.forms", "unilcalc.dihedral",
+                     "unilcalc.funcfield", "unilcalc.f2linalg"}
+        assert not loaded & forbidden

@@ -1,4 +1,5 @@
-"""Property test of the slot-by-slot q in the lagrangian search filter."""
+"""Property tests of the lagrangian search: the slot-by-slot q of its row
+filter, and the Arf obstruction to a witness."""
 
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from tests.test_linking import rand_form
 from unilcalc import linking
 from unilcalc.kernels import z4_neg
-from unilcalc.linking import LinkingForm, direct_sum, eval_bq
+from unilcalc.linking import LinkingForm, arf_even, direct_sum, eval_bq, find_lagrangian
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -39,3 +40,12 @@ def test_slot_by_slot_q_equals_eval_bq(seed, k, even, bound):
     # and a different V is not matched
     g2 = direct_sum([f, LinkingForm(2, ((lo, 1), (1, 0)), (z4_neg(lo, hi ^ 1), (0, 0)))])
     assert linking._q_zero_rows(linking._slot_tables(g2, bound), pivot, row[pivot], spans) == []
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((2, 4)), bound=st.integers(0, 2))
+def test_no_witness_with_a_nonzero_arf_class(seed, k, bound):
+    """A lagrangian makes a form 0 in the Witt group, so a form with a
+    nonzero Arf class has none; witt-check skips its search on this."""
+    f = rand_form(random.Random(seed), k, deg=2, even=True)
+    assert find_lagrangian(f, bound) is None or arf_even(f).is_zero()
