@@ -16,7 +16,6 @@ from functools import cached_property
 from itertools import chain, combinations_with_replacement, islice, product
 from json.encoder import encode_basestring_ascii
 
-from unilcalc.polynomials import compact_str
 from unilcalc.unil import compact_literal, orbit_count, orbit_reps
 
 
@@ -126,12 +125,6 @@ orbit as text, whether the class is not a connected sum, and the pair a
 folded row absorbed ("" when none)."""
 
 
-def _theta_text(theta):
-    if hasattr(theta, "arf_class"):
-        return f"[{compact_str(theta.arf_class.rep)}]"
-    return compact_literal(theta)
-
-
 class TableRows:
     """The rows of a table, made afresh on each iteration, so that no table
     holds them; len() is the closed-form count.
@@ -156,7 +149,7 @@ class TableRows:
             return ["0"], [False]
         texts, flags = [], []
         for theta in orbit_reps(group, self.table.degree_cutoff):
-            texts.append(_theta_text(theta))
+            texts.append(compact_literal(theta))
             flags.append(not theta.is_zero())
         return texts, flags
 

@@ -33,12 +33,12 @@ def _read_json(source):
 
 
 def _cmd_reduce(args):
-    from unilcalc.polynomials import compact_str, idem_reduce, parse_poly, versch_reduce
+    from unilcalc.polynomials import Polynomial, compact_str, idem_reduce, parse_poly, versch_reduce
 
     if args.kind == "idem":
-        rep = idem_reduce(parse_poly(args.poly, "F2")).rep
+        rep = Polynomial.from_bits(idem_reduce(parse_poly(args.poly, "F2").to_bits()))
     else:
-        rep = versch_reduce(parse_poly(args.poly, "Z4")).rep
+        rep = Polynomial.from_z4pair(*versch_reduce(*parse_poly(args.poly, "Z4").to_z4pair()))
     out = compact_str(rep)
     payload = {"kind": args.kind, "input": args.poly, "canonical": out}
     return CommandResult("value", payload, human=(out,))

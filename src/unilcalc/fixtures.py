@@ -75,6 +75,10 @@ def _fx_lagrangian_search(degree, _corrupt, jobs=1):
         yield f"p={compact_str(p)}", ok, None if ok else "no lagrangian within degree bound 3"
 
 
+def _f2_str(bits):
+    return str(Polynomial.from_bits(bits))
+
+
 def _fx_switch_laws(_degree, _corrupt):
     elements = enumerate_truncated("UNil3", 3).elements
     for e in elements:
@@ -84,13 +88,14 @@ def _fx_switch_laws(_degree, _corrupt):
             yield label, False, "sw applied twice is not the identity"
             return
         b1, b2 = B_coords(e)
-        if B_coords(se) != (b1, b1 + b2):
-            yield label, False, f"B(sw e) = {B_coords(se)}, expected ({b1}, {b1 + b2})"
+        if B_coords(se) != (b1, b1 ^ b2):
+            got = ", ".join(map(_f2_str, B_coords(se)))
+            yield label, False, f"B(sw e) = ({got}), expected ({_f2_str(b1)}, {_f2_str(b1 ^ b2)})"
             return
         if switch_unil3(e.doubled()) != e.doubled():
             yield label, False, "sw moved a multiple of two"
             return
-        if (se == e) != pi_map(e.x).is_zero():
+        if (se == e) != (pi_map(e.x) == 0):
             yield label, False, "fixed-point criterion pi(x) = 0 violated"
             return
         yield label, True, None

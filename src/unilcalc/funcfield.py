@@ -251,16 +251,16 @@ def partial_fractions(num, den):
 class RationalFunctionClass:
     """Canonical representative in F2(t)/{g^2 - g}.
 
-    poly_rep: F2 polynomial supported on exponent 0 and odd exponents.
+    poly_rep: F2 bitmask supported on exponent 0 and odd exponents.
     pole_parts: tuple of (pi_bits, ((odd_level, numerator_bits), ...)),
     sorted, numerators reduced mod pi.
     """
 
-    poly_rep: Polynomial
+    poly_rep: int
     pole_parts: tuple = ()
 
     def is_zero(self):
-        return self.poly_rep.is_zero() and not self.pole_parts
+        return not self.poly_rep and not self.pole_parts
 
     def __add__(self, other):
         acc = {pi: dict(lv) for pi, lv in self.pole_parts}
@@ -269,16 +269,15 @@ class RationalFunctionClass:
             for j, a in lv:
                 dst[j] = dst.get(j, 0) ^ a
         parts = _pack_poles(acc)
-        return RationalFunctionClass(
-            idem_reduce(self.poly_rep + other.poly_rep).rep, parts
-        )
+        # canonical polynomial parts are closed under addition
+        return RationalFunctionClass(self.poly_rep ^ other.poly_rep, parts)
 
     def __str__(self):
         if self.is_zero():
             return "0"
         terms = []
-        if not self.poly_rep.is_zero():
-            terms.append(str(self.poly_rep))
+        if self.poly_rep:
+            terms.append(str(Polynomial.from_bits(self.poly_rep)))
         for pi, lv in self.pole_parts:
             for j, a in lv:
                 terms.append(
@@ -327,6 +326,4 @@ def artin_schreier_reduce(num, den=None):
             levels[m - 1] = levels.get(m - 1, 0) ^ w
             levels[m // 2] = levels.get(m // 2, 0) ^ c
         out[pi] = levels
-    return RationalFunctionClass(
-        idem_reduce(Polynomial.from_bits(poly)).rep, _pack_poles(out)
-    )
+    return RationalFunctionClass(idem_reduce(poly), _pack_poles(out))

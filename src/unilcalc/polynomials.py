@@ -7,7 +7,8 @@ canonical form is ``coeff*t^exp`` terms joined by ``+`` with exponents
 descending, e.g. ``3*t^2+2*t^1+1*t^0``; the parser additionally accepts the
 shorthands ``t``, ``t^k``, bare integers and signed coefficients.
 
-The quotient rings:
+The quotient rings work on the bitmasks of unilcalc.kernels: an int for
+F2[t], a (lo, hi) pair for Z4[t].
 
 * idem_reduce: F2[t] modulo the subgroup {f^2 - f}.  Confluent rewrite
   t^(2k) -> t^k for k >= 1; canonical representatives are supported on
@@ -121,19 +122,6 @@ class Polynomial:
         return Polynomial(self.ring, tuple(out))
 
     __rmul__ = __mul__
-
-    def substitute(self, q):
-        """self(q(t)), with q over the same ring."""
-        self._check(q)
-        acc = Polynomial.zero(self.ring)
-        for c in reversed(self.coeffs):
-            acc = acc * q + Polynomial(self.ring, (c,))
-        return acc
-
-    def times_t(self, k=1):
-        if self.is_zero():
-            return self
-        return Polynomial(self.ring, (0,) * k + self.coeffs)
 
     def map_ring(self, ring):
         """Reinterpret coefficients in another ring (reduction or lift)."""
@@ -307,71 +295,22 @@ def even_odd_decompose(p):
     return Polynomial("F2", ev), Polynomial("F2", od)
 
 
-def _idem_bits(bits):
+def idem_reduce(bits):
+    """Canonical representative of an F2[t] bitmask modulo {f^2 - f}."""
     d = bits.bit_length() - 1
-    for e in range(d, 1, -1):
-        if e % 2 == 0 and bits >> e & 1:
+    for e in range(d - d % 2, 1, -2):
+        if bits >> e & 1:
             bits ^= (1 << e) | (1 << (e // 2))
     return bits
 
 
-@dataclass(frozen=True)
-class IdemQuotientClass:
-    """Class in F2[t]/{f^2-f}; rep is canonical (support in {0} + odds)."""
+def versch_reduce(lo, hi):
+    """Canonical representative of a Z4[t] pair modulo {2p(t^2) - 2p(t)}.
 
-    rep: Polynomial
-
-    def __add__(self, other):
-        return idem_reduce(self.rep + other.rep)
-
-    def is_zero(self):
-        return self.rep.is_zero()
-
-    def __str__(self):
-        return str(self.rep)
-
-    __repr__ = __str__
-
-
-def idem_reduce(p):
-    if p.ring != "F2":
-        raise ValueError("idem_reduce works over F2")
-    return IdemQuotientClass(Polynomial.from_bits(_idem_bits(p.to_bits())))
-
-
-@dataclass(frozen=True)
-class VerschQuotientClass:
-    """Class in t*Z4[t]/{2p(t^2)-2p(t)}; canonical rep has even-exponent
-    coefficients in {0, 1}."""
-
-    rep: Polynomial
-
-    def __add__(self, other):
-        return versch_reduce(self.rep + other.rep)
-
-    def __neg__(self):
-        return versch_reduce(-self.rep)
-
-    def is_zero(self):
-        return self.rep.is_zero()
-
-    def doubled(self):
-        return versch_reduce(self.rep * 2)
-
-    def __str__(self):
-        return str(self.rep)
-
-    __repr__ = __str__
-
-
-def versch_reduce(p):
-    if p.ring != "Z4":
-        raise ValueError("versch_reduce works over Z4")
-    if p.coefficient(0):
+    The relations have even coefficients, so lo is already canonical; on
+    the hi plane, where 2*t^k is bit k, subtracting 2(t^(2k) - t^k) is the
+    rewrite of idem_reduce.
+    """
+    if (lo | hi) & 1:
         raise ValueError("nonzero constant term")
-    cs = list(p.coeffs)
-    for e in range(len(cs) - 1, 1, -1):
-        if e % 2 == 0 and cs[e] >= 2:
-            cs[e] -= 2
-            cs[e // 2] = (cs[e // 2] + 2) % 4
-    return VerschQuotientClass(Polynomial("Z4", tuple(cs)))
+    return lo, idem_reduce(hi)

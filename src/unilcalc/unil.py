@@ -8,44 +8,46 @@ t*F2[t]/{f^2 - f}.  UNil_3 carries coordinates
 with x the j1-part and y the j2-part.  The switch involution (swapping
 the two free factors of Z2 * Z2) acts by (x, y) |-> (x, pi(x) + y) on
 UNil_3 and as the identity on UNil_2.
+
+Coordinates are the bitmasks of unilcalc.kernels: the UNil_2 class and y
+are ints, x is a (lo, hi) pair, each a canonical representative.  A
+Polynomial appears only where input is read (j1, j2,
+UNil2Element.from_poly, parse_unil3, the generator dictionary) and where
+a coordinate is printed.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
-from unilcalc.polynomials import (
-    IdemQuotientClass,
-    Polynomial,
-    VerschQuotientClass,
-    idem_reduce,
-    parse_poly,
-    versch_reduce,
-)
+from unilcalc.kernels import gf2_mul, z4_add, z4_neg
+from unilcalc.polynomials import Polynomial, compact_str, idem_reduce, parse_poly, versch_reduce
 
-_ZERO_F2 = Polynomial.zero("F2")
-_ZERO_Z4 = Polynomial.zero("Z4")
+_ZERO_X = (0, 0)
 
 
 @dataclass(frozen=True)
 class UNil2Element:
-    arf_class: IdemQuotientClass
+    """arf_bits: the canonical representative as an F2[t] bitmask."""
+
+    arf_bits: int
 
     def __post_init__(self):
-        if self.arf_class.rep.coefficient(0):
-            raise ValueError("UNil2 elements have zero constant term")
+        if self.arf_bits & 1:
+            raise ValueError("UNil2 element has nonzero constant term")
 
     @classmethod
     def zero(cls):
-        return cls(IdemQuotientClass(_ZERO_F2))
+        return cls(0)
 
     @classmethod
     def from_poly(cls, p):
         if p.ring == "Z":
             p = p.map_ring("F2")
-        return cls(idem_reduce(p))
+        return cls(idem_reduce(p.to_bits()))
 
     def __add__(self, other):
-        return UNil2Element(self.arf_class + other.arf_class)
+        # canonical representatives are closed under addition
+        return UNil2Element(self.arf_bits ^ other.arf_bits)
 
     __sub__ = __add__
 
@@ -53,76 +55,81 @@ class UNil2Element:
         return self
 
     def is_zero(self):
-        return self.arf_class.is_zero()
+        return not self.arf_bits
 
-    def __str__(self):
-        return f"[{self.arf_class}]"
+    def literal(self, fmt=str):
+        """'[p]' with p rendered by fmt."""
+        return f"[{fmt(Polynomial.from_bits(self.arf_bits))}]"
 
-    __repr__ = __str__
+    __str__ = __repr__ = literal
 
 
 @dataclass(frozen=True)
 class UNil3Element:
-    x: VerschQuotientClass
-    y: Polynomial
+    """x: the canonical representative as a Z4[t] (lo, hi) pair; y: an
+    F2[t] bitmask."""
+
+    x: tuple
+    y: int
 
     def __post_init__(self):
-        if self.y.ring != "F2":
-            raise ValueError("y-coordinate lives in t*F2[t]")
-        if self.y.coefficient(0):
-            raise ValueError("y-coordinate has zero constant term")
+        if self.y & 1:
+            raise ValueError("y-coordinate has nonzero constant term")
 
     @classmethod
     def zero(cls):
-        return cls(VerschQuotientClass(_ZERO_Z4), _ZERO_F2)
+        return cls(_ZERO_X, 0)
 
     def __add__(self, other):
-        return UNil3Element(self.x + other.x, self.y + other.y)
+        return UNil3Element(versch_reduce(*z4_add(*self.x, *other.x)), self.y ^ other.y)
 
     def __neg__(self):
-        return UNil3Element(-self.x, self.y)
+        return UNil3Element(versch_reduce(*z4_neg(*self.x)), self.y)
 
     def __sub__(self, other):
         return self + (-other)
 
     def doubled(self):
-        return UNil3Element(self.x.doubled(), _ZERO_F2)
+        return UNil3Element(versch_reduce(0, self.x[0]), 0)
 
     def is_zero(self):
-        return self.x.is_zero() and self.y.is_zero()
+        return self.x == _ZERO_X and not self.y
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
+    def literal(self, fmt=str):
+        """'j1[x] + j2[y]' with the coordinates rendered by fmt, zero
+        coordinates left out; '0' for the zero element."""
         parts = []
-        if not self.x.is_zero():
-            parts.append(f"j1[{self.x}]")
-        if not self.y.is_zero():
-            parts.append(f"j2[{self.y}]")
-        return " + ".join(parts)
+        if self.x != _ZERO_X:
+            parts.append(f"j1[{fmt(Polynomial.from_z4pair(*self.x))}]")
+        if self.y:
+            parts.append(f"j2[{fmt(Polynomial.from_bits(self.y))}]")
+        return " + ".join(parts) or "0"
 
-    __repr__ = __str__
+    __str__ = __repr__ = literal
 
     def to_json_dict(self):
-        return {"x": str(self.x.rep), "y": str(self.y)}
+        return {"x": str(Polynomial.from_z4pair(*self.x)), "y": str(Polynomial.from_bits(self.y))}
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(versch_reduce(parse_poly(data["x"], "Z4")), parse_poly(data["y"], "F2"))
+        return cls(
+            versch_reduce(*parse_poly(data["x"], "Z4").to_z4pair()),
+            parse_poly(data["y"], "F2").to_bits(),
+        )
 
 
 def j1(p):
     """The class with x-coordinate [p]; accepts Z or Z4 coefficients."""
     if p.ring == "Z":
         p = p.map_ring("Z4")
-    return UNil3Element(versch_reduce(p), _ZERO_F2)
+    return UNil3Element(versch_reduce(*p.to_z4pair()), 0)
 
 
 def j2(p):
     """The class with y-coordinate p; accepts Z or F2 coefficients."""
     if p.ring == "Z":
         p = p.map_ring("F2")
-    return UNil3Element(VerschQuotientClass(_ZERO_Z4), p)
+    return UNil3Element(_ZERO_X, p.to_bits())
 
 
 def unil_add(lhs, rhs):
@@ -132,15 +139,16 @@ def unil_add(lhs, rhs):
 
 
 def pi_map(x):
-    """Reduce each coefficient of the canonical representative mod 2.
+    """Reduce each coefficient of the canonical representative mod 2: the
+    lo plane.
 
     Well defined on classes: the relations 2(t^{2k} - t^k) vanish mod 2.
     """
-    return x.rep.map_ring("F2")
+    return x[0]
 
 
 def switch_unil3(e):
-    return UNil3Element(e.x, pi_map(e.x) + e.y)
+    return UNil3Element(e.x, e.y ^ e.x[0])
 
 
 def switch_unil2(e):
@@ -148,7 +156,7 @@ def switch_unil2(e):
 
 
 def B_coords(e):
-    return (pi_map(e.x), e.y)
+    return (e.x[0], e.y)
 
 
 def element_order(e):
@@ -172,11 +180,11 @@ def is_multiple_of_two(e):
     """
     if isinstance(e, UNil2Element):
         return e.is_zero()
-    return e.y.is_zero() and pi_map(e.x).is_zero()
+    return not (e.y | e.x[0])
 
 
-def _shift_down(p):
-    return Polynomial(p.ring, p.coeffs[1:])
+def _low_exponent(bits):
+    return (bits & -bits).bit_length() - 1
 
 
 def _resolve_shape(p, g):
@@ -184,23 +192,22 @@ def _resolve_shape(p, g):
 
     The class only depends on p mod 4 and g mod 2, and t-factors move
     between the slots at the cost of one switch: sw[N_{tp,g}] = [N_{p,tg}].
-    Returns (sw_parity, P over Z4, G over F2) where either G = 1 and
-    P(0) = 0 (the j1 shape) or (P, G) is a terminal unresolved symbol.
+    Returns (sw_parity, P as a Z4 pair, G as an F2 bitmask) where either
+    G = 1 and P(0) = 0 (the j1 shape) or (P, G) is a terminal unresolved
+    symbol.
     """
-    P = p.map_ring("Z4") if p.ring != "Z4" else p
-    G = g.map_ring("F2") if g.ring != "F2" else g
-    n = 0
-    while not G.is_zero() and G.coefficient(0) == 0:
-        G = _shift_down(G)
-        P = P.times_t()
-        n += 1
-    if G.is_zero():
+    lo, hi = p.map_ring("Z4").to_z4pair()
+    G = g.map_ring("F2").to_bits()
+    if G:
+        n = _low_exponent(G)
+        G >>= n
+        lo, hi = lo << n, hi << n
+    else:
         # with the second slot zero the switch costs nothing: pi of the
         # x-coordinate is [p*g] = 0, so all [N_{t^k p, 0}] agree
-        while not P.is_zero() and P.coefficient(0) == 0:
-            P = _shift_down(P)
-            n += 1
-    return n % 2, P, G
+        n = max(_low_exponent(lo | hi), 0)
+        lo, hi = lo >> n, hi >> n
+    return n % 2, (lo, hi), G
 
 
 def n_class_combination(terms):
@@ -215,27 +222,28 @@ def n_class_combination(terms):
     residue = {}
     for coeff, p, g in terms:
         parity, P, G = _resolve_shape(p, g)
-        if G == Polynomial.one("F2") and P.coefficient(0) == 0:
-            e = j1(P)
+        if G == 1 and not (P[0] | P[1]) & 1:
+            e = UNil3Element(versch_reduce(*P), 0)
             if parity:
                 e = switch_unil3(e)
-            for _ in range(abs(coeff)):
-                total = total + (e if coeff > 0 else -e)
+            # UNil_3 has exponent 4, and coeff % 4 >= 0 also for coeff < 0
+            for _ in range(coeff % 4):
+                total = total + e
             continue
-        if P.is_zero() and G.is_zero():
+        if P == _ZERO_X and not G:
             continue  # N_{0,0} is hyperbolic, class zero
-        key = (P.coeffs, G.coeffs)
+        key = (P, G)
         residue[key] = residue.get(key, 0) + coeff
         if parity and coeff % 2:
             # sw(A) - A = (0, pi(x_A)) and pi of the x-coordinate of
             # [N_{P,G}] is [P*G]; only parity survives in the F2 slot
-            total = total + j2(P.map_ring("F2") * G)
+            total = total + UNil3Element(_ZERO_X, gf2_mul(P[0], G))
     bad = [k for k, c in residue.items() if c]
     if bad:
         P, G = bad[0]
         raise ValueError(
             "shape outside the generated dictionary: "
-            f"N_{{{Polynomial('Z4', P)},{Polynomial('F2', G)}}} does not cancel"
+            f"N_{{{Polynomial.from_z4pair(*P)},{Polynomial.from_bits(G)}}} does not cancel"
         )
     return total
 
@@ -276,6 +284,11 @@ def orbit_count(group, degree_cutoff):
     raise ValueError("group must be 'UNil2' or 'UNil3'")
 
 
+def _mask(cs):
+    """The F2[t] bitmask of the parities of cs, cs[i] the coefficient of t^(i+1)."""
+    return sum((c & 1) << k for k, c in enumerate(cs, 1))
+
+
 def _element_rows(group, d):
     """Yield (elements, orbit representatives, fixed count) for the canonical
     elements supported on exponents <= d, one row per x-coordinate on UNil_3
@@ -290,27 +303,22 @@ def _element_rows(group, d):
     if d < 0:
         raise ValueError("degree cutoff must be >= 0")
     if group == "UNil2":
-        odd = [k for k in range(1, d + 1) if k % 2]
-        elements = []
-        for mask in product((0, 1), repeat=len(odd)):
-            cs = [0] * (d + 1)
-            for k, c in zip(odd, mask):
-                cs[k] = c
-            elements.append(UNil2Element(IdemQuotientClass(Polynomial("F2", tuple(cs)))))
+        ranges = [range(2) if k % 2 else range(1) for k in range(1, d + 1)]
+        elements = [UNil2Element(_mask(cs)) for cs in product(*ranges)]
         # the switch is the identity on UNil_2
         yield elements, elements, len(elements)
     elif group == "UNil3":
         ranges = [range(2) if k % 2 == 0 else range(4) for k in range(1, d + 1)]
-        ys = [Polynomial("F2", (0,) + ymask) for ymask in product((0, 1), repeat=d)]
+        ys = [_mask(ymask) for ymask in product((0, 1), repeat=d)]
         for xcs in product(*ranges):
-            x = VerschQuotientClass(Polynomial("Z4", (0,) + xcs))
+            x = (_mask(xcs), _mask(c >> 1 for c in xcs))
             row = [UNil3Element(x, y) for y in ys]
-            # lowest exponent k >= 1 where pi(x) has a 1
-            low = next((k for k, c in enumerate(xcs, 1) if c % 2), None)
-            if low is None:
+            # the lowest exponent where pi(x) has a 1, as a bitmask
+            low = x[0] & -x[0]
+            if not low:
                 yield row, row, len(row)
             else:
-                yield row, [e for e, y in zip(row, ys) if not y.coefficient(low)], 0
+                yield row, [e for e in row if not e.y & low], 0
     else:
         raise ValueError("group must be 'UNil2' or 'UNil3'")
 
@@ -346,17 +354,18 @@ def enumerate_truncated(group, degree_cutoff):
 
 
 def compact_literal(e):
-    """Element literal with compact polynomial rendering, e.g. 'j1[t] + j2[t^2]'."""
-    from unilcalc.polynomials import compact_str
+    """Element literal with compact polynomial rendering, e.g. 'j1[t] + j2[t^2]'
+    on UNil_3 and '[t]' on UNil_2."""
+    return e.literal(compact_str)
 
-    if e.is_zero():
-        return "0"
-    parts = []
-    if not e.x.is_zero():
-        parts.append(f"j1[{compact_str(e.x.rep)}]")
-    if not e.y.is_zero():
-        parts.append(f"j2[{compact_str(e.y)}]")
-    return " + ".join(parts)
+
+def _moved(message, offset):
+    """An error message about a polynomial starting at offset, with its
+    position made absolute, or placed at offset when it names none."""
+    head, sep, pos = message.rpartition(" at position ")
+    if sep and pos.isdigit():
+        return f"{head}{sep}{offset + int(pos)}"
+    return f"{message} at position {offset}"
 
 
 def parse_unil3(text):
@@ -388,10 +397,12 @@ def parse_unil3(text):
         if close < 0:
             raise ValueError(f"unterminated bracket at position {i + 2}")
         inner = s[i + 3 : close]
-        if tag == "j1":
-            total = total + j1(parse_poly(inner, "Z4"))
-        else:
-            total = total + j2(parse_poly(inner, "F2"))
+        start = close - len(inner.lstrip())
+        try:
+            e = j1(parse_poly(inner, "Z4")) if tag == "j1" else j2(parse_poly(inner, "F2"))
+        except ValueError as exc:
+            raise ValueError(_moved(str(exc), start)) from None
+        total = total + e
         i = skip_ws(close + 1)
         first = False
     return total

@@ -11,6 +11,8 @@ import io
 import json
 from itertools import combinations_with_replacement, product
 
+from unilcalc.polynomials import Polynomial
+
 
 def f2_span(gens):
     """Subgroup of (F2-vector) ints spanned by gens, as a set."""
@@ -61,14 +63,44 @@ def all_z4_vectors(max_exp):
         yield (0,) + tail
 
 
+def dense_idem_reduce(p):
+    """Reference for polynomials.idem_reduce on a dense F2 Polynomial: the
+    rewrite t^(2k) -> t^k on its coefficient list, from the top down."""
+    if p.ring != "F2":
+        raise ValueError("idem_reduce works over F2")
+    cs = list(p.coeffs)
+    for e in range(len(cs) - 1, 1, -1):
+        if e % 2 == 0 and cs[e]:
+            cs[e] = 0
+            cs[e // 2] ^= 1
+    return Polynomial("F2", tuple(cs))
+
+
+def dense_versch_reduce(p):
+    """Reference for polynomials.versch_reduce on a dense Z4 Polynomial:
+    wherever an even exponent 2k has coefficient 2 or 3, subtract
+    2(t^(2k) - t^k), from the top down."""
+    if p.ring != "Z4":
+        raise ValueError("versch_reduce works over Z4")
+    if p.coefficient(0):
+        raise ValueError("nonzero constant term")
+    cs = list(p.coeffs)
+    for e in range(len(cs) - 1, 1, -1):
+        if e % 2 == 0 and cs[e] >= 2:
+            cs[e] -= 2
+            cs[e // 2] = (cs[e // 2] + 2) % 4
+    return Polynomial("Z4", tuple(cs))
+
+
 def unil_coefficient_tuple(e, max_exp):
     """An enumerated UNil element as raw coefficients on exponents
     0..max_exp: the F2 tuple for UNil_2, the x tuple then the y tuple for
     UNil_3 (the same layout switch_orbits uses)."""
-    if hasattr(e, "arf_class"):
-        return tuple(e.arf_class.rep.coefficient(k) for k in range(max_exp + 1))
-    xs = tuple(e.x.rep.coefficient(k) for k in range(max_exp + 1))
-    return xs + tuple(e.y.coefficient(k) for k in range(max_exp + 1))
+    if hasattr(e, "arf_bits"):
+        return tuple(e.arf_bits >> k & 1 for k in range(max_exp + 1))
+    lo, hi = e.x
+    xs = tuple((lo >> k & 1) + 2 * (hi >> k & 1) for k in range(max_exp + 1))
+    return xs + tuple(e.y >> k & 1 for k in range(max_exp + 1))
 
 
 def switch_orbits(group, max_exp):
@@ -188,13 +220,10 @@ class ReferenceRow:
         self.identified_with = identified_with
 
     def theta_str(self):
-        from unilcalc.polynomials import compact_str
         from unilcalc.unil import compact_literal
 
         if self.theta is None:
             return "0"
-        if hasattr(self.theta, "arf_class"):
-            return f"[{compact_str(self.theta.arf_class.rep)}]"
         return compact_literal(self.theta)
 
 

@@ -102,6 +102,21 @@ class TestSw:
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: empty element at position 0"]
 
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            ("j2[1]", "y-coordinate has nonzero constant term at position 3"),
+            ("j1[1]", "nonzero constant term at position 3"),
+            ("j1[t] + j2[t^99999999]", f"exponent above the limit {MAX_EXPONENT} at position 11"),
+            ("j1[]", "empty polynomial at position 3"),
+            ("j2[t] + j1[ t + q]", "bad term '+ q' at position 14"),
+        ],
+    )
+    def test_bad_coordinate_rejected(self, capsys, literal, message):
+        code, out, err = run(capsys, "sw", literal)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
 
 class TestArf:
     def test_nonzero_class(self, capsys, tmp_path):

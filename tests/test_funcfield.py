@@ -138,7 +138,7 @@ class TestArtinSchreier:
 
     def test_pole_example(self):
         cls = artin_schreier_reduce(1, bits("t^2"))
-        assert cls.poly_rep.is_zero()
+        assert cls.poly_rep == 0
         assert cls.pole_parts == ((2, ((1, 1),)),)
         assert str(cls) == "(1*t^0)/(1*t^1)^1"
 
@@ -152,8 +152,8 @@ class TestArtinSchreier:
             num = rng.getrandbits(14)
             den = rng.getrandbits(8) | (1 << rng.randint(1, 7))
             cls = artin_schreier_reduce(num, den)
-            for k in range(2, cls.poly_rep.degree + 1, 2):
-                assert cls.poly_rep.coefficient(k) == 0
+            for k in range(2, cls.poly_rep.bit_length(), 2):
+                assert cls.poly_rep >> k & 1 == 0
             for pi, levels in cls.pole_parts:
                 assert is_irreducible(pi)
                 for j, a in levels:

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from tests.helpers_oracles import switch_orbits, unil_coefficient_tuple
+from tests.helpers_oracles import dense_versch_reduce, switch_orbits, unil_coefficient_tuple
 from unilcalc.polynomials import Polynomial, parse_poly, versch_reduce
 from unilcalc.unil import (
     B_coords,
@@ -33,8 +34,8 @@ def zpoly(rng, deg=3, lo=-3, hi=3):
 
 
 def rand_unil3(rng, deg=3):
-    x = versch_reduce(Polynomial("Z4", (0,) + tuple(rng.randrange(4) for _ in range(deg))))
-    y = Polynomial("F2", (0,) + tuple(rng.randrange(2) for _ in range(deg)))
+    x = versch_reduce(*Polynomial("Z4", (0,) + tuple(rng.randrange(4) for _ in range(deg))).to_z4pair())
+    y = Polynomial("F2", (0,) + tuple(rng.randrange(2) for _ in range(deg))).to_bits()
     return UNil3Element(x, y)
 
 
@@ -100,16 +101,16 @@ class TestUNil3Basics:
 
 class TestPiMap:
     def test_spec_values(self):
-        assert pi_map(versch_reduce(Polynomial("Z4", (0, 1)))) == Polynomial("F2", (0, 1))
-        assert pi_map(versch_reduce(Polynomial("Z4", (0, 2)))).is_zero()
-        got = pi_map(versch_reduce(Polynomial("Z4", (0, 3, 1))))
-        assert got == Polynomial("F2", (0, 1, 1))
+        assert pi_map(versch_reduce(*Polynomial("Z4", (0, 1)).to_z4pair())) == Polynomial("F2", (0, 1)).to_bits()
+        assert pi_map(versch_reduce(*Polynomial("Z4", (0, 2)).to_z4pair())) == 0
+        got = pi_map(versch_reduce(*Polynomial("Z4", (0, 3, 1)).to_z4pair()))
+        assert got == Polynomial("F2", (0, 1, 1)).to_bits()
 
     def test_well_defined_across_relations(self):
         rng = random.Random(13)
         for _ in range(40):
             raw = Polynomial("Z4", (0,) + tuple(rng.randrange(4) for _ in range(5)))
-            assert pi_map(versch_reduce(raw)) == raw.map_ring("F2")
+            assert pi_map(versch_reduce(*raw.to_z4pair())) == raw.map_ring("F2").to_bits()
 
 
 class TestSwitch3:
@@ -137,7 +138,7 @@ class TestSwitch3:
 
     def test_fixed_point_criterion_exhaustive(self):
         for e in enumerate_truncated("UNil3", 2).elements:
-            assert (switch_unil3(e) == e) == pi_map(e.x).is_zero()
+            assert (switch_unil3(e) == e) == (pi_map(e.x) == 0)
 
     def test_moved_order_two_element_exists(self):
         e = j1(Polynomial("Z", (0, 1, 1)))  # x = [t + t^2]
@@ -151,23 +152,23 @@ class TestBCoords:
         for _ in range(20):
             tp = T * zpoly(rng)
             b1, b2 = B_coords(j1(tp))
-            assert b1 == tp.map_ring("F2") and b2.is_zero()
+            assert b1 == tp.map_ring("F2").to_bits() and b2 == 0
             b1, b2 = B_coords(j2(tp))
-            assert b1.is_zero() and b2 == tp.map_ring("F2")
+            assert b1 == 0 and b2 == tp.map_ring("F2").to_bits()
 
     def test_switch_conjugation(self):
         rng = random.Random(31)
         for _ in range(100):
             e = rand_unil3(rng)
             b1, b2 = B_coords(e)
-            assert B_coords(switch_unil3(e)) == (b1, b1 + b2)
+            assert B_coords(switch_unil3(e)) == (b1, b1 ^ b2)
 
     def test_surjective_and_kernel_under_truncation(self):
         for d in (1, 2, 3):
             elements = enumerate_truncated("UNil3", d).elements
-            image = {(str(b1), str(b2)) for b1, b2 in map(B_coords, elements)}
+            image = set(map(B_coords, elements))
             assert len(image) == 4**d
-            kernel = {e for e in elements if all(c.is_zero() for c in B_coords(e))}
+            kernel = {e for e in elements if B_coords(e) == (0, 0)}
             doubles = {e.doubled() for e in elements}
             assert kernel == doubles
 
@@ -221,6 +222,19 @@ class TestDictionary:
                 [(1, T, p), (1, p, T), (-1, ONE, tp), (-1, tp, ONE)]
             )
             assert total.is_zero()
+
+    def test_huge_coefficient(self):
+        t0 = time.perf_counter()
+        got = n_class_combination([(10**9, T, ONE)])
+        assert time.perf_counter() - t0 < 1
+        assert got == n_class_combination([(0, T, ONE)])
+
+    @pytest.mark.parametrize("coeff", [-1, -2, -3, -5, -(10**9) - 1])
+    @pytest.mark.parametrize("p,g", [(T, ONE), (ONE, T), (ONE, T * T), (T + T * T, ONE)])
+    def test_negative_coefficient(self, coeff, p, g):
+        e = n_class_of_generator(p, g)
+        assert n_class_combination([(coeff, p, g)]) == -n_class_combination([(-coeff, p, g)])
+        assert n_class_combination([(-1, p, g)]) == -e
 
     def test_combination_cancels_only_matching_symbols(self):
         q = ONE + T  # N_{t,1+t} resolves to no j1 shape
@@ -336,3 +350,28 @@ class TestLiteralsAndJson:
         # non-canonical inner polynomials land on canonical classes
         assert parse_unil3("j1[2*t^2]") == j1(Polynomial("Z", (0, 2)))
         assert parse_unil3("j1[t] + j1[t] + j1[t] + j1[t]").is_zero()
+
+
+class TestAgainstDenseReference:
+    """The element operations on bitmasks against dense Polynomial
+    arithmetic reduced by dense_versch_reduce, over every element at
+    cutoff 3."""
+
+    def test_operations(self):
+        elements = enumerate_truncated("UNil3", 3).elements
+        dense = {e: (Polynomial.from_z4pair(*e.x), Polynomial.from_bits(e.y)) for e in elements}
+
+        def x_of(p):
+            return dense_versch_reduce(p).to_z4pair()
+
+        for e in elements:
+            x, y = dense[e]
+            assert (-e).x == x_of(-x) and (-e).y == e.y
+            assert e.doubled() == UNil3Element(x_of(x * 2), 0)
+            pi = x.map_ring("F2")
+            assert switch_unil3(e) == UNil3Element(e.x, (pi + y).to_bits())
+            assert B_coords(e) == (pi.to_bits(), y.to_bits())
+            for f in elements:
+                fx, fy = dense[f]
+                assert e + f == UNil3Element(x_of(x + fx), (y + fy).to_bits())
+                assert e - f == UNil3Element(x_of(x - fx), (y - fy).to_bits())
