@@ -26,10 +26,13 @@ class CommandResult:
 
 
 def _read_json(source):
-    if source == "-":
-        return json.load(sys.stdin)
-    with open(source) as fh:
-        return json.load(fh)
+    try:
+        if source == "-":
+            return json.load(sys.stdin)
+        with open(source) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _cmd_reduce(args):

@@ -5,16 +5,11 @@ multiplication is (t^j a^delta)(t^k a^eps) = t^(j + (-1)^delta k) a^(delta
 xor eps).  A ring may carry a sign character w with w(a), w(b) in {+1, -1};
 the involution sends g to w(g) g^(-1) and extends additively.  The switch
 automorphism swaps a and b, i.e. t^k -> t^-k and t^k a -> t^(1-k) a.
-
-Textual form: integer-coefficient sums of ``c*t^k`` and ``c*t^k*a`` (the
-parser also accepts ``a``, ``b``, ``t``, bare integers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from unilcalc.polynomials import _split_terms
 
 
 @dataclass(frozen=True)
@@ -185,42 +180,6 @@ class DihedralElement:
         return "".join(out)
 
     __repr__ = __str__
-
-
-def parse_dihedral(text, ring=TRIVIAL):
-    s = text.strip()
-    if not s:
-        raise ValueError("empty element at position 0")
-    d = {}
-    for raw, pos in _split_terms(s):
-        term = raw.replace(" ", "")
-        if term in ("+", "-", ""):
-            raise ValueError(f"dangling sign at position {pos}")
-        sign = 1
-        if term[0] in "+-":
-            sign = -1 if term[0] == "-" else 1
-            term = term[1:]
-        parts = term.split("*")
-        coeff = sign
-        if parts and parts[0].isdigit():
-            coeff = sign * int(parts.pop(0))
-        k, eps = 0, 0
-        if parts and (parts[0] == "t" or parts[0].startswith("t^")):
-            tok = parts.pop(0)
-            try:
-                k = 1 if tok == "t" else int(tok[2:])
-            except ValueError:
-                raise ValueError(f"bad power {tok!r} at position {pos}") from None
-        if parts and parts[0] in ("a", "b"):
-            if parts.pop(0) == "a":
-                eps = 1
-            else:
-                k, eps = k + 1, 1  # b = t*a
-        if parts:
-            raise ValueError(f"bad term {raw.strip()!r} at position {pos}")
-        g = (k, eps)
-        d[g] = d.get(g, 0) + coeff
-    return DihedralElement.from_dict(d, ring)
 
 
 A = DihedralElement.monomial(0, 1)

@@ -15,18 +15,10 @@ def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_zero(m, n):
-    return tuple((0,) * n for _ in range(m))
-
-
 def mat_transpose(M):
     if not M:
         return ()
     return tuple(tuple(row[j] for row in M) for j in range(len(M[0])))
-
-
-def mat_add(Am, Bm):
-    return tuple(tuple(x ^ y for x, y in zip(ra, rb)) for ra, rb in zip(Am, Bm))
 
 
 def mat_mul(Am, Bm):

@@ -28,25 +28,24 @@ def _bit_polys(degree):
 
 def _fx_generator_chain(degree, corrupt):
     for i, p in enumerate(_bit_polys(degree)):
-        start, script = generator_switch_chain(p)
+        start, steps = generator_switch_chain(p)
         if corrupt and i == 0:
             theta = tuple(
                 tuple(-c if (r, s) == (0, 1) else c for s, c in enumerate(row))
                 for r, row in enumerate(start.theta)
             )
             start = QuadraticFormTheta(start.ring, theta, start.epsilon)
-        report = verify_chain(start, script)
-        yield f"p={compact_str(p)}", report.ok, report.failure
+        failure = verify_chain(start, steps)
+        yield f"p={compact_str(p)}", failure is None, failure
 
 
 def _fx_resolution_chain(degree, _corrupt):
     d = min(degree, 4)
     for p in _bit_polys(d):
         for g in _bit_polys(d):
-            start, script = resolution_switch_chain(p, g)
-            report = verify_chain(start, script)
-            yield f"p={compact_str(p)} g={compact_str(g)}", report.ok, report.failure
-            if not report.ok:
+            failure = verify_chain(*resolution_switch_chain(p, g))
+            yield f"p={compact_str(p)} g={compact_str(g)}", failure is None, failure
+            if failure is not None:
                 return
 
 

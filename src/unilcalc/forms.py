@@ -16,15 +16,11 @@ pick up a right factor of a, the differential d extends coefficients only.
 
 A chain is a sequence of steps ``("base_change", P)``, ``("switch", None)``
 and ``("assert_equal", {"theta": M})`` (forms) or ``("assert_equal", {"d": ..,
-"psi0": .., "psi1": ..})`` (resolutions).  The bundled chains are built as
-such steps.  User scripts are plain text, one step per line:
-``base_change [[b,0],[0,a]]``, ``switch``, ``assert_equal <matrix literal>``
-or ``assert_equal d=[[..]] psi0=[[..]] psi1=[[..]]``.
+"psi0": .., "psi1": ..})`` (resolutions).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from unilcalc.dihedral import (
@@ -32,10 +28,9 @@ from unilcalc.dihedral import (
     DihedralElement,
     DihedralRing,
     _group_inv,
-    parse_dihedral,
     quad_indeterminacy_equal,
 )
-from unilcalc.polynomials import Polynomial, parse_poly
+from unilcalc.polynomials import Polynomial
 
 ZT_RING = "Z[t]"
 
@@ -101,10 +96,6 @@ def _mu_entry_equal(x, y, eps):
     return all(c % 2 == 0 for c in diff.coeffs)  # v + vbar = 2v
 
 
-def render_matrix(M):
-    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in M) + "]"
-
-
 @dataclass(frozen=True)
 class QuadraticFormTheta:
     """eps-quadratic form presented by a theta matrix."""
@@ -129,9 +120,6 @@ class QuadraticFormTheta:
 
     def mu(self):
         return tuple(self.theta[i][i] for i in range(self.rank))
-
-    def __str__(self):
-        return f"theta={render_matrix(self.theta)} eps={self.epsilon:+d}"
 
 
 @dataclass(frozen=True)
@@ -175,12 +163,6 @@ class QuadResolution:
     @property
     def rank(self):
         return len(self.d)
-
-    def __str__(self):
-        return (
-            f"d={render_matrix(self.d)} psi0={render_matrix(self.psi0)} "
-            f"psi1={render_matrix(self.psi1)} eps={self.epsilon:+d}"
-        )
 
 
 def standard_resolution(p, g):
@@ -354,79 +336,7 @@ def resolutions_equal(lhs, rhs):
 
 
 # ---------------------------------------------------------------------------
-# chain scripts
-
-_MATRIX_RE = re.compile(r"(\w+)=(\[.*?\]\]|\[\])")
-
-
-def _parse_matrix_literal(text, ring):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"matrix literal must be bracketed: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    if not (inner.startswith("[") and inner.endswith("]")):
-        raise ValueError(f"matrix literal needs nested rows: {text!r}")
-    rows = []
-    depth = 0
-    start = None
-    for pos, ch in enumerate(inner):
-        if ch == "[":
-            if depth == 0:
-                start = pos + 1
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append(inner[start:pos])
-    if _is_dihedral(ring):
-        parse = lambda s: parse_dihedral(s, ring)  # noqa: E731
-    else:
-        parse = lambda s: parse_poly(s, "Z")  # noqa: E731
-    out = []
-    for row in rows:
-        cells = [c.strip() for c in row.split(",")]
-        out.append(tuple(parse(c) for c in cells))
-    return tuple(out)
-
-
-def parse_chain_script(text, ring):
-    """Parse a chain script into (op, payload) steps; payloads are parsed
-    matrices (base_change) or dicts of matrices (assert_equal)."""
-    steps = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "switch":
-            steps.append(("switch", None))
-        elif line.startswith("base_change"):
-            steps.append(("base_change", _parse_matrix_literal(line[len("base_change"):], ring)))
-        elif line.startswith("assert_equal"):
-            rest = line[len("assert_equal"):].strip()
-            named = {m.group(1): m.group(2) for m in _MATRIX_RE.finditer(rest)}
-            if named:
-                payload = {k: _parse_matrix_literal(v, ring) for k, v in named.items()}
-            else:
-                payload = {"theta": _parse_matrix_literal(rest, ring)}
-            steps.append(("assert_equal", payload))
-        else:
-            raise ValueError(f"line {ln}: unknown chain step {line!r}")
-    return tuple(steps)
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    steps: tuple  # (label, state) pairs in execution order; rendered by __str__
-    ok: bool
-    failure: str = None
-
-    def __str__(self):
-        lines = [f"{label}: {state}" for label, state in self.steps]
-        lines.append("PASS" if self.ok else f"FAIL: {self.failure}")
-        return "\n".join(lines)
-
+# chains
 
 def _build_target(state, payload):
     if isinstance(state, QuadraticFormTheta):
@@ -438,21 +348,16 @@ def _build_target(state, payload):
     return QuadResolution(state.ring, payload["d"], payload["psi0"], payload["psi1"], state.epsilon)
 
 
-def verify_chain(start, script):
-    """Run a chain, given as steps or as script text, against a start form
-    or resolution.  Stops at the first failing assert and reports the
-    divergence; otherwise records every intermediate state."""
-    steps = parse_chain_script(script, start.ring) if isinstance(script, str) else tuple(script)
+def verify_chain(start, steps):
+    """Run chain steps against a start form or resolution.  Returns None
+    when every step passes, else the first failure, located by step."""
     state = start
-    records = [("start", state)]
     for n, (op, payload) in enumerate(steps, start=1):
         try:
             if op == "base_change":
                 state = base_change(state, payload)
-                records.append((f"step {n} base_change", state))
             elif op == "switch":
                 state = switch_form(state)
-                records.append((f"step {n} switch", state))
             elif op == "assert_equal":
                 target = _build_target(state, payload)
                 diff = (
@@ -461,13 +366,12 @@ def verify_chain(start, script):
                     else _res_diff(state, target)
                 )
                 if diff is not None:
-                    return ChainReport(tuple(records), False, f"step {n} assert_equal: {diff}")
-                records.append((f"step {n} assert_equal", "ok"))
+                    return f"step {n} assert_equal: {diff}"
             else:
                 raise ValueError(f"unknown chain step {op!r}")
         except ValueError as exc:
-            return ChainReport(tuple(records), False, f"step {n} {op}: {exc}")
-    return ChainReport(tuple(records), True)
+            return f"step {n} {op}: {exc}"
+    return None
 
 
 # ---------------------------------------------------------------------------

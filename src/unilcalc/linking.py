@@ -30,9 +30,7 @@ from unilcalc.f2linalg import (
     mat_inverse,
     mat_mul,
     mat_transpose,
-    reduce_mod_rows,
     smith,
-    vec_mat_mul,
 )
 from unilcalc.funcfield import F2Rational, artin_schreier_reduce
 from unilcalc.kernels import gf2_deg, gf2_divmod, gf2_mul, z4_add, z4_mul, z4_neg, z4_sq_lift

@@ -231,14 +231,17 @@ def _coefficient(text, pos):
 
 
 def parse_poly(text, ring):
-    """Parse the textual polynomial grammar; errors carry the offset."""
+    """Parse the textual polynomial grammar; errors carry the offset in
+    text as given, leading blanks included."""
     if ring not in RINGS:
         raise ValueError(f"unknown ring {ring!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial at position 0")
+    lead = len(text) - len(text.lstrip())
     coeffs = {}
     for raw, pos in _split_terms(s):
+        pos += lead
         term = raw.replace(" ", "")
         if term in ("+", "-", ""):
             raise ValueError(f"dangling sign at position {pos}")

@@ -27,13 +27,16 @@ _ZERO_X = (0, 0)
 
 @dataclass(frozen=True)
 class UNil2Element:
-    """arf_bits: the canonical representative as an F2[t] bitmask."""
+    """arf_bits: the canonical representative as an F2[t] bitmask, checked
+    on construction."""
 
     arf_bits: int
 
     def __post_init__(self):
         if self.arf_bits & 1:
             raise ValueError("UNil2 element has nonzero constant term")
+        if idem_reduce(self.arf_bits) != self.arf_bits:
+            raise ValueError("UNil2 element is not a canonical representative")
 
     @classmethod
     def zero(cls):
@@ -67,7 +70,7 @@ class UNil2Element:
 @dataclass(frozen=True)
 class UNil3Element:
     """x: the canonical representative as a Z4[t] (lo, hi) pair; y: an
-    F2[t] bitmask."""
+    F2[t] bitmask.  Both are checked on construction."""
 
     x: tuple
     y: int
@@ -75,6 +78,11 @@ class UNil3Element:
     def __post_init__(self):
         if self.y & 1:
             raise ValueError("y-coordinate has nonzero constant term")
+        lo, hi = self.x
+        if (lo | hi) & 1:
+            raise ValueError("x-coordinate has nonzero constant term")
+        if idem_reduce(hi) != hi:
+            raise ValueError("x-coordinate is not a canonical representative")
 
     @classmethod
     def zero(cls):
@@ -397,11 +405,10 @@ def parse_unil3(text):
         if close < 0:
             raise ValueError(f"unterminated bracket at position {i + 2}")
         inner = s[i + 3 : close]
-        start = close - len(inner.lstrip())
         try:
             e = j1(parse_poly(inner, "Z4")) if tag == "j1" else j2(parse_poly(inner, "F2"))
         except ValueError as exc:
-            raise ValueError(_moved(str(exc), start)) from None
+            raise ValueError(_moved(str(exc), i + 3)) from None
         total = total + e
         i = skip_ws(close + 1)
         first = False

@@ -68,18 +68,16 @@ def bit_polys(degree):
 def test_criterion_1_generator_switch_chains():
     with criterion(1, "switch chain on the rank-1 generator forms, deg <= 6"):
         for p in bit_polys(6):
-            start, script = generator_switch_chain(p)
-            report = verify_chain(start, script)
-            assert report.ok, f"p={p}: {report.failure}"
+            failure = verify_chain(*generator_switch_chain(p))
+            assert failure is None, f"p={p}: {failure}"
 
 
 def test_criterion_2_resolution_switch_chains():
     with criterion(2, "switch chain on the induced resolutions, deg <= 4"):
         for p in bit_polys(4):
             for g in bit_polys(4):
-                start, script = resolution_switch_chain(p, g)
-                report = verify_chain(start, script)
-                assert report.ok, f"p={p} g={g}: {report.failure}"
+                failure = verify_chain(*resolution_switch_chain(p, g))
+                assert failure is None, f"p={p} g={g}: {failure}"
 
 
 def test_criterion_3_four_term_witt_identity():

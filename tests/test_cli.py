@@ -73,6 +73,18 @@ class TestReduce:
         code, out, err = run(capsys, "reduce", "idem", "t+1/0")
         assert code == 1 and err.splitlines() == ["error: zero denominator at position 1"]
 
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            ("idem", "  t^99999999", f"exponent above the limit {MAX_EXPONENT} at position 2"),
+            ("idem", "  t+x", "bad term '+x' at position 3"),
+        ],
+    )
+    def test_position_counts_leading_blanks(self, capsys, kind, text, message):
+        code, out, err = run(capsys, "reduce", kind, text)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_elapsed_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "reduce", "idem", "t")
         assert "elapsed" not in out and "elapsed" in err
@@ -109,6 +121,7 @@ class TestSw:
             ("j1[1]", "nonzero constant term at position 3"),
             ("j1[t] + j2[t^99999999]", f"exponent above the limit {MAX_EXPONENT} at position 11"),
             ("j1[]", "empty polynomial at position 3"),
+            ("j1[  ]", "empty polynomial at position 3"),
             ("j2[t] + j1[ t + q]", "bad term '+ q' at position 14"),
         ],
     )
@@ -265,6 +278,23 @@ def test_malformed_json_rejected(capsys, tmp_path, command, doc, message):
     assert code == 1 and out == ""
     assert err.splitlines()[0] == f"error: {message}"
     assert "Traceback" not in err
+
+
+def test_json_position_counts_leading_blanks(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"rank": 1, "b_num": [["  t^99999999"]], "q_num": ["0"]}))
+    code, out, err = run(capsys, "arf", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: exponent above the limit {MAX_EXPONENT} at position 2"]
+
+
+@pytest.mark.parametrize("command", ["arf", "witt-check"])
+def test_deeply_nested_json_rejected(capsys, tmp_path, command):
+    path = tmp_path / "f.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: JSON input is nested too deeply"]
 
 
 class TestVerifyPaper:

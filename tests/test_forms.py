@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from unilcalc.dihedral import TRIVIAL, DihedralElement, parse_dihedral
+from unilcalc.dihedral import TRIVIAL, DihedralElement
 from unilcalc.forms import (
     ZT_RING,
-    ChainReport,
     GeneratorP,
     QuadResolution,
     QuadraticFormTheta,
@@ -15,8 +14,6 @@ from unilcalc.forms import (
     generator_switch_chain,
     induce_F_form,
     induce_F_resolution,
-    parse_chain_script,
-    render_matrix,
     resolution_switch_chain,
     resolutions_equal,
     standard_resolution,
@@ -71,21 +68,6 @@ def rand_monomial_P(rng, n=2):
         )
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def render_chain_script(steps):
-    lines = []
-    for op, payload in steps:
-        if op == "switch":
-            lines.append("switch")
-        elif op == "base_change":
-            lines.append(f"base_change {render_matrix(payload)}")
-        elif set(payload) == {"theta"}:
-            lines.append(f"assert_equal {render_matrix(payload['theta'])}")
-        else:
-            named = " ".join(f"{k}={render_matrix(payload[k])}" for k in ("d", "psi0", "psi1"))
-            lines.append(f"assert_equal {named}")
-    return "\n".join(lines)
 
 
 class TestThetaViews:
@@ -287,29 +269,22 @@ class TestSwitch:
 
 class TestChains:
     def test_generator_chain_passes(self):
-        start, script = generator_switch_chain(T + ONE)
-        report = verify_chain(start, script)
-        assert report.ok, report.failure
-        assert len(report.steps) == 5  # start, base_change, assert, switch, assert
+        assert verify_chain(*generator_switch_chain(T + ONE)) is None
 
     def test_generator_chain_sweep(self):
         rng = random.Random(179)
         for _ in range(12):
             p = bits_poly(rng, rng.randint(0, 3))
-            start, script = generator_switch_chain(p)
-            assert verify_chain(start, script).ok
+            assert verify_chain(*generator_switch_chain(p)) is None
 
     def test_resolution_chain_passes(self):
-        start, script = resolution_switch_chain(T, ONE)
-        report = verify_chain(start, script)
-        assert report.ok, report.failure
+        assert verify_chain(*resolution_switch_chain(T, ONE)) is None
 
     def test_resolution_chain_sweep(self):
         rng = random.Random(181)
         for _ in range(10):
             p, g = bits_poly(rng, 2), bits_poly(rng, 2)
-            start, script = resolution_switch_chain(p, g)
-            assert verify_chain(start, script).ok
+            assert verify_chain(*resolution_switch_chain(p, g)) is None
 
     def test_corrupted_chain_fails_located(self):
         # flip the sign of an off-diagonal entry, which changes lambda
@@ -318,10 +293,9 @@ class TestChains:
         (x, y), row1 = payload["theta"]
         assert op == "assert_equal" and y == B
         bad = (steps[0], (op, {"theta": ((x, -y), row1)})) + steps[2:]
-        report = verify_chain(start, bad)
-        assert not report.ok
-        assert "step 2" in report.failure
-        assert "entry" in report.failure
+        assert verify_chain(start, bad) == (
+            "step 2 assert_equal: lambda entry (0,1): 1*t^1*a vs -1*t^1*a"
+        )
 
     def test_sign_flip_on_a_type_diagonal_is_indeterminate(self):
         # for eps = -1 the diagonal is read mod {v + vbar}; negating an
@@ -333,29 +307,20 @@ class TestChains:
         shifted = DihedralElement.from_dict({**dict(x.terms), (0, 1): -1})
         assert shifted != x
         flipped = (steps[0], (op, {"theta": ((shifted, y), row1)})) + steps[2:]
-        assert verify_chain(start, flipped).ok
+        assert verify_chain(start, flipped) is None
 
-    def test_structured_chains_match_their_scripts(self):
-        # written out as text and parsed back, the bundled chains give the
-        # same steps and the same report
-        rng = random.Random(191)
-        for _ in range(8):
-            p, g = bits_poly(rng, rng.randint(0, 3)), bits_poly(rng, rng.randint(0, 3))
-            for start, steps in (generator_switch_chain(p), resolution_switch_chain(p, g)):
-                script = render_chain_script(steps)
-                assert parse_chain_script(script, TRIVIAL) == steps
-                assert str(verify_chain(start, script)) == str(verify_chain(start, steps))
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_chain_script("switch\nfrobnicate", TRIVIAL)
-
-    def test_round_trip_render(self):
-        start, _ = generator_switch_chain(T)
-        text = render_matrix(start.theta)
-        from unilcalc.forms import _parse_matrix_literal
-
-        assert _parse_matrix_literal(text, TRIVIAL) == start.theta
+    def test_step_errors_are_located(self):
+        start, steps = generator_switch_chain(T)
+        assert verify_chain(start, steps[:1] + (("frobnicate", None),)) == (
+            "step 2 frobnicate: unknown chain step 'frobnicate'"
+        )
+        assert verify_chain(start, (("assert_equal", {"d": start.theta}),)) == (
+            "step 1 assert_equal: form target takes a single theta matrix"
+        )
+        singular = ((B, B), (B, B))
+        assert verify_chain(start, (("base_change", singular),)) == (
+            "step 1 base_change: no inverse supplied and base-change matrix is not monomial"
+        )
 
 
 class TestEquality:

@@ -86,6 +86,10 @@ class TestParser:
         with pytest.raises(ValueError, match="fractional"):
             parse_poly("1/2*t", "Z4")
 
+    def test_error_position_counts_leading_blanks(self):
+        with pytest.raises(ValueError, match=r"bad term '\+x' at position 3$"):
+            parse_poly("  t+x", "F2")
+
     def test_round_trip_random(self):
         rng = random.Random(11)
         for _ in range(200):

@@ -27,3 +27,27 @@ def test_package_holds_only_python_sources():
         path.name for path in SRC.iterdir() if path.name != "__pycache__" and path.suffix != ".py"
     )
     assert not found, f"non-Python files in the package: {found}"
+
+
+def _unused_module_imports(tree):
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_module_imports_are_used():
+    # kernels.py is the declared re-export point for the kernel functions
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "kernels.py"
+        for line, name in _unused_module_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"unused module-level imports: {found}"

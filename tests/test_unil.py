@@ -48,6 +48,13 @@ class TestUNil2:
         with pytest.raises(ValueError, match="constant"):
             UNil2Element.from_poly(Polynomial("F2", (1, 1)))
 
+    def test_non_canonical_rejected(self):
+        # t^2 ~ t: only the canonical bitmask 0b10 names the class
+        assert UNil2Element(0b10) == UNil2Element.from_poly(Polynomial("F2", (0, 0, 1)))
+        for bits in (0b100, 0b10100, 0b1000010):
+            with pytest.raises(ValueError, match="not a canonical representative"):
+                UNil2Element(bits)
+
     def test_order_two(self):
         e = UNil2Element.from_poly(Polynomial("F2", (0, 1)))
         assert (e + e).is_zero()
@@ -97,6 +104,21 @@ class TestUNil3Basics:
     def test_y_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             j2(ONE)
+
+    def test_non_canonical_x_rejected(self):
+        # 2*t^2 ~ 2*t: only the canonical pair (0, 0b10) names the class
+        assert UNil3Element((0, 0b10), 0) == j1(Polynomial("Z", (0, 0, 2)))
+        for x in ((0, 0b100), (0b100, 0b100), (0b10, 0b10010000)):
+            with pytest.raises(ValueError, match="not a canonical representative"):
+                UNil3Element(x, 0)
+        for x in ((1, 0), (0, 1), (0b11, 0b10)):
+            with pytest.raises(ValueError, match="x-coordinate has nonzero constant term"):
+                UNil3Element(x, 0)
+
+    def test_enumerated_elements_accepted(self):
+        # the constructor's check accepts every canonical element it is given
+        for e in enumerate_truncated("UNil3", 3).elements:
+            assert UNil3Element(e.x, e.y) == e
 
 
 class TestPiMap:
