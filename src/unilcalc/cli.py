@@ -57,13 +57,15 @@ def _cmd_sw(args):
 
 def _cmd_arf(args):
     from unilcalc.linking import LinkingForm, arf_even, is_even
+    from unilcalc.polynomials import Polynomial
 
     form = LinkingForm.from_json_dict(_read_json(args.form))
     if not is_even(form):
         raise ValueError("the form is not even; the Arf invariant needs an even form")
-    cls = arf_even(form)
-    payload = {"rank": form.rank, "arf": str(cls), "zero": cls.is_zero()}
-    return CommandResult("value", payload, human=(str(cls),))
+    bits = arf_even(form)
+    text = str(Polynomial.from_bits(bits))
+    payload = {"rank": form.rank, "arf": text, "zero": bits == 0}
+    return CommandResult("value", payload, human=(text,))
 
 
 def _check_jobs(args):
@@ -80,6 +82,7 @@ def _cmd_witt_check(args):
         is_even,
         sublagrangian_reduce,
     )
+    from unilcalc.polynomials import Polynomial
 
     if args.bound < 0:
         raise ValueError("the degree bound must be non-negative")
@@ -99,9 +102,9 @@ def _cmd_witt_check(args):
         payload["reduced_rank"] = form.rank
     payload["even"] = is_even(form)
     if payload["even"] and form.rank % 2 == 0:
-        cls = arf_even(form)
-        payload["arf"] = str(cls)
-        payload["arf_zero"] = cls.is_zero()
+        bits = arf_even(form)
+        payload["arf"] = str(Polynomial.from_bits(bits))
+        payload["arf_zero"] = bits == 0
     # a form with a lagrangian is 0 in the Witt group, so a nonzero Arf class
     # rules one out at every bound (Connolly-Davis, Geom. Topol. 8, 2004)
     L = None
@@ -127,11 +130,7 @@ def _cmd_verify_paper(args):
     results = []
     all_ok = True
     for name, fn in FIXTURES:
-        kwargs = {}
-        if name == "four_term_sublagrangian":
-            kwargs["seed"] = args.seed
-        if name == "lagrangian_search":
-            kwargs["jobs"] = args.jobs
+        kwargs = {"jobs": args.jobs} if name == "lagrangian_search" else {}
         count = 0
         failure = None
         for label, ok, msg in fn(args.degree, args.negative_control, **kwargs):
@@ -337,7 +336,12 @@ def _build_parser():
         default=4,
         help=f"polynomial degree bound for sweeps, 0..{MAX_VERIFY_DEGREE}",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="recorded in the JSON output and the report; no fixture draws random numbers",
+    )
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--negative-control", action="store_true", help="corrupt a fixture; must fail")
     p.add_argument("--report", metavar="PATH", help="write the JSON report here")

@@ -11,6 +11,11 @@ compatibility q_num(e_i) = b_num(i, i) are enforced on construction.
 The quadratic law q(x + y) = q(x) + q(y) + 2b(x, y), q(f*x) = f^2*q(x)
 determines q everywhere from basis values; eval_bq implements it with
 {0,1}-coefficient lifts, and the result is lift-independent.
+
+On an even form q = 2*q2 with q2 over F2[t].  Its Arf invariant is a
+class in F2[t]/{g^2 - g}, held as its canonical bitmask like
+unil.UNil2Element.arf_bits; arf_even computes it on a symplectic basis
+over F2[t].
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from unilcalc.f2linalg import (
     mat_transpose,
     smith,
 )
-from unilcalc.funcfield import F2Rational, artin_schreier_reduce
+from unilcalc.funcfield import symplectic_basis
 from unilcalc.kernels import gf2_deg, gf2_divmod, gf2_mul, z4_add, z4_mul, z4_neg, z4_sq_lift
-from unilcalc.polynomials import Polynomial, even_odd_decompose, parse_poly
+from unilcalc.polynomials import Polynomial, even_odd_decompose, idem_reduce, parse_poly
 
 Z4_ZERO = (0, 0)
 
@@ -44,13 +49,20 @@ Z4_ZERO = (0, 0)
 MAX_SEARCH_ROWS = 10_000_000
 
 
-def _poly_strings(value, what, length):
-    """value, if it is a JSON list of length polynomial strings."""
+def _parse_polys(value, what, length, ring, name):
+    """The polynomials of value, which must be a JSON list of length
+    polynomial strings; a parse error is prefixed with name[i]."""
     if not isinstance(value, list) or len(value) != length or not all(
         isinstance(s, str) for s in value
     ):
         raise ValueError(f"{what} must be a list of {length} polynomial strings")
-    return value
+    out = []
+    for i, s in enumerate(value):
+        try:
+            out.append(parse_poly(s, ring))
+        except ValueError as exc:
+            raise ValueError(f"{name}[{i}]: {exc}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,10 +105,10 @@ class LinkingForm:
         if not isinstance(rows, list) or len(rows) != k:
             raise ValueError(f"b_num must be a list of {k} rows")
         b = tuple(
-            tuple(parse_poly(s, "F2").to_bits() for s in _poly_strings(row, "b_num row", k))
-            for row in rows
+            tuple(p.to_bits() for p in _parse_polys(row, "b_num row", k, "F2", f"b_num[{i}]"))
+            for i, row in enumerate(rows)
         )
-        q = tuple(parse_poly(s, "Z4").to_z4pair() for s in _poly_strings(d["q_num"], "q_num", k))
+        q = tuple(p.to_z4pair() for p in _parse_polys(d["q_num"], "q_num", k, "Z4", "q_num"))
         return cls(k, b, q)
 
 
@@ -138,8 +150,11 @@ class Submodule:
         if not isinstance(d, dict) or not isinstance(d.get("generators"), list):
             raise ValueError("a submodule must be a JSON object with a generators list")
         gens = [
-            [parse_poly(s, "F2").to_bits() for s in _poly_strings(row, "generator", ambient_rank)]
-            for row in d["generators"]
+            [
+                p.to_bits()
+                for p in _parse_polys(row, "generator", ambient_rank, "F2", f"generators[{i}]")
+            ]
+            for i, row in enumerate(d["generators"])
         ]
         return cls.from_generators(gens, ambient_rank)
 
@@ -291,75 +306,23 @@ def _coords_in_hnf(v, H):
     return tuple(coeffs)
 
 
-def _k_bilinear(b_num, u, v):
-    acc = F2Rational(0)
-    for i, ui in enumerate(u):
-        if ui.is_zero():
-            continue
-        for j, vj in enumerate(v):
-            if not vj.is_zero() and b_num[i][j]:
-                acc = acc + ui * vj * F2Rational(b_num[i][j])
-    return acc
+def arf_even(form):
+    """Arf invariant of an even form, as the canonical bitmask of its class
+    in F2[t]/{g^2 - g} (see polynomials.idem_reduce).
 
-
-def _k_quadratic(b_num, q2, x):
-    acc = F2Rational(0)
-    for i, xi in enumerate(x):
-        if not xi.is_zero() and q2[i]:
-            acc = acc + xi * xi * F2Rational(q2[i])
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            if not x[i].is_zero() and not x[j].is_zero() and b_num[i][j]:
-                acc = acc + x[i] * x[j] * F2Rational(b_num[i][j])
-    return acc
-
-
-def arf_even(form, rng=None):
-    """Arf invariant of an even form, valued in F2(t)/{g^2 - g}.
-
-    2b is a nonsingular alternating pairing over the field F2(t) and q/2 its
-    quadratic refinement; a symplectic basis (u_i, v_i) is extracted by
-    Gaussian steps and the class of sum q(u_i) q(v_i) is returned.  The
-    optional rng only shuffles pivot choices; the class is basis-independent.
+    b_num is alternating and unimodular over F2[t], so it has a symplectic
+    basis (u_i, v_i) over F2[t] itself (funcfield.symplectic_basis), and the
+    class of sum q(u_i)/2 * q(v_i)/2 does not depend on the basis.  It is
+    also the class in F2(t)/{g^2 - g}: if g^2 + g is a polynomial then so is
+    g, so F2[t]/{g^2 - g} embeds there.
     """
     if not is_even(form):
         raise ValueError("Arf invariant needs an even form")
-    k = form.rank
-    if k % 2:
-        raise RuntimeError("nonsingular alternating forms have even rank")
-    q2 = tuple(hi for _, hi in form.q_num)
-    basis = [
-        tuple(F2Rational(1 if i == j else 0) for j in range(k)) for i in range(k)
-    ]
-    total = F2Rational(0)
-    while basis:
-        order = list(range(len(basis)))
-        if rng is not None:
-            rng.shuffle(order)
-        pick = None
-        for ui in order:
-            partners = [vi for vi in order if vi != ui and not _k_bilinear(form.b_num, basis[ui], basis[vi]).is_zero()]
-            if partners:
-                pick = (ui, partners[0] if rng is None else rng.choice(partners))
-                break
-        if pick is None:
-            raise ValueError("pairing is singular on the remaining space")
-        ui, vi = pick
-        u = basis[ui]
-        scale = _k_bilinear(form.b_num, u, basis[vi]).inverse()
-        v = tuple(scale * x for x in basis[vi])
-        total = total + _k_quadratic(form.b_num, q2, u) * _k_quadratic(form.b_num, q2, v)
-        rest = []
-        for wi in range(len(basis)):
-            if wi in (ui, vi):
-                continue
-            w = basis[wi]
-            cu = _k_bilinear(form.b_num, w, v)
-            cv = _k_bilinear(form.b_num, w, u)
-            w2 = tuple(x + cu * a + cv * b for x, a, b in zip(w, u, v))
-            rest.append(w2)
-        basis = rest
-    return artin_schreier_reduce(total)
+    total = 0
+    for u, v in symplectic_basis(form.b_num):
+        # q of an even form is 2*q2, so its numerator is (0, q2)
+        total ^= gf2_mul(eval_bq(form, u, u)[1][1], eval_bq(form, v, v)[1][1])
+    return idem_reduce(total)
 
 
 def search_rows(k, bound):

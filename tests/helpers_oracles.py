@@ -145,38 +145,52 @@ def switch_orbits(group, max_exp):
     return elements, reps, fixed
 
 
-def f2_poly_divmod(a, b):
-    """Long division of bit-packed F2 polynomials, written out here so that
-    the factorization oracle shares no kernel code with the library."""
-    q = 0
-    while a.bit_length() >= b.bit_length():
-        shift = a.bit_length() - b.bit_length()
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
+def f2_mul(a, b):
+    """Shift-and-add product of bit-packed F2 polynomials, written out here
+    so that the oracles share no kernel code with the library."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
 
 
-def trial_division_factor(f):
-    """Monic irreducible factorization of a nonzero bit-packed F2
-    polynomial, as a sorted tuple of (pi, mult): divide by every
-    polynomial of degree >= 1 in increasing order while it divides, up to
-    half the degree of what is left.  Exponential in the degree of the
-    second-largest factor, so for small f only."""
-    out = []
-    c = 2
-    while f.bit_length() > 1:
-        if 2 * (c.bit_length() - 1) > f.bit_length() - 1:
-            out.append((f, 1))
-            break
-        m = 0
-        q, r = f2_poly_divmod(f, c)
-        while r == 0:
-            f, m = q, m + 1
-            q, r = f2_poly_divmod(f, c)
-        if m:
-            out.append((c, m))
-        c += 1
-    return tuple(sorted(out))
+def elementary_base_change(b, h, steps, degree, rng):
+    """An even form b (symmetric, zero diagonal) with q(e_i) = 2 h_i, after
+    `steps` random moves e_i -> e_i + f e_j with deg f <= degree, as the new
+    (b, h).  The move is b -> E b E^T with E = I + f E_ij, so row i and then
+    column i gain f times row and column j, and the quadratic law gives
+    h_i -> h_i + f^2 h_j + f b_ij."""
+    b = [list(row) for row in b]
+    h = list(h)
+    for _ in range(steps):
+        i, j = rng.sample(range(len(h)), 2)
+        f = rng.randrange(1, 1 << (degree + 1))
+        h[i] ^= f2_mul(f2_mul(f, f), h[j]) ^ f2_mul(f, b[i][j])
+        b[i] = [x ^ f2_mul(f, y) for x, y in zip(b[i], b[j])]
+        for row in b:
+            row[i] ^= f2_mul(f, row[j])
+    return tuple(tuple(row) for row in b), tuple(h)
+
+
+def even_form_with_known_arf(qvals, steps, degree, rng):
+    """(b_num, q_num, Arf class bits) of the sum of hyperbolic planes
+    [[0, 1], [1, 0]] with q = (2 a_i, 2 b_i) on their basis pairs, for
+    qvals = ((a_1, b_1), ...), after elementary_base_change.  The class is
+    that of sum a_i b_i in F2[t]/{g^2 - g}, canonical after the rewrite
+    t^(2m) -> t^m from the top down."""
+    n = 2 * len(qvals)
+    b = [[int(j == (i ^ 1)) for j in range(n)] for i in range(n)]
+    b, h = elementary_base_change(b, [x for pair in qvals for x in pair], steps, degree, rng)
+    arf = 0
+    for a, c in qvals:
+        arf ^= f2_mul(a, c)
+    for e in range(arf.bit_length() - 1, 1, -1):
+        if e % 2 == 0 and arf >> e & 1:
+            arf ^= (1 << e) | (1 << (e // 2))
+    return b, tuple((0, x) for x in h), arf
 
 
 def lagrangian_candidates_by_eval_bq(form, pivots, bound):

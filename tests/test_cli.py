@@ -14,7 +14,6 @@ from unilcalc.cli import main
 from unilcalc.linking import (
     MAX_SEARCH_ROWS,
     LinkingForm,
-    Submodule,
     direct_sum,
     witt_four_term_instance,
 )
@@ -285,7 +284,35 @@ def test_json_position_counts_leading_blanks(capsys, tmp_path):
     path.write_text(json.dumps({"rank": 1, "b_num": [["  t^99999999"]], "q_num": ["0"]}))
     code, out, err = run(capsys, "arf", str(path))
     assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: exponent above the limit {MAX_EXPONENT} at position 2"]
+    assert err.splitlines() == [
+        f"error: b_num[0][0]: exponent above the limit {MAX_EXPONENT} at position 2"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        (
+            "arf",
+            {"rank": 2, "b_num": [["0", "1"], ["1", "0"]], "q_num": ["0", "2*t + x"]},
+            "q_num[1]: bad term '+ x' at position 4",
+        ),
+        (
+            "witt-check",
+            {
+                "form": hyperbolic_json(),
+                "sublagrangian": {"generators": [["1", "0"], ["0", "t^"]]},
+            },
+            "generators[1][1]: bad term 't^' at position 0",
+        ),
+    ],
+)
+def test_json_polynomial_error_names_its_field(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("command", ["arf", "witt-check"])

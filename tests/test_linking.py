@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from tests.helpers_oracles import lagrangian_candidates_by_eval_bq
+from tests.helpers_oracles import even_form_with_known_arf, lagrangian_candidates_by_eval_bq
 from unilcalc import linking
-from unilcalc.funcfield import artin_schreier_reduce
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
 from unilcalc.linking import (
     MAX_SEARCH_ROWS,
@@ -320,7 +319,7 @@ class TestSublagrangian:
             red = sublagrangian_reduce(G, S)
             assert red.rank == 4
             assert is_even(red)
-            assert arf_even(red).is_zero()
+            assert arf_even(red) == 0
 
     def test_u_basis_pairing_display(self):
         rng = random.Random(233)
@@ -342,13 +341,11 @@ class TestSublagrangian:
 
 class TestArf:
     def test_hyperbolic_zero(self):
-        assert arf_even(hyperbolic()).is_zero()
+        assert arf_even(hyperbolic()) == 0
 
     def test_hyperbolic_t_one(self):
         f = hyperbolic(q1=(0, 0b10), q2=(0, 1))  # q/2 = (t, 1)
-        got = arf_even(f)
-        assert got == artin_schreier_reduce(0b10)
-        assert not got.is_zero()
+        assert arf_even(f) == 0b10
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError, match="even"):
@@ -359,13 +356,30 @@ class TestArf:
         for _ in range(20):
             f1 = rand_even_form(rng, 2, deg=4)
             f2 = rand_even_form(rng, 2, deg=4)
-            assert arf_even(direct_sum([f1, f2])) == arf_even(f1) + arf_even(f2)
+            assert arf_even(direct_sum([f1, f2])) == arf_even(f1) ^ arf_even(f2)
 
     def test_basis_independent(self):
+        # the same form with its basis reversed, which changes every pivot
         rng = random.Random(241)
-        for i in range(20):
+        for _ in range(20):
             f = rand_even_form(rng, k=rng.choice((2, 4)))
-            assert arf_even(f, rng=random.Random(1000 + i)) == arf_even(f)
+            k = f.rank
+            rev = LinkingForm(
+                k,
+                tuple(tuple(f.b_num[k - 1 - i][k - 1 - j] for j in range(k)) for i in range(k)),
+                f.q_num[::-1],
+            )
+            assert arf_even(rev) == arf_even(f)
+
+    def test_known_class_forms(self):
+        # hyperbolic blocks with q = (2a_i, 2b_i) after a random base change
+        # have the class of sum a_i b_i
+        rng = random.Random(243)
+        for k in range(1, 6):
+            for _ in range(8):
+                qvals = [(rng.randrange(16), rng.randrange(16)) for _ in range(k)]
+                b, q, arf = even_form_with_known_arf(qvals, 6 * k, 3, rng)
+                assert arf_even(LinkingForm(2 * k, b, q)) == arf
 
     def test_vanishes_when_lagrangian_found(self):
         rng = random.Random(251)
@@ -375,7 +389,7 @@ class TestArf:
             L = find_lagrangian(f, 2)
             if L is not None:
                 found += 1
-                assert arf_even(f).is_zero()
+                assert arf_even(f) == 0
         assert found > 0
 
 

@@ -1,10 +1,11 @@
 """Property tests of the lagrangian search: the slot-by-slot q of its row
-filter, and the Arf obstruction to a witness."""
+filter, and the Arf obstruction to a witness; and of the Arf class itself."""
 
 import random
 
 import pytest
 
+from tests.helpers_oracles import elementary_base_change
 from tests.test_linking import rand_form
 from unilcalc import linking
 from unilcalc.kernels import z4_neg
@@ -48,4 +49,18 @@ def test_no_witness_with_a_nonzero_arf_class(seed, k, bound):
     """A lagrangian makes a form 0 in the Witt group, so a form with a
     nonzero Arf class has none; witt-check skips its search on this."""
     f = rand_form(random.Random(seed), k, deg=2, even=True)
-    assert find_lagrangian(f, bound) is None or arf_even(f).is_zero()
+    assert find_lagrangian(f, bound) is None or arf_even(f) == 0
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from((2, 4, 6)),
+    steps=st.integers(1, 12),
+    degree=st.integers(0, 3),
+)
+def test_arf_class_is_invariant_under_base_change(seed, k, steps, degree):
+    rng = random.Random(seed)
+    f = rand_form(rng, k, deg=2, even=True)
+    b, h = elementary_base_change(f.b_num, [hi for _, hi in f.q_num], steps, degree, rng)
+    assert arf_even(LinkingForm(k, b, tuple((0, x) for x in h))) == arf_even(f)

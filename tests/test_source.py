@@ -6,6 +6,7 @@ from pathlib import Path
 import unilcalc
 
 SRC = Path(unilcalc.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_assert_statements():
@@ -45,8 +46,8 @@ def _unused_module_imports(tree):
 def test_module_imports_are_used():
     # kernels.py is the declared re-export point for the kernel functions
     found = [
-        f"{path.name}:{line} {name}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
         if path.name != "kernels.py"
         for line, name in _unused_module_imports(ast.parse(path.read_text(), filename=str(path)))
     ]

@@ -4,10 +4,9 @@ import time
 import pytest
 
 from tests.helpers_oracles import dense_versch_reduce, switch_orbits, unil_coefficient_tuple
-from unilcalc.polynomials import Polynomial, parse_poly, versch_reduce
+from unilcalc.polynomials import Polynomial, versch_reduce
 from unilcalc.unil import (
     B_coords,
-    TruncatedEnumeration,
     UNil2Element,
     UNil3Element,
     element_order,
