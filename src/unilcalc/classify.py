@@ -13,18 +13,22 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, groupby, product
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from unilcalc.unil import compact_literal, orbit_count, orbit_reps
 
 
 # enumerate_J refuses a table with more rows than this.  Rows are made and
 # written a chunk at a time, so the limit bounds the time and the size of the
-# output, not memory: at about 4 us (one x86_64 core) and 50 bytes of CSV or
-# 200 of JSON a row, the largest admitted table takes about 8 s and writes up
-# to 400 MB.  The largest table the tests, README and benchmark use (classify
-# 8 --degree-cutoff 5) has 152,064 rows.
+# output, not memory.  On one x86_64 core with CPython 3.11 a row takes about
+# 0.6 us as CSV and 0.8 us as JSON when its pair has thousands of theta
+# orbits (classify 8 --degree-cutoff 6), and about 1.7 and 2.9 us when it has
+# one (classify 7 --z-bound 249); at 50 bytes of CSV or 200 of JSON a row,
+# the largest admitted table takes up to about 6 s and writes up to 400 MB.
+# The largest table the tests, README and benchmark use (classify 8
+# --degree-cutoff 5) has 152,064 rows.
 MAX_TABLE_ROWS = 2_000_000
 
 # rows per chunk of written output
@@ -140,46 +144,71 @@ class TableRows:
     def __len__(self):
         return self._len
 
-    @cached_property
     def _thetas(self):
         """The text of each switch-orbit of the UNil group, and whether the
-        orbit is nonzero, as two lists."""
+        orbit is nonzero, made afresh on each call."""
         group = relevant_unil(self.table.n)
         if group == "Zero":
-            return ["0"], [False]
-        texts, flags = [], []
+            yield "0", False
+            return
         for theta in orbit_reps(group, self.table.degree_cutoff):
-            texts.append(compact_literal(theta))
-            flags.append(not theta.is_zero())
-        return texts, flags
+            yield compact_literal(theta), not theta.is_zero()
+
+    @cached_property
+    def _coords(self):
+        """The text of each structure-set coordinate, in lexicographic order,
+        and the index of its negation, as two lists."""
+        desc = self.table.desc
+        elements = structure_set_elements(desc, self.table.z_bound)
+        index = {e: i for i, e in enumerate(elements)}
+        texts = [coord_str(desc, e) for e in elements]
+        return texts, [index[_negate_coord(desc, e)] for e in elements]
 
     def _pairs(self):
-        """(coordinate text 1, coordinate text 2, identified_with) per pair of
-        the table, in lexicographic order.
+        """(i, j, identified_with) per pair of the table, in lexicographic
+        order: indices i <= j into the coordinates of _coords.
 
-        A folded table keeps a pair (a, b) when its negation (na, nb) =
-        sorted(-a, -b) is not smaller, and names the negation when it
+        A folded table keeps a pair (i, j) when its negation, the negated
+        indices in order, is not smaller, and names the negation when it
         differs: the pairs come in lexicographic order, so that is the pair
         the survivor absorbed.
         """
-        t = self.table
-        desc = t.desc
-        elements = structure_set_elements(desc, t.z_bound)
-        text = {e: coord_str(desc, e) for e in elements}
-        for a, b in combinations_with_replacement(elements, 2):
+        texts, neg = self._coords
+        folded = self.table.folded
+        for i, j in combinations_with_replacement(range(len(texts)), 2):
             absorbed = ""
-            if t.folded:
-                neg = tuple(sorted((_negate_coord(desc, a), _negate_coord(desc, b))))
-                if neg < (a, b):
+            if folded:
+                ni, nj = neg[i], neg[j]
+                if ni > nj:
+                    ni, nj = nj, ni
+                if (ni, nj) < (i, j):
                     continue
-                if neg != (a, b):
-                    absorbed = f"{text[neg[0]]};{text[neg[1]]}"
-            yield text[a], text[b], absorbed
+                if (ni, nj) != (i, j):
+                    absorbed = f"{texts[ni]};{texts[nj]}"
+            yield i, j, absorbed
+
+    def _runs(self, orbits):
+        """(chunk, i, j, identified_with, start, stop) per run of rows: pair
+        (i, j) of _pairs crossed with the thetas start:stop of the
+        ``orbits``, all in the chunk numbered chunk.  A chunk holds
+        CHUNK_ROWS rows, so a pair's block of rows is cut into runs where a
+        chunk ends."""
+        row = 0
+        for i, j, absorbed in self._pairs():
+            start = 0
+            while start < orbits:
+                chunk, offset = divmod(row, CHUNK_ROWS)
+                stop = min(orbits, start + CHUNK_ROWS - offset)
+                yield chunk, i, j, absorbed, start, stop
+                row += stop - start
+                start = stop
 
     def __iter__(self):
-        texts, flags = self._thetas
-        for a, b, absorbed in self._pairs():
-            for theta, flag in zip(texts, flags):
+        thetas = list(self._thetas())
+        coords = self._coords[0]
+        for i, j, absorbed in self._pairs():
+            a, b = coords[i], coords[j]
+            for theta, flag in thetas:
                 yield Row(a, b, theta, flag, absorbed)
 
 
@@ -277,47 +306,51 @@ def bar_J(n, table):
 _COLUMNS = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
 
 
-def _batches(rows):
-    """The rows in runs of at most CHUNK_ROWS, as iterators that are not
-    stored: each run must be used up before the next is taken."""
-    it = iter(rows)
-    for first in it:
-        yield chain((first,), islice(it, CHUNK_ROWS - 1))
-
-
 # table_to_csv and table_to_json return their generators instead of being
 # generators, so that perfbench/tracer.py, which skips generator functions,
 # records each call and counts the rows of the tables given to table_to_csv.
 
 
 def table_to_csv(table):
-    """The table as CSV text, in chunks of CHUNK_ROWS rows."""
+    """The table as CSV text, in chunks of CHUNK_ROWS rows.
+
+    The cells are rendered once each: a theta's per table, a pair's head
+    and tail per run, so that a pair's rows are one join of the theta
+    cells."""
     return _csv_chunks(table)
 
 
 def _csv_chunks(table):
+    rows = table.rows
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    n = table.n
-    for batch in _batches(table.rows):
-        writer.writerows((n, a, b, theta, int(flag), absorbed) for a, b, theta, flag, absorbed in batch)
-        yield buf.getvalue()
+    writer = csv.writer(buf, lineterminator="")
+
+    def cells(*fields):
+        # csv.writer decides quoting field by field (QUOTE_MINIMAL), so cells
+        # rendered apart join into the row it writes
         buf.seek(0)
         buf.truncate()
+        writer.writerow(fields)
+        return buf.getvalue()
 
+    thetas = [cells(theta, int(flag)) for theta, flag in rows._thetas()]
+    coords = [cells(c) for c in rows._coords[0]]
+    n = cells(table.n)
 
-# One row of json.dumps(..., sort_keys=True, indent=2) on a table's JSON
-# document, inside the top-level "rows" list.
-_JSON_ROW = """\
-    {
-      "identified_with": %s,
-      "n": %d,
-      "not_connected_sum": %s,
-      "pair_coord_1": %s,
-      "pair_coord_2": %s,
-      "theta": %s
-    }"""
+    def chunk(k, runs):
+        # a row is the pair's head, a theta cell and the pair's tail;
+        # csv.writer writes an empty last field as nothing, a lone one as ""
+        parts = [cells(*_COLUMNS) + "\n"] if k == 0 else []
+        for _, i, j, absorbed, start, stop in runs:
+            head = f"{n},{coords[i]},{coords[j]},"
+            tail = f",{cells(absorbed) if absorbed else ''}\n"
+            parts.append(head + (tail + head).join(thetas[start:stop]) + tail)
+        return "".join(parts)
+
+    # a chunk is made by a call, so that its parts are freed before it is
+    # yielded and written
+    for k, runs in groupby(rows._runs(len(thetas)), itemgetter(0)):
+        yield chunk(k, runs)
 
 
 def table_to_json(table):
@@ -328,8 +361,9 @@ def table_to_json(table):
 
     ``indent`` turns off json's C encoder, so dumping a large table costs
     one pure-Python call per token; here the header keys still go through
-    json.dumps and each row costs one template fill.  A table always has a
-    row, so the list is never empty.
+    json.dumps, each pair's fields and each theta's are encoded once, and a
+    row joins the two.  A table always has a row, so the list is never
+    empty.
     """
     return _json_chunks(table)
 
@@ -344,15 +378,40 @@ def _json_chunks(table):
         "rows": [],
     }
     head, tail = json.dumps(doc, sort_keys=True, indent=2).split('"rows": []')
+    rows = table.rows
     enc = encode_basestring_ascii
-    n = table.n
-    yield f'{head}"rows": [\n'
-    for i, batch in enumerate(_batches(table.rows)):
-        if i:
-            yield ",\n"
-        yield ",\n".join(
-            _JSON_ROW
-            % (enc(absorbed), n, "true" if flag else "false", enc(a), enc(b), enc(theta))
-            for a, b, theta, flag, absorbed in batch
-        )
-    yield f"\n  ]{tail}\n"
+    thetas, flags = [], []
+    for theta, flag in rows._thetas():
+        thetas.append(enc(theta))
+        flags.append("true" if flag else "false")
+    coords = [enc(c) for c in rows._coords[0]]
+    n = str(table.n)
+    # len(rows) is the closed-form count, so the last chunk, which closes
+    # the document, is known before it is made
+    last = (len(rows) - 1) // CHUNK_ROWS
+
+    def chunk(k, runs):
+        lines = []
+        for _, i, j, absorbed, start, stop in runs:
+            # a row of json.dumps(doc, sort_keys=True, indent=2), cut at its
+            # two fields that depend on the theta orbit
+            front = (
+                f'    {{\n      "identified_with": {enc(absorbed)},\n      "n": {n},\n'
+                f'      "not_connected_sum": '
+            )
+            middle = (
+                f',\n      "pair_coord_1": {coords[i]},\n      "pair_coord_2": {coords[j]},\n'
+                f'      "theta": '
+            )
+            lines += [
+                f"{front}{flag}{middle}{theta}\n    }}"
+                for flag, theta in zip(flags[start:stop], thetas[start:stop])
+            ]
+        lines[0] = (f'{head}"rows": [\n' if k == 0 else ",\n") + lines[0]
+        if k == last:
+            lines[-1] += f"\n  ]{tail}\n"
+        return ",\n".join(lines)
+
+    # as in _csv_chunks, a chunk's lines are freed before it is yielded
+    for k, runs in groupby(rows._runs(len(thetas)), itemgetter(0)):
+        yield chunk(k, runs)

@@ -71,13 +71,20 @@ def _mmul(Am, Bm):
     if n == 0 or inner == 0:
         return ()
     m = len(Bm[0])
+    zero = _zero_like(Am[0][0])
     out = []
     for ra in Am:
+        # the matrices multiplied here, such as d = 2I and P = diag(b, a),
+        # are often half zeros, so only products of two nonzero entries are
+        # formed
+        nonzero = [(k, a) for k, a in enumerate(ra) if not a.is_zero()]
         row = []
         for j in range(m):
-            acc = ra[0] * Bm[0][j]
-            for k in range(1, inner):
-                acc = acc + ra[k] * Bm[k][j]
+            acc = zero
+            for k, a in nonzero:
+                b = Bm[k][j]
+                if not b.is_zero():
+                    acc = a * b if acc is zero else acc + a * b
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 
 import pytest
+
+import unilcalc.classify
 
 from tests.helpers_oracles import reference_csv, reference_json, reference_rows
 from unilcalc import cli
 from unilcalc.classify import (
     CHUNK_ROWS,
     MAX_TABLE_ROWS,
+    Row,
     bar_I,
     bar_J,
     coord_str,
@@ -267,6 +272,37 @@ class TestEmission:
         assert [c.count("\n") for c in chunks] == [CHUNK_ROWS + 1, len(t.rows) - CHUNK_ROWS]
         rows = [c.count('"pair_coord_1"') for c in table_to_json(t)]
         assert max(rows) == CHUNK_ROWS and sum(rows) == len(t.rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 7])
+    @pytest.mark.parametrize("n,cutoff,z_bound,bar", [(7, 0, 2, True), (8, 2, 0, False), (5, 3, 0, False)])
+    def test_chunks_cut_inside_pair_blocks(self, n, cutoff, z_bound, bar, chunk_rows, monkeypatch):
+        # 8/2 has 20 theta orbits a pair and 5/3 has 4, so chunks end inside
+        # a pair's block of rows and between blocks
+        monkeypatch.setattr(unilcalc.classify, "CHUNK_ROWS", chunk_rows)
+        table = enumerate_J(n, cutoff, z_bound)
+        if bar:
+            table = bar_J(n, table)
+        csv_chunks = list(table_to_csv(table))
+        json_chunks = list(table_to_json(table))
+        assert "".join(csv_chunks) == reference_csv(n, cutoff, z_bound, bar)
+        assert "".join(json_chunks) == reference_json(n, cutoff, z_bound, bar)
+        csv_rows = [c.count("\n") for c in csv_chunks]
+        csv_rows[0] -= 1  # the header
+        json_rows = [c.count('"pair_coord_1"') for c in json_chunks]
+        for rows in (csv_rows, json_rows):
+            assert rows[:-1] == [chunk_rows] * (len(rows) - 1)
+            assert 0 < rows[-1] <= chunk_rows and sum(rows) == len(table.rows)
+
+    @pytest.mark.parametrize("n,cutoff,z_bound,bar", [(4, 2, 0, False), (7, 0, 2, True), (11, 0, 1, False)])
+    def test_csv_reads_back_as_rows(self, n, cutoff, z_bound, bar):
+        table = enumerate_J(n, cutoff, z_bound)
+        if bar:
+            table = bar_J(n, table)
+        header, *read = csv.reader(io.StringIO("".join(table_to_csv(table))))
+        assert header == ["n", *Row._fields]
+        assert read == [
+            [str(n), a, b, theta, str(int(flag)), absorbed] for a, b, theta, flag, absorbed in table.rows
+        ]
 
     def test_coord_strings(self):
         d7 = structure_set_P(7)

@@ -520,6 +520,23 @@ class TestClassify:
         assert code == 0 and target.stat().st_size > 25_000_000
         assert peak < 8_000_000
 
+    def test_pair_block_larger_than_a_chunk_is_not_held(self, capsys, tmp_path, monkeypatch):
+        # each pair has 4,224 theta orbits, about 850 kB of JSON; with 64-row
+        # chunks a writer that joins a whole pair block peaks above the bound
+        import tracemalloc
+
+        monkeypatch.setattr(unilcalc.classify, "CHUNK_ROWS", 64)
+        target = tmp_path / "table.json"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "classify", "8", "--degree-cutoff", "5", "--format", "json",
+                             "--output", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and target.stat().st_size > 25_000_000
+        assert peak < 1_500_000
+
     def test_negative_z_bound_rejected(self, capsys):
         code, out, err = run(capsys, "classify", "7", "--z-bound", "-1")
         assert code == 1 and out == ""
