@@ -42,16 +42,6 @@ def gf2_divmod(a, b):
     return q, a
 
 
-def gf2_mod(a, b):
-    return gf2_divmod(a, b)[1]
-
-
-def gf2_gcd(a, b):
-    while b:
-        a, b = b, gf2_mod(a, b)
-    return a
-
-
 def gf2_spread(a):
     """a(t^2), which equals the mod-2 part of the integer square of a lift."""
     return _pad(a, _pad_table(2))

@@ -68,11 +68,6 @@ def _cmd_arf(args):
     return CommandResult("value", payload, human=(text,))
 
 
-def _check_jobs(args):
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-
-
 def _cmd_witt_check(args):
     from unilcalc.linking import (
         LinkingForm,
@@ -86,7 +81,6 @@ def _cmd_witt_check(args):
 
     if args.bound < 0:
         raise ValueError("the degree bound must be non-negative")
-    _check_jobs(args)
     data = _read_json(args.form)
     if not isinstance(data, dict):
         raise ValueError("witt-check input must be a JSON object")
@@ -109,7 +103,7 @@ def _cmd_witt_check(args):
     # rules one out at every bound (Connolly-Davis, Geom. Topol. 8, 2004)
     L = None
     if payload.get("arf_zero", True):
-        L = find_lagrangian(form, args.bound, jobs=args.jobs)
+        L = find_lagrangian(form, args.bound)
     payload["lagrangian"] = None if L is None else Submodule.to_json_dict(L)["generators"]
     payload["witt_trivial_witness"] = L is not None
     lines = [f"{k} = {payload[k]}" for k in sorted(payload)]
@@ -126,14 +120,12 @@ def _cmd_verify_paper(args):
 
     if not 0 <= args.degree <= MAX_VERIFY_DEGREE:
         raise ValueError(f"--degree must be between 0 and {MAX_VERIFY_DEGREE}")
-    _check_jobs(args)
     results = []
     all_ok = True
     for name, fn in FIXTURES:
-        kwargs = {"jobs": args.jobs} if name == "lagrangian_search" else {}
         count = 0
         failure = None
-        for label, ok, msg in fn(args.degree, args.negative_control, **kwargs):
+        for label, ok, msg in fn(args.degree, args.negative_control):
             count += 1
             if not ok:
                 failure = {"instance": label, "message": msg}
@@ -296,6 +288,16 @@ def _cmd_classify(args):
     return CommandResult("value", payload, notes=(note,), streamed=not args.output)
 
 
+def _add_jobs_argument(p):
+    p.add_argument(
+        "--jobs",
+        type=int,
+        choices=(1,),
+        default=1,
+        help="the search runs in one process; kept so that old command lines still parse",
+    )
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="unilcalc",
@@ -325,7 +327,7 @@ def _build_parser():
     )
     p.add_argument("form", help="path to JSON {form, sublagrangian?}, or - for stdin")
     p.add_argument("--bound", type=int, default=2, help="degree bound for the search")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs_argument(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_witt_check)
 
@@ -342,7 +344,7 @@ def _build_parser():
         default=0,
         help="recorded in the JSON output and the report; no fixture draws random numbers",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs_argument(p)
     p.add_argument("--negative-control", action="store_true", help="corrupt a fixture; must fail")
     p.add_argument("--report", metavar="PATH", help="write the JSON report here")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -2,33 +2,13 @@
 
 Group elements are written t^k a^eps and stored as (k, eps) pairs, so
 multiplication is (t^j a^delta)(t^k a^eps) = t^(j + (-1)^delta k) a^(delta
-xor eps).  A ring may carry a sign character w with w(a), w(b) in {+1, -1};
-the involution sends g to w(g) g^(-1) and extends additively.  The switch
-automorphism swaps a and b, i.e. t^k -> t^-k and t^k a -> t^(1-k) a.
+xor eps).  The involution sends g to g^(-1) and extends additively; the
+ring carries no sign character, since the sign-twisted UNil groups reduce
+to the untwisted ones by semiperiodicity (classify.relevant_unil).  The
+switch automorphism swaps a and b, i.e. t^k -> t^-k and t^k a -> t^(1-k) a.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class DihedralRing:
-    """Sign character of the involution; (1, 1) is the untwisted ring."""
-
-    w_a: int = 1
-    w_b: int = 1
-
-    def __post_init__(self):
-        if self.w_a not in (1, -1) or self.w_b not in (1, -1):
-            raise ValueError("sign character values must be +1 or -1")
-
-    def weight(self, k, eps):
-        w = (self.w_a * self.w_b) ** (k & 1)
-        return w * self.w_a if eps else w
-
-
-TRIVIAL = DihedralRing(1, 1)
 
 
 def _group_inv(k, eps):
@@ -40,12 +20,11 @@ def _term_key(item):
     return eps, k
 
 
-def _element(d, ring):
+def _element(d):
     """An element from a dict that already holds nonzero coefficients only;
     the dict is taken over, not copied."""
     x = object.__new__(DihedralElement)
     x._d = d
-    x.ring = ring
     x._terms = None
     return x
 
@@ -55,32 +34,31 @@ class DihedralElement:
     {(k, eps): c} with nonzero coefficients only.  Instances are values:
     nothing mutates one after it is built."""
 
-    __slots__ = ("_d", "ring", "_terms")
+    __slots__ = ("_d", "_terms")
 
-    def __init__(self, terms=(), ring=TRIVIAL):
+    def __init__(self, terms=()):
         self._d = {g: c for g, c in dict(terms).items() if c}
-        self.ring = ring
         self._terms = None
 
     @classmethod
-    def from_dict(cls, d, ring=TRIVIAL):
-        return _element({g: c for g, c in d.items() if c}, ring)
+    def from_dict(cls, d):
+        return _element({g: c for g, c in d.items() if c})
 
     @classmethod
-    def zero(cls, ring=TRIVIAL):
-        return _element({}, ring)
+    def zero(cls):
+        return _element({})
 
     @classmethod
-    def monomial(cls, k, eps, c=1, ring=TRIVIAL):
-        return _element({(k, eps): c} if c else {}, ring)
+    def monomial(cls, k, eps, c=1):
+        return _element({(k, eps): c} if c else {})
 
     @classmethod
-    def from_poly(cls, p, a_twist=False, ring=TRIVIAL):
+    def from_poly(cls, p, a_twist=False):
         """p(t) as an element, optionally right-multiplied by a."""
         if p.ring != "Z":
             p = p.map_ring("Z")
         eps = 1 if a_twist else 0
-        return _element({(k, eps): c for k, c in enumerate(p.coeffs) if c}, ring)
+        return _element({(k, eps): c for k, c in enumerate(p.coeffs) if c})
 
     @property
     def terms(self):
@@ -92,16 +70,14 @@ class DihedralElement:
     def _check(self, other):
         if not isinstance(other, DihedralElement):
             raise TypeError(f"expected DihedralElement, got {type(other).__name__}")
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise ValueError("sign character mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, DihedralElement):
             return NotImplemented
-        return self._d == other._d and (self.ring is other.ring or self.ring == other.ring)
+        return self._d == other._d
 
     def __hash__(self):
-        return hash((frozenset(self._d.items()), self.ring))
+        return hash(frozenset(self._d.items()))
 
     def is_zero(self):
         return not self._d
@@ -115,10 +91,10 @@ class DihedralElement:
                 d[g] = c
             else:
                 del d[g]
-        return _element(d, self.ring)
+        return _element(d)
 
     def __neg__(self):
-        return _element({g: -c for g, c in self._d.items()}, self.ring)
+        return _element({g: -c for g, c in self._d.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -126,8 +102,8 @@ class DihedralElement:
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
-                return _element({}, self.ring)
-            return _element({g: c * other for g, c in self._d.items()}, self.ring)
+                return _element({})
+            return _element({g: c * other for g, c in self._d.items()})
         self._check(other)
         d = {}
         get = d.get
@@ -142,7 +118,7 @@ class DihedralElement:
                 for (k, eps), c2 in right:
                     g = (j + k, eps)
                     d[g] = get(g, 0) + c1 * c2
-        return _element({g: c for g, c in d.items() if c}, self.ring)
+        return _element({g: c for g, c in d.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -153,17 +129,12 @@ class DihedralElement:
     # images below never collide and need no summing
 
     def bar(self):
-        """The involution g -> w(g) g^(-1)."""
-        w = self.ring.weight
-        return _element(
-            {_group_inv(k, eps): c * w(k, eps) for (k, eps), c in self._d.items()}, self.ring
-        )
+        """The involution g -> g^(-1)."""
+        return _element({_group_inv(k, eps): c for (k, eps), c in self._d.items()})
 
     def switch(self):
         """The automorphism exchanging a and b."""
-        return _element(
-            {((1 - k, 1) if eps else (-k, 0)): c for (k, eps), c in self._d.items()}, self.ring
-        )
+        return _element({((1 - k, 1) if eps else (-k, 0)): c for (k, eps), c in self._d.items()})
 
     def __str__(self):
         if not self._d:
@@ -196,26 +167,13 @@ def quad_indeterminacy_equal(x, y, eps):
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    x._check(y)
     d = (x - y)._d
-    ring = x.ring
-    seen = set()
-    for g in list(d):
-        if g in seen:
-            continue
-        k, e = g
-        gi = _group_inv(k, e)
-        s = ring.weight(k, e)
+    for g, c in d.items():
+        gi = _group_inv(*g)
         if gi == g:
-            seen.add(g)
-            c = d.get(g, 0)
-            if eps * s == 1:
-                if c != 0:
-                    return False
-            elif c % 2:
+            # the orbit's generator is (1 - eps) g, and c is nonzero
+            if eps == 1 or c % 2:
                 return False
-        else:
-            seen.update((g, gi))
-            if d.get(gi, 0) != -eps * s * d.get(g, 0):
-                return False
+        elif d.get(gi, 0) != -eps * c:
+            return False
     return True

@@ -88,21 +88,25 @@ def rank(M):
     return sum(1 for row in H if any(row))
 
 
-def reduce_mod_rows(v, H):
-    """Reduce v modulo the row span of a Hermite-form H."""
+def divmod_rows(v, H):
+    """Divide v by the nonzero rows of a Hermite-form H, pivot by pivot:
+    returns (coefficients, remainder) with v = sum coefficients[i] * H[i]
+    + remainder, the remainder reduced modulo the row span."""
     v = list(v)
+    coeffs = []
     for row in H:
         j = next((c for c, x in enumerate(row) if x), None)
         if j is None:
             break
         q, _ = gf2_divmod(v[j], row[j])
+        coeffs.append(q)
         if q:
             v = [x ^ gf2_mul(q, y) for x, y in zip(v, row)]
-    return tuple(v)
+    return tuple(coeffs), tuple(v)
 
 
 def in_row_span(v, H):
-    return not any(reduce_mod_rows(v, H))
+    return not any(divmod_rows(v, H)[1])
 
 
 def left_kernel(M):

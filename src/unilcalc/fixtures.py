@@ -63,11 +63,11 @@ def _fx_sublagrangian(degree, _corrupt):
         yield label, bits == 0, None if bits == 0 else f"arf = {_f2_str(bits)}, expected 0"
 
 
-def _fx_lagrangian_search(degree, _corrupt, jobs=1):
+def _fx_lagrangian_search(degree, _corrupt):
     for p in _bit_polys(min(degree, 2)):
         G, S = witt_four_term_instance(p)
         red = sublagrangian_reduce(G, S)
-        L = find_lagrangian(red, 3, jobs=jobs)
+        L = find_lagrangian(red, 3)
         ok = L is not None
         yield f"p={compact_str(p)}", ok, None if ok else "no lagrangian within degree bound 3"
 

@@ -5,9 +5,10 @@ A form is a square matrix theta over the coefficient ring together with a
 sign epsilon.  The bilinear pairing is the derived view lam = theta +
 eps*theta^* (involution-transpose), which satisfies lam^* = eps*lam; the
 quadratic refinement mu is the diagonal of theta, compared modulo the
-indeterminacy {v - eps*vbar}.  Two rings appear: Z[t] with the trivial
-involution (entries are Polynomial over "Z") and the dihedral group ring
-(entries are DihedralElement).
+indeterminacy {v - eps*vbar}.  Two rings appear, each named by a string
+tag: Z[t] with the trivial involution (ZT_RING, entries are Polynomial over
+"Z") and the untwisted dihedral group ring (DINF_RING, entries are
+DihedralElement).
 
 A resolution is a triple (d, psi0, psi1) of square matrices with
 psi1 + psi1^* = -d*psi0, checked on construction.  The induction map
@@ -23,20 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from unilcalc.dihedral import (
-    TRIVIAL,
-    DihedralElement,
-    DihedralRing,
-    _group_inv,
-    quad_indeterminacy_equal,
-)
+from unilcalc.dihedral import DihedralElement, _group_inv, quad_indeterminacy_equal
 from unilcalc.polynomials import Polynomial
 
 ZT_RING = "Z[t]"
-
-
-def _is_dihedral(ring):
-    return isinstance(ring, DihedralRing)
+DINF_RING = "Z[D_inf]"
 
 
 def _conj(x):
@@ -45,7 +37,7 @@ def _conj(x):
 
 def _zero_like(x):
     if isinstance(x, DihedralElement):
-        return DihedralElement.zero(x.ring)
+        return DihedralElement.zero()
     return Polynomial.zero(x.ring)
 
 
@@ -187,7 +179,7 @@ def _unit_inverse(x):
         if len(x.terms) != 1 or x.terms[0][1] not in (1, -1):
             raise ValueError(f"entry {x} is not a group-element unit")
         (k, e), c = x.terms[0]
-        return DihedralElement.monomial(*_group_inv(k, e), c=c, ring=x.ring)
+        return DihedralElement.monomial(*_group_inv(k, e), c=c)
     if x.degree > 0 or x.coefficient(0) not in (1, -1):
         raise ValueError(f"entry {x} is not a unit in Z[t]")
     return x
@@ -197,7 +189,7 @@ def _monomial_inverse(P):
     n = len(P)
     entries = [(i, j) for i in range(n) for j in range(n) if not P[i][j].is_zero()]
     if len(entries) != n or len({i for i, _ in entries}) != n or len({j for _, j in entries}) != n:
-        raise ValueError("no inverse supplied and base-change matrix is not monomial")
+        raise ValueError("base-change matrix is not monomial")
     zero = _zero_like(P[entries[0][0]][entries[0][1]])
     inv = [[zero] * n for _ in range(n)]
     for i, j in entries:
@@ -208,7 +200,7 @@ def _monomial_inverse(P):
 def _identity_like(P):
     zero = _zero_like(P[0][0])
     one = (
-        DihedralElement.monomial(0, 0, ring=zero.ring)
+        DihedralElement.monomial(0, 0)
         if isinstance(zero, DihedralElement)
         else Polynomial.one(zero.ring)
     )
@@ -216,22 +208,21 @@ def _identity_like(P):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _checked_inverse(P, P_inv):
-    if P_inv is None:
-        P_inv = _monomial_inverse(P)
+def _checked_inverse(P):
+    P_inv = _monomial_inverse(P)
     eye = _identity_like(P)
     if not (_mat_eq(_mmul(P, P_inv), eye) and _mat_eq(_mmul(P_inv, P), eye)):
         raise ValueError("base-change matrix is not invertible")
     return P_inv
 
 
-def base_change(x, P, P_inv=None):
+def base_change(x, P):
     """Congruence by P: theta -> P* theta P.  For resolutions the psi
-    matrices transform the same way and d -> P* d (P^-1)*.  P must be
-    invertible; a monomial matrix of group-element units is inverted
-    automatically, anything else needs an explicit P_inv."""
+    matrices transform the same way and d -> P* d (P^-1)*.  P must be a
+    monomial matrix of units (group elements up to sign in the dihedral
+    ring), which is inverted entry by entry."""
     P = tuple(tuple(row) for row in P)
-    P_inv = _checked_inverse(P, P_inv)
+    P_inv = _checked_inverse(P)
     Pc = _mconj_t(P)
     if isinstance(x, QuadraticFormTheta):
         return QuadraticFormTheta(x.ring, _mmul(Pc, _mmul(x.theta, P)), x.epsilon)
@@ -243,7 +234,7 @@ def base_change(x, P, P_inv=None):
 
 def switch_form(x):
     """Apply the switch automorphism to every matrix entry."""
-    if not _is_dihedral(x.ring):
+    if x.ring != DINF_RING:
         raise ValueError("switch acts on dihedral-ring data only")
 
     def sw(M):
@@ -262,7 +253,7 @@ def induce_F_form(form):
     theta = tuple(
         tuple(DihedralElement.from_poly(q, a_twist=True) for q in row) for row in form.theta
     )
-    return QuadraticFormTheta(TRIVIAL, theta, form.epsilon)
+    return QuadraticFormTheta(DINF_RING, theta, form.epsilon)
 
 
 def induce_F_resolution(c):
@@ -276,7 +267,7 @@ def induce_F_resolution(c):
             tuple(DihedralElement.from_poly(q, a_twist=twist) for q in row) for row in M
         )
 
-    return QuadResolution(TRIVIAL, carry(c.d, False), carry(c.psi0, True), carry(c.psi1, True), c.epsilon)
+    return QuadResolution(DINF_RING, carry(c.d, False), carry(c.psi0, True), carry(c.psi1, True), c.epsilon)
 
 
 def direct_sum(f1, f2):

@@ -11,8 +11,6 @@ from unilcalc._gf2 import (  # noqa: F401
     gf2_cross_square,
     gf2_deg,
     gf2_divmod,
-    gf2_gcd,
-    gf2_mod,
     gf2_mul,
     gf2_spread,
     z4_add,

@@ -23,11 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from unilcalc.f2linalg import (
     det,
+    divmod_rows,
     hnf,
     in_row_span,
     left_kernel,
@@ -38,7 +38,7 @@ from unilcalc.f2linalg import (
     smith,
 )
 from unilcalc.funcfield import symplectic_basis
-from unilcalc.kernels import gf2_deg, gf2_divmod, gf2_mul, z4_add, z4_mul, z4_neg, z4_sq_lift
+from unilcalc.kernels import gf2_deg, gf2_mul, z4_add, z4_mul, z4_neg, z4_sq_lift
 from unilcalc.polynomials import Polynomial, even_odd_decompose, idem_reduce, parse_poly
 
 Z4_ZERO = (0, 0)
@@ -47,6 +47,10 @@ Z4_ZERO = (0, 0)
 # than this (search_rows); a pure-Python filter tests about a million rows
 # a second
 MAX_SEARCH_ROWS = 10_000_000
+# and stops a search once it has checked more candidate combinations than
+# this, at about 30,000 a second on one x86_64 core; the bundled rank-4
+# searches check at most 10
+MAX_SEARCH_COMBINATIONS = 200_000
 
 
 def _parse_polys(value, what, length, ring, name):
@@ -275,7 +279,7 @@ def sublagrangian_reduce(form, S):
     if not S.basis:
         reps = T
     else:
-        C = tuple(_coords_in_hnf(row, T) for row in S.basis)
+        C = tuple(divmod_rows(row, T)[0] for row in S.basis)
         D, _, V = smith(C)
         r = len(S.basis)
         if any(D[i][i] != 1 for i in range(r)):
@@ -288,22 +292,6 @@ def sublagrangian_reduce(form, S):
     )
     q = tuple(eval_bq(form, reps[i], reps[i])[1] for i in range(k2))
     return LinkingForm(k2, b, q)
-
-
-def _coords_in_hnf(v, H):
-    """Coefficients expressing v over the Hermite basis H; v must lie in
-    the span."""
-    coeffs = []
-    rem = list(v)
-    for row in H:
-        j = next(c for c, x in enumerate(row) if x)
-        qpart, _ = gf2_divmod(rem[j], row[j])
-        coeffs.append(qpart)
-        if qpart:
-            rem = [x ^ gf2_mul(qpart, y) for x, y in zip(rem, row)]
-    if any(rem):
-        raise ValueError("vector is not in the span")
-    return tuple(coeffs)
 
 
 def arf_even(form):
@@ -429,9 +417,15 @@ def _lagrangian_candidates(form, pivots, bound):
             yield from itertools.product(*per_row)
 
 
-def _search_pattern(args):
-    form, pivots, bound = args
+def _search_pattern(form, pivots, bound, checked):
+    """The first lagrangian among one pattern's candidates, or None.
+    checked is an itertools.count shared by the patterns of one search."""
     for combo in _lagrangian_candidates(form, pivots, bound):
+        if next(checked) >= MAX_SEARCH_COMBINATIONS:
+            raise ValueError(
+                f"a lagrangian search of rank {form.rank} at degree bound {bound} "
+                f"checks more than {MAX_SEARCH_COMBINATIONS} candidate combinations"
+            )
         ok = True
         for i in range(len(combo)):
             for j in range(i + 1, len(combo)):
@@ -449,18 +443,17 @@ def _search_pattern(args):
     return None
 
 
-def find_lagrangian(form, degree_bound, jobs=1):
+def find_lagrangian(form, degree_bound):
     """Exhaustive search for L with L = L-perp and q|L = 0, over canonical
     echelon generator matrices with entries of degree <= degree_bound.
     Returns the first witness in canonical order, or None (no witness below
     the bound is not a nonexistence proof).  A search whose q = 0 filter
     would test more than MAX_SEARCH_ROWS rows (see search_rows) is refused
-    before anything is built.  jobs > 1 searches the pivot patterns in a
-    pool of at most min(jobs, cpu count, patterns) processes."""
+    before anything is built; one that checks more than
+    MAX_SEARCH_COMBINATIONS candidate combinations raises ValueError when
+    it gets there."""
     if degree_bound < 0:
         raise ValueError("the degree bound must be non-negative")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     k = form.rank
     if k == 0:
         return Submodule(0, ())
@@ -476,19 +469,11 @@ def find_lagrangian(form, degree_bound, jobs=1):
             f"a lagrangian search of rank {k} at degree bound {degree_bound} "
             f"tests more than {MAX_SEARCH_ROWS} candidate rows"
         )
-    patterns = list(itertools.combinations(range(k), k // 2))
-    tasks = [(form, piv, degree_bound) for piv in patterns]
-    workers = min(jobs, os.cpu_count() or 1, len(patterns))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_search_pattern, tasks)
-        return next((res for res in results if res is not None), None)
-    for task in tasks:
-        res = _search_pattern(task)
-        if res is not None:
-            return res
+    checked = itertools.count()
+    for pivots in itertools.combinations(range(k), k // 2):
+        L = _search_pattern(form, pivots, degree_bound, checked)
+        if L is not None:
+            return L
     return None
 
 

@@ -137,8 +137,8 @@ class Polynomial:
         return sum(1 << k for k, c in enumerate(self.coeffs) if c)
 
     @classmethod
-    def from_bits(cls, bits, ring="F2"):
-        return cls(ring, tuple((bits >> k) & 1 for k in range(bits.bit_length())))
+    def from_bits(cls, bits):
+        return cls("F2", tuple((bits >> k) & 1 for k in range(bits.bit_length())))
 
     def to_z4pair(self):
         if self.ring != "Z4":
@@ -171,10 +171,6 @@ class Polynomial:
         return "".join(out)
 
     __repr__ = __str__
-
-    @classmethod
-    def parse(cls, text, ring):
-        return parse_poly(text, ring)
 
 
 _TERM_RE = re.compile(

@@ -197,15 +197,12 @@ class TestWittCheck:
         path.write_text(
             json.dumps({"form": G.to_json_dict(), "sublagrangian": S.to_json_dict()})
         )
-        for jobs in ("1", "2"):
-            code, out, _ = run(
-                capsys, "witt-check", str(path), "--bound", "2", "--jobs", jobs, "--format", "json"
-            )
-            doc = json.loads(out)
-            assert code == 0
-            assert doc["rank"] == 8 and doc["reduced_rank"] == 4
-            assert doc["even"] is True and doc["arf"] == "0"
-            assert doc["witt_trivial_witness"] is True
+        code, out, _ = run(capsys, "witt-check", str(path), "--bound", "2", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["rank"] == 8 and doc["reduced_rank"] == 4
+        assert doc["even"] is True and doc["arf"] == "0"
+        assert doc["witt_trivial_witness"] is True
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -217,8 +214,6 @@ class TestWittCheck:
                 "a lagrangian search of rank 2 at degree bound 40 tests more than "
                 f"{MAX_SEARCH_ROWS} candidate rows",
             ),
-            (("--jobs", "0"), "--jobs must be at least 1"),
-            (("--jobs", "-2"), "--jobs must be at least 1"),
         ],
     )
     def test_bad_search_arguments_rejected(self, capsys, tmp_path, argv, message):
@@ -227,6 +222,17 @@ class TestWittCheck:
         code, out, err = run(capsys, "witt-check", str(path), *argv)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    def test_combination_limit_is_an_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(hyperbolic_json()))
+        monkeypatch.setattr(unilcalc.linking, "MAX_SEARCH_COMBINATIONS", 0)
+        code, out, err = run(capsys, "witt-check", str(path), "--bound", "2")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: a lagrangian search of rank 2 at degree bound 2 checks more than "
+            "0 candidate combinations"
+        ]
 
     def test_bad_sublagrangian_fails(self, capsys, tmp_path):
         form = hyperbolic_json()
@@ -360,9 +366,11 @@ class TestVerifyPaper:
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
-        code, out, err = run(capsys, "verify-paper", "--degree", "0", "--jobs", jobs)
-        assert code == 1 and out == ""
-        assert err.splitlines() == ["error: --jobs must be at least 1"]
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify-paper", "--degree", "0", "--jobs", jobs)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--jobs: invalid choice" in err
 
     def test_degree_zero_accepted(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--degree", "0")
@@ -573,6 +581,33 @@ class TestClassify:
         assert err.splitlines() == [
             f"error: the table would have too many rows, above the limit {MAX_TABLE_ROWS}"
         ]
+
+
+class TestJobsFlag:
+    """--jobs takes the single value 1: the search runs in one process."""
+
+    @pytest.fixture
+    def argv(self, request, tmp_path):
+        if request.param == "verify-paper":
+            return ("verify-paper", "--degree", "1")
+        G, S = witt_four_term_instance(Polynomial.t("Z"))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"form": G.to_json_dict(), "sublagrangian": S.to_json_dict()}))
+        return ("witt-check", str(path), "--bound", "2")
+
+    @pytest.mark.parametrize("argv", ["witt-check", "verify-paper"], indirect=True)
+    def test_jobs_one_changes_nothing(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert run(capsys, *argv, "--jobs", "1")[:2] == (0, out)
+
+    @pytest.mark.parametrize("argv", ["witt-check", "verify-paper"], indirect=True)
+    def test_jobs_two_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "--jobs", "2")
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--jobs: invalid choice: 2" in err
 
 
 class TestEntryPoint:

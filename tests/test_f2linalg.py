@@ -3,6 +3,7 @@ import random
 
 from unilcalc.f2linalg import (
     det,
+    divmod_rows,
     hnf,
     in_row_span,
     left_kernel,
@@ -10,7 +11,6 @@ from unilcalc.f2linalg import (
     mat_inverse,
     mat_mul,
     rank,
-    reduce_mod_rows,
     smith,
     vec_mat_mul,
 )
@@ -108,7 +108,22 @@ class TestHermite:
             coeffs = [rng.randrange(16) for _ in range(3)]
             v = vec_mat_mul(tuple(coeffs), M)
             assert in_row_span(v, H)
-            assert reduce_mod_rows(v, H) == (0, 0, 0, 0)
+            assert divmod_rows(v, H)[1] == (0, 0, 0, 0)
+
+    def test_divmod_rows_invariant(self):
+        # v = q*H + rem, with rem reduced below every pivot
+        rng = random.Random(80)
+        for _ in range(60):
+            H, _ = hnf(rand_mat(rng, 3, 4, deg=2))
+            v = tuple(rng.randrange(64) for _ in range(4))
+            q, rem = divmod_rows(v, H)
+            rows = H[: len(q)]
+            span = mat_mul((q,), rows)[0] if rows else (0, 0, 0, 0)
+            assert tuple(x ^ y for x, y in zip(span, rem)) == v
+            for row in rows:
+                j = next(c for c, x in enumerate(row) if x)
+                assert rem[j].bit_length() < row[j].bit_length()
+            assert in_row_span(v, H) == (not any(rem))
 
 
 class TestKernel:

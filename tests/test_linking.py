@@ -1,6 +1,4 @@
 import itertools
-import multiprocessing
-import os
 import random
 
 import pytest
@@ -9,6 +7,7 @@ from tests.helpers_oracles import even_form_with_known_arf, lagrangian_candidate
 from unilcalc import linking
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
 from unilcalc.linking import (
+    MAX_SEARCH_COMBINATIONS,
     MAX_SEARCH_ROWS,
     LinkingForm,
     Submodule,
@@ -416,11 +415,6 @@ class TestFindLagrangian:
         for row in L.basis:
             assert eval_bq(red, row, row)[1] == (0, 0)
 
-    def test_jobs_deterministic(self):
-        G, S = witt_four_term_instance(T)
-        red = sublagrangian_reduce(G, S)
-        assert find_lagrangian(red, 1, jobs=2) == find_lagrangian(red, 1)
-
 
 def reduced_four_term(bits):
     p = Polynomial("Z", tuple(bits >> k & 1 for k in range(4)))
@@ -519,40 +513,61 @@ class TestSearchLimits:
             find_lagrangian(form, bound)
 
 
-class FakePool:
-    sizes = []
+def count_combinations(monkeypatch):
+    """Make find_lagrangian record how many candidate combinations each
+    search checks; returns the list it appends to."""
+    counts = []
+    candidates = linking._lagrangian_candidates
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def counting(*args):
+        for combo in candidates(*args):
+            counts[-1] += 1
+            yield combo
 
-    def __enter__(self):
-        return self
+    def search(form, bound):
+        counts.append(0)
+        return find_lagrangian(form, bound)
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return list(map(fn, tasks))
+    monkeypatch.setattr(linking, "_lagrangian_candidates", counting)
+    return counts, search
 
 
-class TestJobs:
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            find_lagrangian(hyperbolic(), 1, jobs=jobs)
+class TestCombinationLimit:
+    def test_bundled_searches_stay_under_the_limit(self, monkeypatch):
+        # the reduced four-term forms that verify-paper and the witt
+        # benchmark search, at their degree bounds
+        counts, search = count_combinations(monkeypatch)
+        for bits in range(16):
+            red = reduced_four_term(bits)
+            for bound in range(4):
+                search(red, bound)
+        assert max(counts) <= 10 < MAX_SEARCH_COMBINATIONS
 
-    @pytest.mark.parametrize(
-        "jobs,cpus,size",
-        [(1000, 64, 6), (1000, 3, 3), (4, 64, 4), (2, None, None), (1000, 1, None)],
-    )
-    def test_pool_size_clamped(self, monkeypatch, jobs, cpus, size):
-        # rank 4 has 6 pivot patterns; a pool of one is no pool
-        FakePool.sizes = []
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        red = reduced_four_term(0b10)
-        assert find_lagrangian(red, 1, jobs=jobs) == find_lagrangian(red, 1)
-        assert FakePool.sizes == ([] if size is None else [size])
+    def test_limit_stops_a_long_search(self, monkeypatch):
+        # a nonzero Arf block beside two hyperbolic planes has no lagrangian,
+        # so the search runs through every candidate; at bound 2 one pivot
+        # pattern alone has 40.5M, which ran for minutes before the limit
+        monkeypatch.setattr(linking, "MAX_SEARCH_COMBINATIONS", 1000)
+        counts, search = count_combinations(monkeypatch)
+        form = direct_sum([hyperbolic(q1=(0, 0b10), q2=(0, 1)), hyperbolic(), hyperbolic()])
+        with pytest.raises(
+            ValueError,
+            match="rank 6 at degree bound 2 checks more than 1000 candidate combinations",
+        ):
+            search(form, 2)
+        assert counts == [1001]
+
+    def test_limit_counts_across_patterns(self, monkeypatch):
+        # with a nonzero Arf block every pattern is searched through; at
+        # bound 1 each of the six holds candidates, 31 in all
+        counts, search = count_combinations(monkeypatch)
+        form = direct_sum([hyperbolic(q1=(0, 0b10), q2=(0, 1)), hyperbolic()])
+        monkeypatch.setattr(linking, "MAX_SEARCH_COMBINATIONS", 31)
+        assert search(form, 1) is None
+        assert counts == [31]
+        monkeypatch.setattr(linking, "MAX_SEARCH_COMBINATIONS", 30)
+        with pytest.raises(ValueError, match="more than 30 candidate combinations"):
+            search(form, 1)
 
 
 class TestJson:
