@@ -32,7 +32,7 @@ def _fx_generator_chain(degree, corrupt):
                 tuple(-c if (r, s) == (0, 1) else c for s, c in enumerate(row))
                 for r, row in enumerate(start.theta)
             )
-            start = QuadraticFormTheta(start.ring, theta, start.epsilon)
+            start = QuadraticFormTheta(theta, start.epsilon)
         failure = verify_chain(start, steps)
         yield f"p={compact_str(p)}", failure is None, failure
 

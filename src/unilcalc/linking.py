@@ -222,21 +222,30 @@ def negate(form):
 
 
 def resolution_to_linking(c):
-    """Linking form of a Z[t] resolution with d = 2*identity: b_num = psi0
-    mod 2, q_num(e_i) = -psi1(i, i) mod 4.  The sign makes the standard
-    (p, g) complex land on make_N(p, g)."""
-    if c.ring != "Z[t]":
-        raise ValueError("resolution must live over Z[t]")
-    k = c.rank
-    two_eye = tuple(
-        tuple(Polynomial.monomial("Z", 0, 2) if i == j else Polynomial.zero("Z") for j in range(k))
-        for i in range(k)
-    )
-    if c.d != two_eye:
-        raise ValueError("only d = 2*identity resolutions are supported")
-    b = tuple(tuple(e.map_ring("F2").to_bits() for e in row) for row in c.psi0)
-    q = tuple((-c.psi1[i][i]).map_ring("Z4").to_z4pair() for i in range(k))
-    return LinkingForm(k, b, q)
+    """Linking form of a resolution induced from Z[t] with d = 2*identity.
+    Every psi entry must be q(t)*a with q in Z[t]; b_num(i, j) is the q of
+    psi0(i, j) mod 2 and q_num(e_i) is -q of psi1(i, i) mod 4.  The sign
+    makes the standard (p, g) complex land on make_N(p, g)."""
+    for i, row in enumerate(c.d):
+        for j, e in enumerate(row):
+            if e.terms != ((((0, 0), 2),) if i == j else ()):
+                raise ValueError("only d = 2*identity resolutions are supported")
+    for name in ("psi0", "psi1"):
+        for i, row in enumerate(getattr(c, name)):
+            for j, e in enumerate(row):
+                # e.terms holds ((k, eps), coeff) for the group element t^k a^eps
+                if any(eps != 1 or k < 0 for (k, eps), _ in e.terms):
+                    raise ValueError(f"{name} entry ({i},{j}) {e} is not q(t)*a with q in Z[t]")
+    b = tuple(tuple(sum(1 << k for (k, _), x in e.terms if x % 2) for e in row) for row in c.psi0)
+    q = []
+    for i in range(c.rank):
+        lo = hi = 0
+        for (k, _), x in c.psi1[i][i].terms:
+            v = -x % 4
+            lo |= (v & 1) << k
+            hi |= (v >> 1) << k
+        q.append((lo, hi))
+    return LinkingForm(c.rank, b, tuple(q))
 
 
 def is_even(form):

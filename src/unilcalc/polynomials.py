@@ -1,11 +1,12 @@
-"""Exact univariate polynomials over Z, F2, Z4 and Q, plus the two quotient
+"""Exact univariate polynomials over Z, F2 and Z4, plus the two quotient
 normal forms the switch calculus runs on.
 
 Coefficient rings are tagged by name.  F2 and Z4 coefficients are stored as
-canonical residues (0..1, 0..3); Q uses fractions.Fraction.  The textual
-canonical form is ``coeff*t^exp`` terms joined by ``+`` with exponents
-descending, e.g. ``3*t^2+2*t^1+1*t^0``; the parser additionally accepts the
-shorthands ``t``, ``t^k``, bare integers and signed coefficients.
+canonical residues (0..1, 0..3).  The textual canonical form is
+``coeff*t^exp`` terms joined by ``+`` with exponents descending, e.g.
+``3*t^2+2*t^1+1*t^0``; the parser additionally accepts the shorthands
+``t``, ``t^k``, bare integers and signed coefficients, and a coefficient
+written as a fraction a/b when its value is an integer.
 
 The quotient rings work on the bitmasks of unilcalc.kernels: an int for
 F2[t], a (lo, hi) pair for Z4[t].
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-RINGS = ("Z", "F2", "Z4", "Q")
+RINGS = ("Z", "F2", "Z4")
 
 _MOD = {"F2": 2, "Z4": 4}
 
@@ -40,8 +41,6 @@ MAX_COEFFICIENT_DIGITS = 4000
 
 
 def _canon(ring, c):
-    if ring == "Q":
-        return c if isinstance(c, Fraction) else Fraction(c)
     m = _MOD.get(ring)
     return c % m if m else int(c)
 
@@ -109,7 +108,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial(self.ring, tuple(c * other for c in self.coeffs))
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -125,10 +124,6 @@ class Polynomial:
 
     def map_ring(self, ring):
         """Reinterpret coefficients in another ring (reduction or lift)."""
-        if self.ring == "Q":
-            if ring != "Q" and any(c.denominator != 1 for c in self.coeffs):
-                raise ValueError("non-integral coefficient")
-            return Polynomial(ring, tuple(int(c) for c in self.coeffs))
         return Polynomial(ring, self.coeffs)
 
     def to_bits(self):
@@ -253,10 +248,9 @@ def parse_poly(text, ring):
         else:
             c = _coefficient(m.group("c"), pos)
             e = 0
-        if ring != "Q":
-            if c.denominator != 1:
-                raise ValueError(f"fractional coefficient at position {pos}")
-            c = int(c)
+        if c.denominator != 1:
+            raise ValueError(f"fractional coefficient at position {pos}")
+        c = int(c)
         coeffs[e] = coeffs.get(e, 0) + c
     n = max(coeffs) + 1
     return Polynomial(ring, tuple(coeffs.get(k, 0) for k in range(n)))

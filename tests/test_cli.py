@@ -673,6 +673,11 @@ class TestImports:
                      "hashlib"}
         assert not loaded & forbidden
 
+    def test_verify_paper(self):
+        loaded = self.loaded("verify-paper", "--degree", "0")
+        assert {"unilcalc.forms", "unilcalc.dihedral", "unilcalc.linking", "unilcalc.unil"} <= loaded
+        assert not loaded & {"unilcalc.classify", "hashlib"}
+
     def test_classify(self):
         loaded = self.loaded("classify", "4", "--degree-cutoff", "1")
         assert "unilcalc.classify" in loaded

@@ -2,19 +2,14 @@ import random
 
 import pytest
 
-from unilcalc.dihedral import DihedralElement
+from unilcalc.dihedral import A, B, ONE as DONE, DihedralElement
 from unilcalc.forms import (
-    DINF_RING,
-    ZT_RING,
-    GeneratorP,
     QuadResolution,
     QuadraticFormTheta,
     base_change,
-    direct_sum,
     forms_equal,
+    generator_form,
     generator_switch_chain,
-    induce_F_form,
-    induce_F_resolution,
     resolution_switch_chain,
     resolutions_equal,
     standard_resolution,
@@ -23,12 +18,10 @@ from unilcalc.forms import (
 )
 from unilcalc.polynomials import Polynomial
 
-A = DihedralElement.monomial(0, 1)
-B = DihedralElement.monomial(1, 1)
 DZERO = DihedralElement.zero()
+DTWO = DONE * 2
 T = Polynomial.t("Z")
 ONE = Polynomial.one("Z")
-ZERO = Polynomial.zero("Z")
 
 
 def zpoly(rng, deg=2, lo=-3, hi=3):
@@ -39,10 +32,9 @@ def bits_poly(rng, deg):
     return Polynomial("Z", tuple(rng.randint(0, 1) for _ in range(deg + 1)))
 
 
-def rand_zt_form(rng, eps):
-    k = rng.randint(1, 2)
-    theta = tuple(tuple(zpoly(rng) for _ in range(k)) for _ in range(k))
-    return QuadraticFormTheta(ZT_RING, theta, eps)
+def times_a(q):
+    """The induced entry q(t)*a."""
+    return DihedralElement.from_poly(q, a_twist=True)
 
 
 def rand_dihedral_form(rng, eps):
@@ -55,7 +47,7 @@ def rand_dihedral_form(rng, eps):
         return DihedralElement.from_dict(d)
 
     theta = tuple(tuple(entry() for _ in range(k)) for _ in range(k))
-    return QuadraticFormTheta(DINF_RING, theta, eps)
+    return QuadraticFormTheta(theta, eps)
 
 
 def rand_monomial_P(rng, n=2):
@@ -74,9 +66,9 @@ def rand_monomial_P(rng, n=2):
 class TestThetaViews:
     def test_generator_views(self):
         p, g = T + ONE, T * T
-        f = GeneratorP(p, g).form()
-        assert f.lam() == ((ZERO, ONE), (-ONE, ZERO))
-        assert f.mu() == (p, g)
+        f = generator_form(p, g)
+        assert f.lam() == ((DZERO, A), (-A, DZERO))
+        assert f.mu() == (times_a(p), times_a(g))
 
     def test_lam_symmetry(self):
         # lam* = eps*lam for every form
@@ -96,8 +88,7 @@ class TestBaseChange:
         rng = random.Random(107)
         f = rand_dihedral_form(rng, -1)
         eye = tuple(
-            tuple(DihedralElement.monomial(0, 0) if i == j else DZERO for j in range(f.rank))
-            for i in range(f.rank)
+            tuple(DONE if i == j else DZERO for j in range(f.rank)) for i in range(f.rank)
         )
         assert base_change(f, eye) == f
 
@@ -117,7 +108,7 @@ class TestBaseChange:
         rng = random.Random(113)
         for _ in range(20):
             p = bits_poly(rng, rng.randint(0, 4))
-            start = induce_F_form(GeneratorP(T * p, ONE).form())
+            start = generator_form(T * p, ONE)
             got = base_change(start, ((B, DZERO), (DZERO, A)))
             bp = B * DihedralElement.from_poly(p)
             assert got.lam() == ((DZERO, B), (-B, DZERO))
@@ -145,93 +136,89 @@ class TestBaseChange:
 
 class TestFormsEqual:
     def test_reflexive(self):
-        f = rand_zt_form(random.Random(137), -1)
+        f = rand_dihedral_form(random.Random(137), -1)
         assert forms_equal(f, f)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_theta_not_unique(self, eps):
-        # [[0,1],[0,0]] and [[0,0],[eps,0]] present the same form
-        f1 = QuadraticFormTheta(ZT_RING, ((ZERO, ONE), (ZERO, ZERO)), eps)
-        f2 = QuadraticFormTheta(ZT_RING, ((ZERO, ZERO), (ONE * eps, ZERO)), eps)
+        # [[0,a],[0,0]] and [[0,0],[eps*a,0]] present the same form
+        f1 = QuadraticFormTheta(((DZERO, A), (DZERO, DZERO)), eps)
+        f2 = QuadraticFormTheta(((DZERO, DZERO), (A * eps, DZERO)), eps)
         assert f1.lam() == f2.lam()
         assert forms_equal(f1, f2)
 
     def test_mu_indeterminacy_minus(self):
-        # eps = -1 over Z[t]: diagonal shifts by 2v are invisible
+        # eps = -1 on a-twisted entries: t^k*a is fixed by the involution,
+        # so diagonal shifts by 2*v*a are invisible and odd ones are not
         p = T + ONE
-        f1 = QuadraticFormTheta(ZT_RING, ((p, ONE), (ZERO, T)), -1)
-        f2 = QuadraticFormTheta(ZT_RING, ((p + T * 2, ONE), (ZERO, T)), -1)
-        f3 = QuadraticFormTheta(ZT_RING, ((p + T, ONE), (ZERO, T)), -1)
+        f1 = QuadraticFormTheta(((times_a(p), A), (DZERO, times_a(T))), -1)
+        f2 = QuadraticFormTheta(((times_a(p + T * 2), A), (DZERO, times_a(T))), -1)
+        f3 = QuadraticFormTheta(((times_a(p + T), A), (DZERO, times_a(T))), -1)
         assert forms_equal(f1, f2)
         assert not forms_equal(f1, f3)
 
     def test_mu_exact_plus(self):
-        f1 = QuadraticFormTheta(ZT_RING, ((T,),), 1)
-        f2 = QuadraticFormTheta(ZT_RING, ((T + T * 2,),), 1)
+        # eps = +1: v - vbar vanishes on t^k*a, so the diagonal is exact
+        f1 = QuadraticFormTheta(((times_a(T),),), 1)
+        f2 = QuadraticFormTheta(((times_a(T + T * 2),),), 1)
         assert not forms_equal(f1, f2)
 
 
 class TestInduceForm:
+    """generator_form builds the Z[t] generator already induced."""
+
     def test_displayed_generator(self):
         rng = random.Random(139)
         for _ in range(20):
             p = bits_poly(rng, rng.randint(0, 4))
-            f = induce_F_form(GeneratorP(T * p, ONE).form())
+            f = generator_form(T * p, ONE)
             assert f.lam() == ((DZERO, A), (-A, DZERO))
             # tp*a = p(t)*b
             assert f.mu() == (DihedralElement.from_poly(p) * B, A)
 
     def test_zero_form(self):
-        z = QuadraticFormTheta(ZT_RING, (), -1)
-        out = induce_F_form(z)
-        assert out.rank == 0 and out.ring == DINF_RING
+        z = QuadraticFormTheta((), -1)
+        assert z.rank == 0 and z.lam() == () and z.mu() == ()
+        assert forms_equal(z, z)
 
-    def test_additive_on_direct_sums(self):
-        rng = random.Random(149)
-        for _ in range(30):
-            f1, f2 = rand_zt_form(rng, -1), rand_zt_form(rng, -1)
-            assert induce_F_form(direct_sum(f1, f2)) == direct_sum(
-                induce_F_form(f1), induce_F_form(f2)
-            )
-
-    def test_rejects_dihedral_input(self):
-        with pytest.raises(ValueError):
-            induce_F_form(rand_dihedral_form(random.Random(151), -1))
+    def test_rejects_non_z_parameters(self):
+        with pytest.raises(ValueError, match="over Z"):
+            generator_form(Polynomial.t("F2"), ONE)
+        with pytest.raises(ValueError, match="over Z"):
+            standard_resolution(ONE, Polynomial.one("Z4"))
 
 
 class TestResolutions:
     def test_invariant_enforced(self):
-        two = Polynomial.monomial("Z", 0, 2)
-        d = ((two, ZERO), (ZERO, two))
-        psi0 = ((T, ONE), (ONE, ZERO))
+        d = ((DTWO, DZERO), (DZERO, DTWO))
+        psi0 = ((times_a(T), A), (A, DZERO))
         with pytest.raises(ValueError):
-            QuadResolution(ZT_RING, d, psi0, psi0, 1)  # psi1 should be -psi0
+            QuadResolution(d, psi0, psi0, 1)  # psi1 should be -psi0
 
     def test_standard_resolution(self):
         r = standard_resolution(T, ONE)
-        assert r.psi0 == ((T, ONE), (ONE, Polynomial.monomial("Z", 0, 2)))
+        assert r.d == ((DTWO, DZERO), (DZERO, DTWO))
+        assert r.psi0 == ((times_a(T), A), (A, A * 2))
         assert r.psi1 == tuple(tuple(-x for x in row) for row in r.psi0)
 
     def test_induced_display(self):
         rng = random.Random(157)
         for _ in range(20):
             p, g = bits_poly(rng, 3), bits_poly(rng, 3)
-            c = induce_F_resolution(standard_resolution(T * p, g))
+            c = standard_resolution(T * p, g)
             pb = DihedralElement.from_poly(p) * B
             two_ga = DihedralElement.from_poly(g) * A * 2
             assert c.psi0 == ((pb, A), (A, two_ga))
-            two = DihedralElement.monomial(0, 0, 2)
-            assert c.d == ((two, DZERO), (DZERO, two))
+            assert c.d == ((DTWO, DZERO), (DZERO, DTWO))
 
     def test_zero_rank(self):
-        z = QuadResolution(ZT_RING, (), (), (), 1)
-        assert induce_F_resolution(z).rank == 0
+        assert QuadResolution((), (), (), 1).rank == 0
 
     def test_invariant_random_sweep(self):
         rng = random.Random(163)
         for _ in range(40):
             p, g = zpoly(rng, 3), zpoly(rng, 3)
-            induce_F_resolution(standard_resolution(p, g))  # constructors assert
+            standard_resolution(p, g)  # the constructor checks the identity
 
 
 class TestSwitch:
@@ -244,7 +231,7 @@ class TestSwitch:
                 (B * DihedralElement.from_poly(p), B),
                 (B, two_ag),  # 2a*g(t) has terms 2 t^(-k) a
             )
-            f = QuadraticFormTheta(DINF_RING, M, 1)
+            f = QuadraticFormTheta(M, 1)
             got = switch_form(f).theta
             # a*p(t^-1) has terms t^k a, 2*b*g(t^-1) has terms 2 t^(1+k) a
             ap = DihedralElement.from_dict({(k, 1): c for k, c in enumerate(p.coeffs) if c})
@@ -255,17 +242,12 @@ class TestSwitch:
         rng = random.Random(173)
         for _ in range(50):
             p, g = zpoly(rng, 2), zpoly(rng, 2)
-            c = induce_F_resolution(standard_resolution(p, g))
+            c = standard_resolution(p, g)
             assert switch_form(switch_form(c)) == c
 
     def test_integer_entries_fixed(self):
-        two = DihedralElement.monomial(0, 0, 2)
-        f = QuadraticFormTheta(DINF_RING, ((two,),), 1)
+        f = QuadraticFormTheta(((DTWO,),), 1)
         assert switch_form(f) == f
-
-    def test_rejects_zt(self):
-        with pytest.raises(ValueError):
-            switch_form(GeneratorP(T, ONE).form())
 
 
 class TestChains:
@@ -329,10 +311,9 @@ class TestEquality:
         r = standard_resolution(T, ONE)
         # off-diagonal psi1 noise is indeterminacy, diagonal is not
         noisy = QuadResolution(
-            r.ring,
             r.d,
             r.psi0,
-            ((r.psi1[0][0], r.psi1[0][1] + ONE), (r.psi1[1][0] - ONE, r.psi1[1][1])),
+            ((r.psi1[0][0], r.psi1[0][1] + DONE), (r.psi1[1][0] - DONE, r.psi1[1][1])),
             r.epsilon,
         )
         assert resolutions_equal(r, noisy)

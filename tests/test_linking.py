@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -25,11 +26,19 @@ from unilcalc.linking import (
     sublagrangian_reduce,
     witt_four_term_instance,
 )
-from unilcalc.forms import standard_resolution
+from unilcalc import forms
+from unilcalc.dihedral import ONE as DONE, DihedralElement
+from unilcalc.forms import QuadResolution, standard_resolution
 from unilcalc.polynomials import Polynomial
 
 T = Polynomial.t("Z")
 ONE = Polynomial.one("Z")
+DZERO = DihedralElement.zero()
+
+
+def times_a(q):
+    """The induced entry q(t)*a."""
+    return DihedralElement.from_poly(q, a_twist=True)
 
 
 def zpoly(rng, deg=3, lo=-3, hi=3):
@@ -206,18 +215,40 @@ class TestResolutionDictionary:
             assert resolution_to_linking(c) == make_N(T * p, g)
 
     def test_zero_complex(self):
-        from unilcalc.forms import QuadResolution
-
-        z = QuadResolution("Z[t]", (), (), (), 1)
-        assert resolution_to_linking(z).rank == 0
+        assert resolution_to_linking(QuadResolution((), (), (), 1)).rank == 0
 
     def test_rejects_general_d(self):
-        from unilcalc.forms import QuadResolution
-
-        one, t2 = Polynomial.one("Z"), T * 2
-        r = QuadResolution("Z[t]", ((one,),), ((t2,),), ((-T,),), 1)
+        r = QuadResolution(((DONE,),), ((times_a(T * 2),),), ((times_a(-T),),), 1)
         with pytest.raises(ValueError, match="2\\*identity"):
             resolution_to_linking(r)
+
+    @pytest.mark.parametrize(
+        "entry", [DihedralElement.monomial(1, 0), DihedralElement.monomial(-1, 1)], ids=["t", "t^-1*a"]
+    )
+    def test_rejects_entry_not_induced(self, entry):
+        # psi0(0, 1) is t or t^-1*a, neither of the form q(t)*a with q in Z[t];
+        # psi1 is chosen so that the resolution identity still holds
+        two = DONE * 2
+        d = ((two, DZERO), (DZERO, two))
+        psi0 = ((DZERO, entry), (entry.bar(), DZERO))
+        psi1 = ((DZERO, -entry * 2), (DZERO, DZERO))
+        r = QuadResolution(d, psi0, psi1, 1)
+        with pytest.raises(ValueError, match=re.escape(f"psi0 entry (0,1) {entry} is not q(t)*a")):
+            resolution_to_linking(r)
+
+    def test_resolution_chain_check_count(self, monkeypatch):
+        # two standard_resolution calls, one base change, two assert_equal
+        # targets and one switch: each builds one checked resolution
+        built = []
+        check = forms.QuadResolution.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(forms.QuadResolution, "__post_init__", counting)
+        assert forms.verify_chain(*forms.resolution_switch_chain(T, ONE)) is None
+        assert len(built) == 6
 
 
 class TestEven:
