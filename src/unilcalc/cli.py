@@ -36,13 +36,13 @@ def _read_json(source):
 
 
 def _cmd_reduce(args):
-    from unilcalc.polynomials import Polynomial, compact_str, idem_reduce, parse_poly, versch_reduce
+    from unilcalc.polynomials import idem_reduce, parse_f2, parse_z4, render, versch_reduce
 
     if args.kind == "idem":
-        rep = Polynomial.from_bits(idem_reduce(parse_poly(args.poly, "F2").to_bits()))
+        rep = idem_reduce(parse_f2(args.poly))
     else:
-        rep = Polynomial.from_z4pair(*versch_reduce(*parse_poly(args.poly, "Z4").to_z4pair()))
-    out = compact_str(rep)
+        rep = versch_reduce(*parse_z4(args.poly))
+    out = render(rep, compact=True)
     payload = {"kind": args.kind, "input": args.poly, "canonical": out}
     return CommandResult("value", payload, human=(out,))
 
@@ -57,13 +57,13 @@ def _cmd_sw(args):
 
 def _cmd_arf(args):
     from unilcalc.linking import LinkingForm, arf_even, is_even
-    from unilcalc.polynomials import Polynomial
+    from unilcalc.polynomials import render
 
     form = LinkingForm.from_json_dict(_read_json(args.form))
     if not is_even(form):
         raise ValueError("the form is not even; the Arf invariant needs an even form")
     bits = arf_even(form)
-    text = str(Polynomial.from_bits(bits))
+    text = render(bits)
     payload = {"rank": form.rank, "arf": text, "zero": bits == 0}
     return CommandResult("value", payload, human=(text,))
 
@@ -77,7 +77,7 @@ def _cmd_witt_check(args):
         is_even,
         sublagrangian_reduce,
     )
-    from unilcalc.polynomials import Polynomial
+    from unilcalc.polynomials import render
 
     if args.bound < 0:
         raise ValueError("the degree bound must be non-negative")
@@ -97,7 +97,7 @@ def _cmd_witt_check(args):
     payload["even"] = is_even(form)
     if payload["even"] and form.rank % 2 == 0:
         bits = arf_even(form)
-        payload["arf"] = str(Polynomial.from_bits(bits))
+        payload["arf"] = render(bits)
         payload["arf_zero"] = bits == 0
     # a form with a lagrangian is 0 in the Witt group, so a nonzero Arf class
     # rules one out at every bound (Connolly-Davis, Geom. Topol. 8, 2004)

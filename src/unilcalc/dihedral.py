@@ -54,9 +54,8 @@ class DihedralElement:
 
     @classmethod
     def from_poly(cls, p, a_twist=False):
-        """p(t) as an element, optionally right-multiplied by a."""
-        if p.ring != "Z":
-            p = p.map_ring("Z")
+        """p(t), a Polynomial over Z, as an element, optionally
+        right-multiplied by a."""
         eps = 1 if a_twist else 0
         return _element({(k, eps): c for k, c in enumerate(p.coeffs) if c})
 

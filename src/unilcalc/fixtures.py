@@ -15,13 +15,13 @@ from unilcalc.linking import (
     sublagrangian_reduce,
     witt_four_term_instance,
 )
-from unilcalc.polynomials import Polynomial, compact_str
+from unilcalc.polynomials import Polynomial, render
 from unilcalc.unil import B_coords, enumerate_truncated, n_class_combination, pi_map, switch_unil3
 
 
 def _bit_polys(degree):
     for bits in range(1 << (degree + 1)):
-        yield Polynomial("Z", tuple(bits >> k & 1 for k in range(degree + 1)))
+        yield Polynomial(tuple(bits >> k & 1 for k in range(degree + 1)))
 
 
 def _fx_generator_chain(degree, corrupt):
@@ -34,7 +34,7 @@ def _fx_generator_chain(degree, corrupt):
             )
             start = QuadraticFormTheta(theta, start.epsilon)
         failure = verify_chain(start, steps)
-        yield f"p={compact_str(p)}", failure is None, failure
+        yield f"p={render(p, compact=True)}", failure is None, failure
 
 
 def _fx_resolution_chain(degree, _corrupt):
@@ -42,14 +42,14 @@ def _fx_resolution_chain(degree, _corrupt):
     for p in _bit_polys(d):
         for g in _bit_polys(d):
             failure = verify_chain(*resolution_switch_chain(p, g))
-            yield f"p={compact_str(p)} g={compact_str(g)}", failure is None, failure
+            yield f"p={render(p, compact=True)} g={render(g, compact=True)}", failure is None, failure
             if failure is not None:
                 return
 
 
 def _fx_sublagrangian(degree, _corrupt):
     for p in _bit_polys(degree):
-        label = f"p={compact_str(p)}"
+        label = f"p={render(p, compact=True)}"
         G, S = witt_four_term_instance(p)
         try:
             red = sublagrangian_reduce(G, S)
@@ -60,7 +60,7 @@ def _fx_sublagrangian(degree, _corrupt):
             yield label, False, f"reduction has rank {red.rank}, even={is_even(red)}"
             return
         bits = arf_even(red)
-        yield label, bits == 0, None if bits == 0 else f"arf = {_f2_str(bits)}, expected 0"
+        yield label, bits == 0, None if bits == 0 else f"arf = {render(bits)}, expected 0"
 
 
 def _fx_lagrangian_search(degree, _corrupt):
@@ -69,11 +69,7 @@ def _fx_lagrangian_search(degree, _corrupt):
         red = sublagrangian_reduce(G, S)
         L = find_lagrangian(red, 3)
         ok = L is not None
-        yield f"p={compact_str(p)}", ok, None if ok else "no lagrangian within degree bound 3"
-
-
-def _f2_str(bits):
-    return str(Polynomial.from_bits(bits))
+        yield f"p={render(p, compact=True)}", ok, None if ok else "no lagrangian within degree bound 3"
 
 
 def _fx_switch_laws(_degree, _corrupt):
@@ -86,8 +82,8 @@ def _fx_switch_laws(_degree, _corrupt):
             return
         b1, b2 = B_coords(e)
         if B_coords(se) != (b1, b1 ^ b2):
-            got = ", ".join(map(_f2_str, B_coords(se)))
-            yield label, False, f"B(sw e) = ({got}), expected ({_f2_str(b1)}, {_f2_str(b1 ^ b2)})"
+            got = ", ".join(map(render, B_coords(se)))
+            yield label, False, f"B(sw e) = ({got}), expected ({render(b1)}, {render(b1 ^ b2)})"
             return
         if switch_unil3(e.doubled()) != e.doubled():
             yield label, False, "sw moved a multiple of two"
@@ -114,12 +110,12 @@ def _fx_burnside(_degree, _corrupt):
 
 
 def _fx_dictionary(degree, _corrupt):
-    t, one = Polynomial.t("Z"), Polynomial.one("Z")
+    t, one = Polynomial.t(), Polynomial.one()
     for p in _bit_polys(degree):
         tp = t * p
         total = n_class_combination([(1, t, p), (1, p, t), (-1, one, tp), (-1, tp, one)])
         ok = total.is_zero()
-        yield f"p={compact_str(p)}", ok, None if ok else f"four-term combination = {total}"
+        yield f"p={render(p, compact=True)}", ok, None if ok else f"four-term combination = {total}"
 
 
 # (name, fixture) in the order verify-paper runs and reports them

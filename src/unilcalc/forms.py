@@ -141,15 +141,9 @@ def _times_a(q):
     return DihedralElement.from_poly(q, a_twist=True)
 
 
-def _check_over_z(p, g):
-    if p.ring != "Z" or g.ring != "Z":
-        raise ValueError("parameters must be polynomials over Z")
-
-
 def generator_form(p, g):
     """The rank-2 generator with lam = [[0,1],[-1,0]] and mu = (p, g) over
     Z[t], induced: theta = ((p*a, a), (0, g*a)) with eps = -1."""
-    _check_over_z(p, g)
     return QuadraticFormTheta(((_times_a(p), A), (_ZERO, _times_a(g))), -1)
 
 
@@ -157,7 +151,6 @@ def standard_resolution(p, g):
     """The rank-2 complex over Z[t] with d = 2I, psi0 = [[p,1],[1,2g]],
     psi1 = -psi0, induced: psi entries pick up the factor a.  It resolves
     the linking form with parameters (p, g)."""
-    _check_over_z(p, g)
     psi0 = ((_times_a(p), A), (A, _times_a(g * 2)))
     return QuadResolution(((_TWO, _ZERO), (_ZERO, _TWO)), psi0, _mneg(psi0), 1)
 
@@ -318,7 +311,7 @@ def generator_switch_chain(p):
     """Start form and chain steps certifying that the switch of the induced
     rank-2 generator with parameters (tp, 1) equals the induced generator
     with parameters (p, t)."""
-    t, one = Polynomial.t("Z"), Polynomial.one("Z")
+    t, one = Polynomial.t(), Polynomial.one()
     start = generator_form(t * p, one)
     mid = ((_poly_times_b_on_left(p), B), (_ZERO, A))
     steps = (
@@ -333,7 +326,7 @@ def generator_switch_chain(p):
 def resolution_switch_chain(p, g):
     """Start resolution and chain steps certifying that the switch of the
     induced complex for (tp, g) equals the induced complex for (p, tg)."""
-    t = Polynomial.t("Z")
+    t = Polynomial.t()
     start = standard_resolution(t * p, g)
     mid_psi0 = ((_poly_times_b_on_left(p), B), (B, _two_a_times_poly(g)))
     target = standard_resolution(p, t * g)

@@ -39,7 +39,7 @@ from unilcalc.f2linalg import (
 )
 from unilcalc.funcfield import symplectic_basis
 from unilcalc.kernels import gf2_deg, gf2_mul, z4_add, z4_mul, z4_neg, z4_sq_lift
-from unilcalc.polynomials import Polynomial, even_odd_decompose, idem_reduce, parse_poly
+from unilcalc.polynomials import Polynomial, idem_reduce, parse_f2, parse_z4, render
 
 Z4_ZERO = (0, 0)
 
@@ -53,9 +53,10 @@ MAX_SEARCH_ROWS = 10_000_000
 MAX_SEARCH_COMBINATIONS = 200_000
 
 
-def _parse_polys(value, what, length, ring, name):
+def _parse_polys(value, what, length, parse, name):
     """The polynomials of value, which must be a JSON list of length
-    polynomial strings; a parse error is prefixed with name[i]."""
+    polynomial strings, each read by parse; a parse error is prefixed with
+    name[i]."""
     if not isinstance(value, list) or len(value) != length or not all(
         isinstance(s, str) for s in value
     ):
@@ -63,7 +64,7 @@ def _parse_polys(value, what, length, ring, name):
     out = []
     for i, s in enumerate(value):
         try:
-            out.append(parse_poly(s, ring))
+            out.append(parse(s))
         except ValueError as exc:
             raise ValueError(f"{name}[{i}]: {exc}") from None
     return out
@@ -94,8 +95,8 @@ class LinkingForm:
     def to_json_dict(self):
         return {
             "rank": self.rank,
-            "b_num": [[str(Polynomial.from_bits(x)) for x in row] for row in self.b_num],
-            "q_num": [str(Polynomial.from_z4pair(lo, hi)) for lo, hi in self.q_num],
+            "b_num": [[render(x) for x in row] for row in self.b_num],
+            "q_num": [render(q) for q in self.q_num],
         }
 
     @classmethod
@@ -109,10 +110,10 @@ class LinkingForm:
         if not isinstance(rows, list) or len(rows) != k:
             raise ValueError(f"b_num must be a list of {k} rows")
         b = tuple(
-            tuple(p.to_bits() for p in _parse_polys(row, "b_num row", k, "F2", f"b_num[{i}]"))
+            tuple(_parse_polys(row, "b_num row", k, parse_f2, f"b_num[{i}]"))
             for i, row in enumerate(rows)
         )
-        q = tuple(p.to_z4pair() for p in _parse_polys(d["q_num"], "q_num", k, "Z4", "q_num"))
+        q = tuple(_parse_polys(d["q_num"], "q_num", k, parse_z4, "q_num"))
         return cls(k, b, q)
 
 
@@ -147,17 +148,14 @@ class Submodule:
         return all(self.member(row) for row in other.basis)
 
     def to_json_dict(self):
-        return {"generators": [[str(Polynomial.from_bits(x)) for x in row] for row in self.basis]}
+        return {"generators": [[render(x) for x in row] for row in self.basis]}
 
     @classmethod
     def from_json_dict(cls, d, ambient_rank):
         if not isinstance(d, dict) or not isinstance(d.get("generators"), list):
             raise ValueError("a submodule must be a JSON object with a generators list")
         gens = [
-            [
-                p.to_bits()
-                for p in _parse_polys(row, "generator", ambient_rank, "F2", f"generators[{i}]")
-            ]
+            _parse_polys(row, "generator", ambient_rank, parse_f2, f"generators[{i}]")
             for i, row in enumerate(d["generators"])
         ]
         return cls.from_generators(gens, ambient_rank)
@@ -168,15 +166,13 @@ def full_module(k):
 
 
 def make_N(p, g):
-    """Rank-2 generator: b_num = [[p, 1], [1, 0]] mod 2, q_num = (p, 2g)
-    mod 4.  Requires p(0) = 0 or g(0) = 0."""
-    if p.ring != "Z" or g.ring != "Z":
-        raise ValueError("parameters must be polynomials over Z")
+    """Rank-2 generator for p, g over Z: b_num = [[p, 1], [1, 0]] mod 2,
+    q_num = (p, 2g) mod 4.  Requires p(0) = 0 or g(0) = 0."""
     if p.coefficient(0) != 0 and g.coefficient(0) != 0:
         raise ValueError("need p(0) = 0 or g(0) = 0")
-    b = ((p.map_ring("F2").to_bits(), 1), (1, 0))
-    q = (p.map_ring("Z4").to_z4pair(), (g * 2).map_ring("Z4").to_z4pair())
-    return LinkingForm(2, b, q)
+    p4 = p.mod4()
+    # 2g mod 4 is g mod 2 on the hi plane
+    return LinkingForm(2, ((p4[0], 1), (1, 0)), (p4, (0, g.mod4()[0])))
 
 
 def eval_bq(form, x, y):
@@ -487,15 +483,13 @@ def find_lagrangian(form, degree_bound):
 
 
 def witt_four_term_instance(p):
-    """The rank-8 sum (N_{t,p} + N_{p,t}) + (-(N_{1,tp} + N_{tp,1}))
-    together with its standard sublagrangian span(v0, v1), where
+    """The rank-8 sum (N_{t,p} + N_{p,t}) + (-(N_{1,tp} + N_{tp,1})) for p
+    over Z, together with its standard sublagrangian span(v0, v1), where
     v0 = p_ev e4 + e6 + t p_od e8 and v1 = e2 + p_od e4 + p_ev e8 use the
-    even/odd split of p mod 2.  Reducing at this sublagrangian certifies
-    [N_{t,p}] + [N_{p,t}] = [N_{1,tp}] + [N_{tp,1}]."""
-    if p.ring != "Z":
-        raise ValueError("p must be a polynomial over Z")
-    t = Polynomial.t("Z")
-    one = Polynomial.one("Z")
+    even/odd split p = p_ev^2 + t p_od^2 mod 2.  Reducing at this
+    sublagrangian certifies [N_{t,p}] + [N_{p,t}] = [N_{1,tp}] + [N_{tp,1}]."""
+    t = Polynomial.t()
+    one = Polynomial.one()
     G = direct_sum(
         [
             make_N(t, p),
@@ -504,8 +498,9 @@ def witt_four_term_instance(p):
             negate(make_N(t * p, one)),
         ]
     )
-    ev, od = even_odd_decompose(p.map_ring("F2"))
-    pe, po = ev.to_bits(), od.to_bits()
+    # p_ev takes the even-exponent coefficients of p mod 2, p_od the odd ones
+    pe = sum((c & 1) << k for k, c in enumerate(p.coeffs[0::2]))
+    po = sum((c & 1) << k for k, c in enumerate(p.coeffs[1::2]))
     v0 = (0, 0, 0, pe, 0, 1, 0, gf2_mul(2, po))  # t*p_od
     v1 = (0, 1, 0, po, 0, 0, 0, pe)
     return G, Submodule.from_generators((v0, v1), 8)

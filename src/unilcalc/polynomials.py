@@ -1,15 +1,18 @@
-"""Exact univariate polynomials over Z, F2 and Z4, plus the two quotient
-normal forms the switch calculus runs on.
+"""Exact univariate polynomials: dense ones over Z, the text of F2[t] and
+Z4[t] bitmasks, and the two quotient normal forms the switch calculus runs
+on.
 
-Coefficient rings are tagged by name.  F2 and Z4 coefficients are stored as
-canonical residues (0..1, 0..3).  The textual canonical form is
-``coeff*t^exp`` terms joined by ``+`` with exponents descending, e.g.
-``3*t^2+2*t^1+1*t^0``; the parser additionally accepts the shorthands
-``t``, ``t^k``, bare integers and signed coefficients, and a coefficient
-written as a fraction a/b when its value is an integer.
-
-The quotient rings work on the bitmasks of unilcalc.kernels: an int for
-F2[t], a (lo, hi) pair for Z4[t].
+Polynomial is the dense Z[t] type of the paper's parameters p and g.  F2[t]
+and Z4[t] polynomials are the bitmasks of unilcalc.kernels, an int for
+F2[t] and a (lo, hi) pair for Z4[t]; parse_f2 and parse_z4 read text
+straight into them, and render prints them, or a Polynomial.  The textual
+canonical form is ``coeff*t^exp`` terms joined by ``+`` with exponents
+descending, e.g. ``3*t^2+2*t^1+1*t^0``, and render's compact form drops
+unit coefficients and ``^1``, e.g. ``3*t^2+2*t+1``.  The parsers
+additionally accept the shorthands ``t``, ``t^k``, bare integers and
+signed coefficients, and a coefficient written as a fraction a/b when its
+value is an integer; parse_f2 and parse_z4 reduce the integer coefficients
+mod 2 and mod 4.
 
 * idem_reduce: F2[t] modulo the subgroup {f^2 - f}.  Confluent rewrite
   t^(2k) -> t^k for k >= 1; canonical representatives are supported on
@@ -17,8 +20,6 @@ F2[t], a (lo, hi) pair for Z4[t].
 * versch_reduce: t*Z4[t] modulo the subgroup {2p(t^2) - 2p(t)}.  For an even
   exponent 2k with coefficient 2 or 3, subtract 2(t^(2k) - t^k); canonical
   representatives have even-exponent coefficients in {0, 1}.
-
-even_odd_decompose splits p in F2[t] as p = p_ev^2 + t*p_od^2.
 """
 
 from __future__ import annotations
@@ -27,54 +28,39 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-RINGS = ("Z", "F2", "Z4")
-
-_MOD = {"F2": 2, "Z4": 4}
-
-# parse_poly builds a dense coefficient tuple, so it refuses exponents above
-# this before allocating anything
+# the parsers refuse exponents above this before building anything from
+# them: parse_poly's dense tuple and the bitmasks of parse_f2 and parse_z4
+# grow with the largest exponent
 MAX_EXPONENT = 1 << 16
-# parse_poly refuses a coefficient numerator or denominator with more digits
+# the parsers refuse a coefficient numerator or denominator with more digits
 # than this before converting it; it stays below Python's own default limit
 # on int/str conversion (4300 digits), whose message names no position
 MAX_COEFFICIENT_DIGITS = 4000
 
 
-def _canon(ring, c):
-    m = _MOD.get(ring)
-    return c % m if m else int(c)
-
-
 @dataclass(frozen=True)
 class Polynomial:
-    """Immutable dense polynomial; coeffs[k] is the coefficient of t^k."""
+    """Immutable dense polynomial over Z; coeffs[k] is the coefficient of t^k."""
 
-    ring: str
     coeffs: tuple
 
     def __post_init__(self):
-        if self.ring not in RINGS:
-            raise ValueError(f"unknown ring {self.ring!r}")
-        cs = [_canon(self.ring, c) for c in self.coeffs]
+        cs = [int(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, ())
+    def zero(cls):
+        return cls(())
 
     @classmethod
-    def one(cls, ring):
-        return cls(ring, (1,))
+    def one(cls):
+        return cls((1,))
 
     @classmethod
-    def t(cls, ring):
-        return cls(ring, (0, 1))
-
-    @classmethod
-    def monomial(cls, ring, k, c=1):
-        return cls(ring, (0,) * k + (c,))
+    def t(cls):
+        return cls((0, 1))
 
     @property
     def degree(self):
@@ -82,90 +68,89 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _canon(self.ring, 0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def is_zero(self):
         return not self.coeffs
 
+    def mod4(self):
+        """p mod 4 as a Z4[t] (lo, hi) pair; lo alone is p mod 2 as an F2[t]
+        bitmask."""
+        return _z4(enumerate(self.coeffs))
+
     def _check(self, other):
         if not isinstance(other, Polynomial):
             raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if other.ring != self.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other):
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.ring,
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n)),
-        )
+        return Polynomial(tuple(self.coefficient(k) + other.coefficient(k) for k in range(n)))
 
     def __neg__(self):
-        return Polynomial(self.ring, tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(self.ring, tuple(c * other for c in self.coeffs))
+            return Polynomial(tuple(c * other for c in self.coeffs))
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.ring)
+            return Polynomial.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Polynomial(self.ring, tuple(out))
+        return Polynomial(tuple(out))
 
     __rmul__ = __mul__
 
-    def map_ring(self, ring):
-        """Reinterpret coefficients in another ring (reduction or lift)."""
-        return Polynomial(ring, self.coeffs)
-
-    def to_bits(self):
-        if self.ring != "F2":
-            raise ValueError("to_bits needs an F2 polynomial")
-        return sum(1 << k for k, c in enumerate(self.coeffs) if c)
-
-    @classmethod
-    def from_bits(cls, bits):
-        return cls("F2", tuple((bits >> k) & 1 for k in range(bits.bit_length())))
-
-    def to_z4pair(self):
-        if self.ring != "Z4":
-            raise ValueError("to_z4pair needs a Z4 polynomial")
-        lo = hi = 0
-        for k, c in enumerate(self.coeffs):
-            lo |= (c & 1) << k
-            hi |= (c >> 1) << k
-        return lo, hi
-
-    @classmethod
-    def from_z4pair(cls, lo, hi):
-        n = max(lo.bit_length(), hi.bit_length())
-        return cls("Z4", tuple(((lo >> k) & 1) + 2 * ((hi >> k) & 1) for k in range(n)))
-
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        out = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if not c:
-                continue
-            if not out:
-                out.append(f"{c}*t^{k}")
-            elif c < 0:
-                out.append(f"-{-c}*t^{k}")
-            else:
-                out.append(f"+{c}*t^{k}")
-        return "".join(out)
+        return render(self)
 
     __repr__ = __str__
+
+
+def _z4(terms):
+    """The Z4[t] (lo, hi) pair of (exponent, integer coefficient) pairs,
+    each exponent at most once."""
+    lo = hi = 0
+    for e, c in terms:
+        lo |= (c & 1) << e
+        hi |= (c >> 1 & 1) << e
+    return lo, hi
+
+
+def _terms(p):
+    """The (exponent, coefficient) pairs of p's nonzero terms, exponents
+    descending; p is a Polynomial, an F2[t] bitmask or a Z4[t] pair."""
+    if isinstance(p, Polynomial):
+        return [(k, c) for k, c in reversed(tuple(enumerate(p.coeffs))) if c]
+    lo, hi = (p, 0) if isinstance(p, int) else p
+    # the binary digits, read once, keep this linear in the degree
+    n = max(lo.bit_length(), hi.bit_length())
+    digits = zip(f"{lo:0{n}b}", f"{hi:0{n}b}")
+    return [(n - 1 - i, int(a) + 2 * int(b)) for i, (a, b) in enumerate(digits) if a == "1" or b == "1"]
+
+
+def render(p, compact=False):
+    """p as text: a Polynomial, an F2[t] bitmask or a Z4[t] (lo, hi) pair,
+    in canonical form, or with compact=True without unit coefficients and
+    ^1 exponents."""
+    out = []
+    for k, c in _terms(p):
+        if not compact:
+            body = f"{abs(c)}*t^{k}"
+        elif k == 0:
+            body = str(abs(c))
+        else:
+            tpart = "t" if k == 1 else f"t^{k}"
+            body = tpart if abs(c) == 1 else f"{abs(c)}*{tpart}"
+        out.append(f"-{body}" if c < 0 else f"+{body}" if out else body)
+    return "".join(out) or "0"
 
 
 _TERM_RE = re.compile(
@@ -221,11 +206,10 @@ def _coefficient(text, pos):
     return Fraction(sign * int(num), int(den))
 
 
-def parse_poly(text, ring):
-    """Parse the textual polynomial grammar; errors carry the offset in
+def _parse_terms(text):
+    """The textual polynomial grammar as a dict {exponent: integer
+    coefficient}, repeated exponents summed; errors carry the offset in
     text as given, leading blanks included."""
-    if ring not in RINGS:
-        raise ValueError(f"unknown ring {ring!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial at position 0")
@@ -250,42 +234,24 @@ def parse_poly(text, ring):
             e = 0
         if c.denominator != 1:
             raise ValueError(f"fractional coefficient at position {pos}")
-        c = int(c)
-        coeffs[e] = coeffs.get(e, 0) + c
-    n = max(coeffs) + 1
-    return Polynomial(ring, tuple(coeffs.get(k, 0) for k in range(n)))
+        coeffs[e] = coeffs.get(e, 0) + int(c)
+    return coeffs
 
 
-def compact_str(p):
-    """Human rendering: unit coefficients and ^1 exponents are omitted."""
-    if p.is_zero():
-        return "0"
-    out = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if not c:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            tpart = "t" if k == 1 else f"t^{k}"
-            body = tpart if abs(c) == 1 else f"{abs(c)}*{tpart}"
-        if c < 0:
-            out.append(f"-{body}")
-        elif out:
-            out.append(f"+{body}")
-        else:
-            out.append(body)
-    return "".join(out)
+def parse_poly(text):
+    """A Polynomial over Z from text."""
+    coeffs = _parse_terms(text)
+    return Polynomial(tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1)))
 
 
-def even_odd_decompose(p):
-    """Split p in F2[t] as p = p_ev^2 + t*p_od^2; returns (p_ev, p_od)."""
-    if p.ring != "F2":
-        raise ValueError("even/odd decomposition works over F2")
-    ev = tuple(p.coefficient(2 * k) for k in range((p.degree // 2) + 1))
-    od = tuple(p.coefficient(2 * k + 1) for k in range((p.degree + 1) // 2))
-    return Polynomial("F2", ev), Polynomial("F2", od)
+def parse_f2(text):
+    """An F2[t] bitmask from text, the coefficients reduced mod 2."""
+    return parse_z4(text)[0]
+
+
+def parse_z4(text):
+    """A Z4[t] (lo, hi) pair from text, the coefficients reduced mod 4."""
+    return _z4(_parse_terms(text).items())
 
 
 def idem_reduce(bits):

@@ -10,17 +10,17 @@ the two free factors of Z2 * Z2) acts by (x, y) |-> (x, pi(x) + y) on
 UNil_3 and as the identity on UNil_2.
 
 Coordinates are the bitmasks of unilcalc.kernels: the UNil_2 class and y
-are ints, x is a (lo, hi) pair, each a canonical representative.  A
-Polynomial appears only where input is read (j1, j2,
-UNil2Element.from_poly, parse_unil3, the generator dictionary) and where
-a coordinate is printed.
+are ints, x is a (lo, hi) pair, each a canonical representative.  Text
+is read and printed straight from them (polynomials.parse_f2, parse_z4 and
+render); a Polynomial over Z appears only as the parameters p and g of
+the generator dictionary.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from unilcalc.kernels import gf2_mul, z4_add, z4_neg
-from unilcalc.polynomials import Polynomial, compact_str, idem_reduce, parse_poly, versch_reduce
+from unilcalc.polynomials import idem_reduce, parse_f2, parse_z4, render, versch_reduce
 
 _ZERO_X = (0, 0)
 
@@ -42,12 +42,6 @@ class UNil2Element:
     def zero(cls):
         return cls(0)
 
-    @classmethod
-    def from_poly(cls, p):
-        if p.ring == "Z":
-            p = p.map_ring("F2")
-        return cls(idem_reduce(p.to_bits()))
-
     def __add__(self, other):
         # canonical representatives are closed under addition
         return UNil2Element(self.arf_bits ^ other.arf_bits)
@@ -60,9 +54,9 @@ class UNil2Element:
     def is_zero(self):
         return not self.arf_bits
 
-    def literal(self, fmt=str):
-        """'[p]' with p rendered by fmt."""
-        return f"[{fmt(Polynomial.from_bits(self.arf_bits))}]"
+    def literal(self, compact=False):
+        """'[p]' with p rendered by polynomials.render."""
+        return f"[{render(self.arf_bits, compact)}]"
 
     __str__ = __repr__ = literal
 
@@ -103,41 +97,35 @@ class UNil3Element:
     def is_zero(self):
         return self.x == _ZERO_X and not self.y
 
-    def literal(self, fmt=str):
-        """'j1[x] + j2[y]' with the coordinates rendered by fmt, zero
-        coordinates left out; '0' for the zero element."""
+    def literal(self, compact=False):
+        """'j1[x] + j2[y]' with the coordinates rendered by
+        polynomials.render, zero coordinates left out; '0' for the zero
+        element."""
         parts = []
         if self.x != _ZERO_X:
-            parts.append(f"j1[{fmt(Polynomial.from_z4pair(*self.x))}]")
+            parts.append(f"j1[{render(self.x, compact)}]")
         if self.y:
-            parts.append(f"j2[{fmt(Polynomial.from_bits(self.y))}]")
+            parts.append(f"j2[{render(self.y, compact)}]")
         return " + ".join(parts) or "0"
 
     __str__ = __repr__ = literal
 
     def to_json_dict(self):
-        return {"x": str(Polynomial.from_z4pair(*self.x)), "y": str(Polynomial.from_bits(self.y))}
+        return {"x": render(self.x), "y": render(self.y)}
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(
-            versch_reduce(*parse_poly(data["x"], "Z4").to_z4pair()),
-            parse_poly(data["y"], "F2").to_bits(),
-        )
+        return cls(versch_reduce(*parse_z4(data["x"])), parse_f2(data["y"]))
 
 
-def j1(p):
-    """The class with x-coordinate [p]; accepts Z or Z4 coefficients."""
-    if p.ring == "Z":
-        p = p.map_ring("Z4")
-    return UNil3Element(versch_reduce(*p.to_z4pair()), 0)
+def j1(x):
+    """The class with x-coordinate [x], x a Z4[t] (lo, hi) pair."""
+    return UNil3Element(versch_reduce(*x), 0)
 
 
-def j2(p):
-    """The class with y-coordinate p; accepts Z or F2 coefficients."""
-    if p.ring == "Z":
-        p = p.map_ring("F2")
-    return UNil3Element(_ZERO_X, p.to_bits())
+def j2(y):
+    """The class with y-coordinate y, an F2[t] bitmask."""
+    return UNil3Element(_ZERO_X, y)
 
 
 def unil_add(lhs, rhs):
@@ -204,8 +192,8 @@ def _resolve_shape(p, g):
     G = 1 and P(0) = 0 (the j1 shape) or (P, G) is a terminal unresolved
     symbol.
     """
-    lo, hi = p.map_ring("Z4").to_z4pair()
-    G = g.map_ring("F2").to_bits()
+    lo, hi = p.mod4()
+    G = g.mod4()[0]
     if G:
         n = _low_exponent(G)
         G >>= n
@@ -251,7 +239,7 @@ def n_class_combination(terms):
         P, G = bad[0]
         raise ValueError(
             "shape outside the generated dictionary: "
-            f"N_{{{Polynomial.from_z4pair(*P)},{Polynomial.from_bits(G)}}} does not cancel"
+            f"N_{{{render(P)},{render(G)}}} does not cancel"
         )
     return total
 
@@ -364,7 +352,7 @@ def enumerate_truncated(group, degree_cutoff):
 def compact_literal(e):
     """Element literal with compact polynomial rendering, e.g. 'j1[t] + j2[t^2]'
     on UNil_3 and '[t]' on UNil_2."""
-    return e.literal(compact_str)
+    return e.literal(compact=True)
 
 
 def _moved(message, offset):
@@ -406,7 +394,7 @@ def parse_unil3(text):
             raise ValueError(f"unterminated bracket at position {i + 2}")
         inner = s[i + 3 : close]
         try:
-            e = j1(parse_poly(inner, "Z4")) if tag == "j1" else j2(parse_poly(inner, "F2"))
+            e = j1(parse_z4(inner)) if tag == "j1" else j2(parse_f2(inner))
         except ValueError as exc:
             raise ValueError(_moved(str(exc), i + 3)) from None
         total = total + e

@@ -11,8 +11,6 @@ import io
 import json
 from itertools import combinations_with_replacement, product
 
-from unilcalc.polynomials import Polynomial
-
 
 def f2_span(gens):
     """Subgroup of (F2-vector) ints spanned by gens, as a set."""
@@ -63,33 +61,52 @@ def all_z4_vectors(max_exp):
         yield (0,) + tail
 
 
-def dense_idem_reduce(p):
-    """Reference for polynomials.idem_reduce on a dense F2 Polynomial: the
-    rewrite t^(2k) -> t^k on its coefficient list, from the top down."""
-    if p.ring != "F2":
-        raise ValueError("idem_reduce works over F2")
-    cs = list(p.coeffs)
+def f2_bits(cs):
+    """The F2[t] bitmask of integer coefficients cs (cs[k] of t^k), read mod 2."""
+    return sum((c % 2) << k for k, c in enumerate(cs))
+
+
+def z4_pair(cs):
+    """The Z4[t] (lo, hi) pair of integer coefficients cs, read mod 4."""
+    return f2_bits(cs), f2_bits(c % 4 // 2 for c in cs)
+
+
+def f2_coeffs(bits):
+    """The 0/1 coefficients of an F2[t] bitmask, constant term first."""
+    return tuple(bits >> k & 1 for k in range(bits.bit_length()))
+
+
+def z4_coeffs(pair):
+    """The 0..3 coefficients of a Z4[t] (lo, hi) pair, constant term first."""
+    lo, hi = pair
+    return tuple((lo >> k & 1) + 2 * (hi >> k & 1) for k in range(max(lo.bit_length(), hi.bit_length())))
+
+
+def dense_idem_reduce(cs):
+    """Reference for polynomials.idem_reduce on integer coefficients cs read
+    mod 2: the rewrite t^(2k) -> t^k on the coefficient list, from the top
+    down.  Returns the F2[t] bitmask of the result."""
+    cs = [c % 2 for c in cs]
     for e in range(len(cs) - 1, 1, -1):
         if e % 2 == 0 and cs[e]:
             cs[e] = 0
             cs[e // 2] ^= 1
-    return Polynomial("F2", tuple(cs))
+    return f2_bits(cs)
 
 
-def dense_versch_reduce(p):
-    """Reference for polynomials.versch_reduce on a dense Z4 Polynomial:
-    wherever an even exponent 2k has coefficient 2 or 3, subtract
-    2(t^(2k) - t^k), from the top down."""
-    if p.ring != "Z4":
-        raise ValueError("versch_reduce works over Z4")
-    if p.coefficient(0):
+def dense_versch_reduce(cs):
+    """Reference for polynomials.versch_reduce on integer coefficients cs
+    read mod 4: wherever an even exponent 2k has coefficient 2 or 3,
+    subtract 2(t^(2k) - t^k), from the top down.  Returns the Z4[t] pair of
+    the result."""
+    cs = [c % 4 for c in cs]
+    if cs and cs[0]:
         raise ValueError("nonzero constant term")
-    cs = list(p.coeffs)
     for e in range(len(cs) - 1, 1, -1):
         if e % 2 == 0 and cs[e] >= 2:
             cs[e] -= 2
             cs[e // 2] = (cs[e // 2] + 2) % 4
-    return Polynomial("Z4", tuple(cs))
+    return z4_pair(cs)
 
 
 def unil_coefficient_tuple(e, max_exp):
@@ -197,25 +214,33 @@ def lagrangian_candidates_by_eval_bq(form, pivots, bound):
     """Reference for linking._lagrangian_candidates: for every pivot value
     tuple, build each row's full product of slot values and keep the rows
     with eval_bq(form, row, row) giving q = 0, then yield the product of
-    the kept rows.  No tables, no incremental q and no reuse of row lists
-    between pivot value tuples."""
+    the kept rows.  No tables and no incremental q.  A row list is a pure
+    function of its pivot slot, its pivot value and its slots' value
+    ranges, so it is built once per such key and reused under that exact
+    key only."""
     from unilcalc.linking import eval_bq
 
     k = form.rank
     r = len(pivots)
     free_space = range(1 << (bound + 1))
+    row_lists = {}
     for pvals in product(range(1, 1 << (bound + 1)), repeat=r):
         deg_of = {pivots[i]: pvals[i].bit_length() - 1 for i in range(r)}
         per_row = []
         for i in range(r):
-            slots = []
-            for c in range(pivots[i] + 1, k):
-                slots.append(range(1 << deg_of[c]) if c in deg_of else free_space)
-            rows = []
-            for vals in product(*slots):
-                row = (0,) * pivots[i] + (pvals[i],) + vals
-                if eval_bq(form, row, row)[1] == (0, 0):
-                    rows.append(row)
+            slots = tuple(
+                range(1 << deg_of[c]) if c in deg_of else free_space
+                for c in range(pivots[i] + 1, k)
+            )
+            key = (pivots[i], pvals[i], slots)
+            if key not in row_lists:
+                head = (0,) * pivots[i] + (pvals[i],)
+                row_lists[key] = [
+                    head + vals
+                    for vals in product(*slots)
+                    if eval_bq(form, head + vals, head + vals)[1] == (0, 0)
+                ]
+            rows = row_lists[key]
             if not rows:
                 break
             per_row.append(rows)

@@ -145,7 +145,7 @@ class TestArf:
         assert doc["zero"] is True and doc["arf"] == "0"
 
     def test_odd_form_rejected(self, capsys, tmp_path):
-        t, one = Polynomial.t("Z"), Polynomial.one("Z")
+        t, one = Polynomial.t(), Polynomial.one()
         from unilcalc.linking import make_N
 
         path = tmp_path / "f.json"
@@ -192,7 +192,7 @@ class TestWittCheck:
         assert doc["lagrangian"] is None and doc["witt_trivial_witness"] is False
 
     def test_sublagrangian_pipeline(self, capsys, tmp_path):
-        G, S = witt_four_term_instance(Polynomial.t("Z"))
+        G, S = witt_four_term_instance(Polynomial.t())
         path = tmp_path / "f.json"
         path.write_text(
             json.dumps({"form": G.to_json_dict(), "sublagrangian": S.to_json_dict()})
@@ -590,7 +590,7 @@ class TestJobsFlag:
     def argv(self, request, tmp_path):
         if request.param == "verify-paper":
             return ("verify-paper", "--degree", "1")
-        G, S = witt_four_term_instance(Polynomial.t("Z"))
+        G, S = witt_four_term_instance(Polynomial.t())
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"form": G.to_json_dict(), "sublagrangian": S.to_json_dict()}))
         return ("witt-check", str(path), "--bound", "2")

@@ -20,16 +20,16 @@ from unilcalc.polynomials import Polynomial
 
 DZERO = DihedralElement.zero()
 DTWO = DONE * 2
-T = Polynomial.t("Z")
-ONE = Polynomial.one("Z")
+T = Polynomial.t()
+ONE = Polynomial.one()
 
 
 def zpoly(rng, deg=2, lo=-3, hi=3):
-    return Polynomial("Z", tuple(rng.randint(lo, hi) for _ in range(deg + 1)))
+    return Polynomial(tuple(rng.randint(lo, hi) for _ in range(deg + 1)))
 
 
 def bits_poly(rng, deg):
-    return Polynomial("Z", tuple(rng.randint(0, 1) for _ in range(deg + 1)))
+    return Polynomial(tuple(rng.randint(0, 1) for _ in range(deg + 1)))
 
 
 def times_a(q):
@@ -180,12 +180,6 @@ class TestInduceForm:
         z = QuadraticFormTheta((), -1)
         assert z.rank == 0 and z.lam() == () and z.mu() == ()
         assert forms_equal(z, z)
-
-    def test_rejects_non_z_parameters(self):
-        with pytest.raises(ValueError, match="over Z"):
-            generator_form(Polynomial.t("F2"), ONE)
-        with pytest.raises(ValueError, match="over Z"):
-            standard_resolution(ONE, Polynomial.one("Z4"))
 
 
 class TestResolutions:

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from tests.helpers_oracles import f2_bits, f2_coeffs, z4_coeffs, z4_pair
 from unilcalc import kernels
 from unilcalc.polynomials import Polynomial
 
 
 def zpoly(bits):
-    return Polynomial("Z", tuple(bits >> k & 1 for k in range(bits.bit_length())))
+    return Polynomial(f2_coeffs(bits))
 
 
 class TestF2:
@@ -22,7 +23,7 @@ class TestF2:
         rng = random.Random(10)
         for _ in range(300):
             a, b = rng.getrandbits(24), rng.getrandbits(24)
-            expect = (zpoly(a) * zpoly(b)).map_ring("F2").to_bits()
+            expect = f2_bits((zpoly(a) * zpoly(b)).coeffs)
             assert kernels.gf2_mul(a, b) == expect
 
     def test_divmod_invariant(self):
@@ -73,25 +74,25 @@ class TestZ4:
         rng = random.Random(14)
         for _ in range(300):
             a, b = self.rand_pair(rng), self.rand_pair(rng)
-            pa, pb = Polynomial.from_z4pair(*a), Polynomial.from_z4pair(*b)
-            assert Polynomial.from_z4pair(*kernels.z4_add(*a, *b)) == pa + pb
-            assert Polynomial.from_z4pair(*kernels.z4_neg(*a)) == -pa
+            pa, pb = Polynomial(z4_coeffs(a)), Polynomial(z4_coeffs(b))
+            assert kernels.z4_add(*a, *b) == z4_pair((pa + pb).coeffs)
+            assert kernels.z4_neg(*a) == z4_pair((-pa).coeffs)
             assert kernels.z4_add(*a, *kernels.z4_neg(*a)) == (0, 0)
 
     def test_mul_against_convolution(self):
         rng = random.Random(15)
         for _ in range(200):
             a, b = self.rand_pair(rng), self.rand_pair(rng)
-            pa, pb = Polynomial.from_z4pair(*a), Polynomial.from_z4pair(*b)
-            assert Polynomial.from_z4pair(*kernels.z4_mul(*a, *b)) == pa * pb
+            pa, pb = Polynomial(z4_coeffs(a)), Polynomial(z4_coeffs(b))
+            assert kernels.z4_mul(*a, *b) == z4_pair((pa * pb).coeffs)
         assert kernels.z4_mul(0, 0, 1, 1) == (0, 0)
 
     def test_sq_lift(self):
         rng = random.Random(16)
         for _ in range(200):
             f = rng.getrandbits(20)
-            sq = (zpoly(f) * zpoly(f)).map_ring("Z4")
-            assert Polynomial.from_z4pair(*kernels.z4_sq_lift(f)) == sq
+            sq = zpoly(f) * zpoly(f)
+            assert kernels.z4_sq_lift(f) == z4_pair(sq.coeffs)
 
 
 @pytest.mark.parametrize(
@@ -107,8 +108,8 @@ def test_pure_z4_mul_long_operands(la, lb):
         return lo | 1 << (n - 1), hi  # exactly n coefficients
 
     a, b = operand(la), operand(lb)
-    pa, pb = Polynomial.from_z4pair(*a), Polynomial.from_z4pair(*b)
-    assert Polynomial.from_z4pair(*kernels.z4_mul(*a, *b)) == pa * pb
+    pa, pb = Polynomial(z4_coeffs(a)), Polynomial(z4_coeffs(b))
+    assert kernels.z4_mul(*a, *b) == z4_pair((pa * pb).coeffs)
 
 
 @pytest.mark.parametrize("n", [7300, 8000, 65537])

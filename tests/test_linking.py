@@ -4,7 +4,12 @@ import re
 
 import pytest
 
-from tests.helpers_oracles import even_form_with_known_arf, lagrangian_candidates_by_eval_bq
+from tests.helpers_oracles import (
+    even_form_with_known_arf,
+    f2_bits,
+    lagrangian_candidates_by_eval_bq,
+    z4_pair,
+)
 from unilcalc import linking
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
 from unilcalc.linking import (
@@ -31,8 +36,8 @@ from unilcalc.dihedral import ONE as DONE, DihedralElement
 from unilcalc.forms import QuadResolution, standard_resolution
 from unilcalc.polynomials import Polynomial
 
-T = Polynomial.t("Z")
-ONE = Polynomial.one("Z")
+T = Polynomial.t()
+ONE = Polynomial.one()
 DZERO = DihedralElement.zero()
 
 
@@ -42,7 +47,7 @@ def times_a(q):
 
 
 def zpoly(rng, deg=3, lo=-3, hi=3):
-    return Polynomial("Z", tuple(rng.randint(lo, hi) for _ in range(deg + 1)))
+    return Polynomial(tuple(rng.randint(lo, hi) for _ in range(deg + 1)))
 
 
 def hyperbolic(q1=(0, 0), q2=(0, 0)):
@@ -72,34 +77,32 @@ def rand_form(rng, k=2, deg=2, even=False):
 # lifts; agreement across shifts is exactly lift-independence
 def _lift_bits(bits, rng, step):
     n = bits.bit_length() + 2
-    return Polynomial("Z", tuple((bits >> k & 1) + step * rng.randint(-2, 2) for k in range(n)))
+    return Polynomial(tuple((bits >> k & 1) + step * rng.randint(-2, 2) for k in range(n)))
 
 
 def _lift_pair(pair, rng):
     lo, hi = pair
     n = max(lo.bit_length(), hi.bit_length()) + 2
-    return Polynomial(
-        "Z", tuple((lo >> k & 1) + 2 * (hi >> k & 1) + 4 * rng.randint(-2, 2) for k in range(n))
-    )
+    return Polynomial(tuple((lo >> k & 1) + 2 * (hi >> k & 1) + 4 * rng.randint(-2, 2) for k in range(n)))
 
 
 def q_oracle(form, x, rng):
     X = [_lift_bits(xi, rng, 2) for xi in x]
     Q = [_lift_pair(qn, rng) for qn in form.q_num]
-    total = Polynomial.zero("Z")
+    total = Polynomial.zero()
     for i in range(form.rank):
         total = total + X[i] * X[i] * Q[i]
         for j in range(i + 1, form.rank):
             total = total + X[i] * X[j] * _lift_bits(form.b_num[i][j], rng, 2) * 2
-    return total.map_ring("Z4").to_z4pair()
+    return z4_pair(total.coeffs)
 
 
 def b_oracle(form, x, y, rng):
-    total = Polynomial.zero("Z")
+    total = Polynomial.zero()
     for i in range(form.rank):
         for j in range(form.rank):
             total = total + _lift_bits(x[i], rng, 2) * _lift_bits(form.b_num[i][j], rng, 2) * _lift_bits(y[j], rng, 2)
-    return total.map_ring("F2").to_bits()
+    return f2_bits(total.coeffs)
 
 
 class TestMakeN:
@@ -115,7 +118,7 @@ class TestMakeN:
 
     def test_zero_zero_is_regular(self):
         # b_num = [[0,1],[1,0]] has det 1, so the form is fine
-        f = make_N(Polynomial.zero("Z"), Polynomial.zero("Z"))
+        f = make_N(Polynomial.zero(), Polynomial.zero())
         assert f.b_num == ((0, 1), (1, 0))
         assert f.q_num == ((0, 0), (0, 0))
 
@@ -184,8 +187,8 @@ class TestSumAndNegate:
         for _ in range(10):
             p = zpoly(rng)
             f = direct_sum([make_N(T, p), make_N(p, T)])
-            pb = p.map_ring("F2").to_bits()
-            p4 = p.map_ring("Z4").to_z4pair()
+            pb = f2_bits(p.coeffs)
+            p4 = z4_pair(p.coeffs)
             assert f.b_num == (
                 (0b10, 1, 0, 0),
                 (1, 0, 0, 0),
@@ -302,10 +305,8 @@ class TestComplement:
 
 
 def u_vectors(p):
-    from unilcalc.polynomials import even_odd_decompose
-
-    ev, od = even_odd_decompose(p.map_ring("F2"))
-    pe, po = ev.to_bits(), od.to_bits()
+    # p = p_ev^2 + t p_od^2 mod 2
+    pe, po = f2_bits(p.coeffs[0::2]), f2_bits(p.coeffs[1::2])
     u1 = (po, 0, 1, 0, pe, 0, 0, 0)
     u2 = (0, 0, 0, 1, 0, 0, 0, 0)
     u3 = (pe, 0, 0, 0, gf2_mul(2, po), 0, 1, 0)
@@ -344,7 +345,7 @@ class TestSublagrangian:
 
     def test_four_term_instance_small_sweep(self):
         for bits in range(16):
-            p = Polynomial("Z", tuple(bits >> k & 1 for k in range(4)))
+            p = Polynomial(tuple(bits >> k & 1 for k in range(4)))
             G, S = witt_four_term_instance(p)
             red = sublagrangian_reduce(G, S)
             assert red.rank == 4
@@ -448,7 +449,7 @@ class TestFindLagrangian:
 
 
 def reduced_four_term(bits):
-    p = Polynomial("Z", tuple(bits >> k & 1 for k in range(4)))
+    p = Polynomial(tuple(bits >> k & 1 for k in range(4)))
     return sublagrangian_reduce(*witt_four_term_instance(p))
 
 

@@ -3,8 +3,16 @@ import time
 
 import pytest
 
-from tests.helpers_oracles import dense_versch_reduce, switch_orbits, unil_coefficient_tuple
-from unilcalc.polynomials import Polynomial, versch_reduce
+from tests.helpers_oracles import (
+    dense_versch_reduce,
+    f2_bits,
+    f2_coeffs,
+    switch_orbits,
+    unil_coefficient_tuple,
+    z4_coeffs,
+    z4_pair,
+)
+from unilcalc.polynomials import Polynomial, idem_reduce, versch_reduce
 from unilcalc.unil import (
     B_coords,
     UNil2Element,
@@ -24,57 +32,67 @@ from unilcalc.unil import (
     unil_add,
 )
 
-T = Polynomial.t("Z")
-ONE = Polynomial.one("Z")
+T = Polynomial.t()
+ONE = Polynomial.one()
+
+
+def J1(p):
+    """j1 of a Polynomial over Z, read mod 4."""
+    return j1(p.mod4())
+
+
+def J2(p):
+    """j2 of a Polynomial over Z, read mod 2."""
+    return j2(p.mod4()[0])
 
 
 def zpoly(rng, deg=3, lo=-3, hi=3):
-    return Polynomial("Z", tuple(rng.randint(lo, hi) for _ in range(deg + 1)))
+    return Polynomial(tuple(rng.randint(lo, hi) for _ in range(deg + 1)))
 
 
 def rand_unil3(rng, deg=3):
-    x = versch_reduce(*Polynomial("Z4", (0,) + tuple(rng.randrange(4) for _ in range(deg))).to_z4pair())
-    y = Polynomial("F2", (0,) + tuple(rng.randrange(2) for _ in range(deg))).to_bits()
+    x = versch_reduce(*z4_pair((0,) + tuple(rng.randrange(4) for _ in range(deg))))
+    y = f2_bits((0,) + tuple(rng.randrange(2) for _ in range(deg)))
     return UNil3Element(x, y)
 
 
 class TestUNil2:
     def test_idem_collapse(self):
-        e = UNil2Element.from_poly(Polynomial("F2", (0, 0, 1)))  # t^2 ~ t
-        assert e == UNil2Element.from_poly(Polynomial("F2", (0, 1)))
+        e = UNil2Element(idem_reduce(0b100))  # t^2 ~ t
+        assert e == UNil2Element(idem_reduce(0b10))
 
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            UNil2Element.from_poly(Polynomial("F2", (1, 1)))
+            UNil2Element(idem_reduce(0b11))
 
     def test_non_canonical_rejected(self):
         # t^2 ~ t: only the canonical bitmask 0b10 names the class
-        assert UNil2Element(0b10) == UNil2Element.from_poly(Polynomial("F2", (0, 0, 1)))
+        assert UNil2Element(0b10) == UNil2Element(idem_reduce(0b100))
         for bits in (0b100, 0b10100, 0b1000010):
             with pytest.raises(ValueError, match="not a canonical representative"):
                 UNil2Element(bits)
 
     def test_order_two(self):
-        e = UNil2Element.from_poly(Polynomial("F2", (0, 1)))
+        e = UNil2Element(0b10)
         assert (e + e).is_zero()
         assert element_order(e) == 2
         assert element_order(UNil2Element.zero()) == 1
 
     def test_switch_is_identity(self):
         for cs in ((), (0, 1), (0, 1, 0, 1)):
-            e = UNil2Element.from_poly(Polynomial("F2", cs))
+            e = UNil2Element(f2_bits(cs))
             assert switch_unil2(e) == e
 
 
 class TestUNil3Basics:
     def test_j1_t_has_order_four(self):
-        e = j1(T)
+        e = j1((0b10, 0))
         assert not (e + e).is_zero()
         assert (e + e + e + e).is_zero()
         assert element_order(e) == 4
 
     def test_j2_has_order_two(self):
-        e = j2(T)
+        e = j2(0b10)
         assert (e + e).is_zero()
         assert element_order(e) == 2
 
@@ -92,21 +110,21 @@ class TestUNil3Basics:
 
     def test_mixed_types_rejected(self):
         with pytest.raises(TypeError):
-            unil_add(j1(T), UNil2Element.zero())
+            unil_add(J1(T), UNil2Element.zero())
 
     def test_even_exponent_class_can_have_order_four(self):
         # doubling [t^2] gives [2t^2] = [2t] != 0 through the relation
-        e = j1(Polynomial("Z", (0, 0, 1)))
+        e = J1(Polynomial((0, 0, 1)))
         assert element_order(e) == 4
-        assert e.doubled() == j1(Polynomial("Z", (0, 2)))
+        assert e.doubled() == J1(Polynomial((0, 2)))
 
     def test_y_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            j2(ONE)
+            j2(1)
 
     def test_non_canonical_x_rejected(self):
         # 2*t^2 ~ 2*t: only the canonical pair (0, 0b10) names the class
-        assert UNil3Element((0, 0b10), 0) == j1(Polynomial("Z", (0, 0, 2)))
+        assert UNil3Element((0, 0b10), 0) == J1(Polynomial((0, 0, 2)))
         for x in ((0, 0b100), (0b100, 0b100), (0b10, 0b10010000)):
             with pytest.raises(ValueError, match="not a canonical representative"):
                 UNil3Element(x, 0)
@@ -122,26 +140,26 @@ class TestUNil3Basics:
 
 class TestPiMap:
     def test_spec_values(self):
-        assert pi_map(versch_reduce(*Polynomial("Z4", (0, 1)).to_z4pair())) == Polynomial("F2", (0, 1)).to_bits()
-        assert pi_map(versch_reduce(*Polynomial("Z4", (0, 2)).to_z4pair())) == 0
-        got = pi_map(versch_reduce(*Polynomial("Z4", (0, 3, 1)).to_z4pair()))
-        assert got == Polynomial("F2", (0, 1, 1)).to_bits()
+        assert pi_map(versch_reduce(*z4_pair((0, 1)))) == f2_bits((0, 1))
+        assert pi_map(versch_reduce(*z4_pair((0, 2)))) == 0
+        got = pi_map(versch_reduce(*z4_pair((0, 3, 1))))
+        assert got == f2_bits((0, 1, 1))
 
     def test_well_defined_across_relations(self):
         rng = random.Random(13)
         for _ in range(40):
-            raw = Polynomial("Z4", (0,) + tuple(rng.randrange(4) for _ in range(5)))
-            assert pi_map(versch_reduce(*raw.to_z4pair())) == raw.map_ring("F2").to_bits()
+            raw = (0,) + tuple(rng.randrange(4) for _ in range(5))
+            assert pi_map(versch_reduce(*z4_pair(raw))) == f2_bits(raw)
 
 
 class TestSwitch3:
     def test_j1_t(self):
-        assert switch_unil3(j1(T)) == j1(T) + j2(T)
+        assert switch_unil3(J1(T)) == J1(T) + J2(T)
 
     def test_j2_fixed(self):
         rng = random.Random(17)
         for _ in range(20):
-            e = j2(T * zpoly(rng))
+            e = J2(T * zpoly(rng))
             assert switch_unil3(e) == e
 
     def test_doubles_fixed(self):
@@ -162,7 +180,7 @@ class TestSwitch3:
             assert (switch_unil3(e) == e) == (pi_map(e.x) == 0)
 
     def test_moved_order_two_element_exists(self):
-        e = j1(Polynomial("Z", (0, 1, 1)))  # x = [t + t^2]
+        e = J1(Polynomial((0, 1, 1)))  # x = [t + t^2]
         assert element_order(e) == 2
         assert switch_unil3(e) != e
 
@@ -172,10 +190,10 @@ class TestBCoords:
         rng = random.Random(29)
         for _ in range(20):
             tp = T * zpoly(rng)
-            b1, b2 = B_coords(j1(tp))
-            assert b1 == tp.map_ring("F2").to_bits() and b2 == 0
-            b1, b2 = B_coords(j2(tp))
-            assert b1 == 0 and b2 == tp.map_ring("F2").to_bits()
+            b1, b2 = B_coords(J1(tp))
+            assert b1 == f2_bits(tp.coeffs) and b2 == 0
+            b1, b2 = B_coords(J2(tp))
+            assert b1 == 0 and b2 == f2_bits(tp.coeffs)
 
     def test_switch_conjugation(self):
         rng = random.Random(31)
@@ -196,10 +214,10 @@ class TestBCoords:
 
 class TestDictionary:
     def test_t_one(self):
-        assert n_class_of_generator(T, ONE) == j1(T)
+        assert n_class_of_generator(T, ONE) == J1(T)
 
     def test_one_t(self):
-        assert n_class_of_generator(ONE, T) == j1(T) + j2(T)
+        assert n_class_of_generator(ONE, T) == J1(T) + J2(T)
 
     def test_p_t_is_switched_j1(self):
         rng = random.Random(37)
@@ -207,25 +225,25 @@ class TestDictionary:
             p = zpoly(rng)
             if p.coefficient(0) == 0:
                 p = p + ONE
-            assert n_class_of_generator(p, T) == switch_unil3(j1(T * p))
+            assert n_class_of_generator(p, T) == switch_unil3(J1(T * p))
 
     def test_tp_one(self):
         rng = random.Random(41)
         for _ in range(20):
             p = zpoly(rng)
-            assert n_class_of_generator(T * p, ONE) == j1(T * p)
+            assert n_class_of_generator(T * p, ONE) == J1(T * p)
 
     def test_one_t_squared(self):
         # two switch rewrites: [N_{1,t^2}] = sw[N_{t,t}] = sw^2[N_{t^2,1}]
-        t2 = Polynomial("Z", (0, 0, 1))
-        assert n_class_of_generator(ONE, t2) == j1(t2)
+        t2 = Polynomial((0, 0, 1))
+        assert n_class_of_generator(ONE, t2) == J1(t2)
 
     def test_mod_reduction_of_slots(self):
-        assert n_class_of_generator(T, Polynomial("Z", (3,))) == j1(T)
-        assert n_class_of_generator(T + Polynomial("Z", (0, 4)), ONE) == j1(T)
+        assert n_class_of_generator(T, Polynomial((3,))) == J1(T)
+        assert n_class_of_generator(T + Polynomial((0, 4)), ONE) == J1(T)
 
     def test_precondition(self):
-        for p, g in ((ONE, ONE), (T, T), (Polynomial.zero("Z"), Polynomial.zero("Z"))):
+        for p, g in ((ONE, ONE), (T, T), (Polynomial.zero(), Polynomial.zero())):
             with pytest.raises(ValueError, match="exactly one"):
                 n_class_of_generator(p, g)
 
@@ -237,7 +255,7 @@ class TestDictionary:
 
     def test_four_term_identity(self):
         for bits in range(32):
-            p = Polynomial("Z", tuple(bits >> k & 1 for k in range(5)))
+            p = Polynomial(tuple(bits >> k & 1 for k in range(5)))
             tp = T * p
             total = n_class_combination(
                 [(1, T, p), (1, p, T), (-1, ONE, tp), (-1, tp, ONE)]
@@ -344,7 +362,7 @@ class TestOrderAndDivisibility:
 
     def test_unil2_multiples(self):
         assert is_multiple_of_two(UNil2Element.zero())
-        assert not is_multiple_of_two(UNil2Element.from_poly(Polynomial("F2", (0, 1))))
+        assert not is_multiple_of_two(UNil2Element(0b10))
 
 
 class TestLiteralsAndJson:
@@ -355,9 +373,9 @@ class TestLiteralsAndJson:
 
     def test_parse_examples(self):
         got = parse_unil3("j1[2*t^3+t] + j2[t]")
-        assert got == j1(Polynomial("Z", (0, 1, 0, 2))) + j2(T)
+        assert got == J1(Polynomial((0, 1, 0, 2))) + J2(T)
         assert parse_unil3("0").is_zero()
-        assert parse_unil3("j2[t^2]") == j2(Polynomial("Z", (0, 0, 1)))
+        assert parse_unil3("j2[t^2]") == j2(0b100)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="position 0"):
@@ -367,32 +385,42 @@ class TestLiteralsAndJson:
         with pytest.raises(ValueError, match="unterminated"):
             parse_unil3("j1[t")
 
+    def test_literal_forms(self):
+        e = j1((0b1010, 0b10)) + j2(0b100)
+        assert e.literal() == str(e) == "j1[1*t^3+3*t^1] + j2[1*t^2]"
+        assert e.literal(compact=True) == "j1[t^3+3*t] + j2[t^2]"
+        assert UNil2Element(0b1010).literal(compact=True) == "[t^3+t]"
+        assert UNil2Element.zero().literal() == "[0]"
+        assert UNil3Element.zero().literal(compact=True) == "0"
+
     def test_literal_reduces_on_parse(self):
         # non-canonical inner polynomials land on canonical classes
-        assert parse_unil3("j1[2*t^2]") == j1(Polynomial("Z", (0, 2)))
+        assert parse_unil3("j1[2*t^2]") == j1((0, 0b10))
         assert parse_unil3("j1[t] + j1[t] + j1[t] + j1[t]").is_zero()
 
 
 class TestAgainstDenseReference:
     """The element operations on bitmasks against dense Polynomial
-    arithmetic reduced by dense_versch_reduce, over every element at
-    cutoff 3."""
+    arithmetic over Z, read mod 4 and reduced by dense_versch_reduce for x
+    and read mod 2 for y, over every element at cutoff 3."""
 
     def test_operations(self):
         elements = enumerate_truncated("UNil3", 3).elements
-        dense = {e: (Polynomial.from_z4pair(*e.x), Polynomial.from_bits(e.y)) for e in elements}
+        dense = {e: (Polynomial(z4_coeffs(e.x)), Polynomial(f2_coeffs(e.y))) for e in elements}
 
         def x_of(p):
-            return dense_versch_reduce(p).to_z4pair()
+            return dense_versch_reduce(p.coeffs)
+
+        def y_of(p):
+            return f2_bits(p.coeffs)
 
         for e in elements:
             x, y = dense[e]
             assert (-e).x == x_of(-x) and (-e).y == e.y
             assert e.doubled() == UNil3Element(x_of(x * 2), 0)
-            pi = x.map_ring("F2")
-            assert switch_unil3(e) == UNil3Element(e.x, (pi + y).to_bits())
-            assert B_coords(e) == (pi.to_bits(), y.to_bits())
+            assert switch_unil3(e) == UNil3Element(e.x, y_of(x + y))
+            assert B_coords(e) == (y_of(x), y_of(y))
             for f in elements:
                 fx, fy = dense[f]
-                assert e + f == UNil3Element(x_of(x + fx), (y + fy).to_bits())
-                assert e - f == UNil3Element(x_of(x - fx), (y - fy).to_bits())
+                assert e + f == UNil3Element(x_of(x + fx), y_of(y + fy))
+                assert e - f == UNil3Element(x_of(x - fx), y_of(y - fy))
