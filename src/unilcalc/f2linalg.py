@@ -22,16 +22,17 @@ def mat_transpose(M):
 
 
 def mat_mul(Am, Bm):
-    Bt = mat_transpose(Bm)
+    # row i of the product is the sum of Am[i][l] * Bm[l] over l, so a zero
+    # entry of Am skips a whole row of Bm
+    n = len(Bm[0]) if Bm else 0
     out = []
     for row in Am:
-        acc = []
-        for col in Bt:
-            s = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    s ^= gf2_mul(x, y)
-            acc.append(s)
+        acc = [0] * n
+        for x, brow in zip(row, Bm):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] ^= gf2_mul(x, y)
         out.append(tuple(acc))
     return tuple(out)
 
@@ -45,7 +46,7 @@ def _row_addmul(rows, dst, src, q):
     # rows[dst] += q * rows[src]
     if not q:
         return
-    rows[dst] = [x ^ gf2_mul(q, y) for x, y in zip(rows[dst], rows[src])]
+    rows[dst] = [x ^ gf2_mul(q, y) if y else x for x, y in zip(rows[dst], rows[src])]
 
 
 def hnf(M):
@@ -127,27 +128,31 @@ def mat_inverse(M):
 
 
 def det(M):
-    """Fraction-free (Bareiss) determinant."""
+    """Determinant by Euclid on the columns.  In column j the rows from j
+    down are divided by the one whose entry has least degree until a single
+    nonzero entry is left, which is swapped up to row j.  A row move
+    adds a multiple of another row and has determinant 1, and a swap has
+    determinant -1 = 1 in characteristic 2, so det M is the product of the
+    pivots."""
     n = len(M)
-    if n == 0:
-        return 1
     A = [list(row) for row in M]
-    prev = 1
-    for k in range(n - 1):
-        if not A[k][k]:
-            i0 = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if i0 is None:
-                return 0
-            A[k], A[i0] = A[i0], A[k]  # char 2, no sign to track
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = gf2_mul(A[i][j], A[k][k]) ^ gf2_mul(A[i][k], A[k][j])
-                q, rem = gf2_divmod(num, prev)
-                if rem:
-                    raise RuntimeError("Bareiss division must be exact")
-                A[i][j] = q
-        prev = A[k][k]
-    return A[n - 1][n - 1]
+    d = 1
+    for j in range(n):
+        rows = [i for i in range(j, n) if A[i][j]]
+        if not rows:
+            return 0
+        while len(rows) > 1:
+            p = min(rows, key=lambda i: A[i][j].bit_length())
+            src = A[p][j:]
+            for i in rows:
+                if i != p:
+                    q, _ = gf2_divmod(A[i][j], src[0])
+                    A[i][j:] = [x ^ gf2_mul(q, y) if y else x for x, y in zip(A[i][j:], src)]
+            rows = [i for i in rows if A[i][j]]
+        p = rows[0]
+        A[j], A[p] = A[p], A[j]
+        d = gf2_mul(d, A[j][j])
+    return d
 
 
 def smith(M):

@@ -6,16 +6,21 @@ numerator of b(e_i, e_j), read in (1/2)Z[t]/Z[t]) and q_num, a length-k
 vector over Z4[t] (the numerator of q(e_i), read in (1/2)Z[t]/2Z[t]).
 Polynomials over F2 are int bitmasks, Z4[t] values are (lo, hi) bit pairs;
 see kernels.  Nonsingularity (det b_num = 1), symmetry and the mod-2
-compatibility q_num(e_i) = b_num(i, i) are enforced on construction.
+compatibility q_num(e_i) = b_num(i, i) are enforced on construction;
+from_json_dict first refuses a form above MAX_FORM_WORK (see form_work).
 
 The quadratic law q(x + y) = q(x) + q(y) + 2b(x, y), q(f*x) = f^2*q(x)
-determines q everywhere from basis values; eval_bq implements it with
-{0,1}-coefficient lifts, and the result is lift-independent.
+determines q everywhere from basis values; eval_q implements it with
+{0,1}-coefficient lifts, and the result is lift-independent.  b on a set
+of vectors, the rows of a matrix X, is the Gram product X * b_num * X^T.
+A sublagrangian S is checked by q on each generator, then by the Gram
+product of its generators, whose factor S * b_num also gives S-perp;
+b on the reduced basis is a Gram product too.
 
 On an even form q = 2*q2 with q2 over F2[t].  Its Arf invariant is a
 class in F2[t]/{g^2 - g}, held as its canonical bitmask like
 unil.UNil2Element.arf_bits; arf_even computes it on a symplectic basis
-over F2[t].
+over F2[t], with q2 carried through the moves that build the basis.
 """
 
 from __future__ import annotations
@@ -51,6 +56,24 @@ MAX_SEARCH_ROWS = 10_000_000
 # this, at about 30,000 a second on one x86_64 core; the bundled rank-4
 # searches check at most 10
 MAX_SEARCH_COMBINATIONS = 200_000
+# LinkingForm.from_json_dict refuses a form whose form_work is above this,
+# before its determinant is taken: about 40 s of det on dense entries on one
+# x86_64 core.  Rank 80 is read up to degree 88, rank 20 up to 4,572 and
+# rank 8 up to 31,114; the benchmark's rank-20 forms (degree about 30) need
+# 5.3e6
+MAX_FORM_WORK = 4_000_000_000
+
+
+def form_work(rank, degree):
+    """Estimated cost of det, the sublagrangian reduction and the Arf
+    invariant on a form of this rank whose entries have degree at most
+    degree, in units of about 10 ns of pure Python on x86_64.  Euclid on
+    column j works on entries whose degree grows to about j*degree, so the
+    multiplies cost rank^4 * degree word operations while the operands
+    fit in a few machine words, and gf2_mul's shifts add a factor of their
+    length above about 1024 bits.  Fitted to det on dense random matrices:
+    rank 8-40, degree 1,000-65,536."""
+    return rank**4 * (degree + 1) * (degree + 1024) // 1024
 
 
 def _parse_polys(value, what, length, parse, name):
@@ -114,6 +137,14 @@ class LinkingForm:
             for i, row in enumerate(rows)
         )
         q = tuple(_parse_polys(d["q_num"], "q_num", k, parse_z4, "q_num"))
+        bits = [x.bit_length() for row in b for x in row] + [(lo | hi).bit_length() for lo, hi in q]
+        degree = max(bits, default=0) - 1
+        work = form_work(k, degree)
+        if work > MAX_FORM_WORK:
+            raise ValueError(
+                f"a form of rank {k} with entries of degree up to {degree} is too large: "
+                f"its work estimate {work} is above the limit {MAX_FORM_WORK}"
+            )
         return cls(k, b, q)
 
 
@@ -175,6 +206,27 @@ def make_N(p, g):
     return LinkingForm(2, ((p4[0], 1), (1, 0)), (p4, (0, g.mod4()[0])))
 
 
+def eval_q(form, x):
+    """q(x) numerator over Z4[t]: sum x_i^2 q(e_i) + 2 sum_(i<j) x_i x_j
+    b(e_i, e_j), the cross terms summed over F2[t] and doubled once."""
+    k = form.rank
+    if len(x) != k:
+        raise ValueError("vector length does not match form rank")
+    q_val = Z4_ZERO
+    cross = 0
+    for i, xi in enumerate(x):
+        if xi:
+            q_val = z4_add(*q_val, *z4_mul(*z4_sq_lift(xi), *form.q_num[i]))
+            row = form.b_num[i]
+            bx = 0  # numerator of b(e_i, sum_(j>i) x_j e_j)
+            for j in range(i + 1, k):
+                if x[j] and row[j]:
+                    bx ^= gf2_mul(row[j], x[j])
+            if bx:
+                cross ^= gf2_mul(xi, bx)
+    return z4_add(*q_val, 0, cross)
+
+
 def eval_bq(form, x, y):
     """(b(x, y) numerator over F2[t], q(x) numerator over Z4[t])."""
     k = form.rank
@@ -186,16 +238,7 @@ def eval_bq(form, x, y):
             for j in range(k):
                 if y[j] and form.b_num[i][j]:
                     b_val ^= gf2_mul(gf2_mul(x[i], form.b_num[i][j]), y[j])
-    q_val = Z4_ZERO
-    for i in range(k):
-        if x[i]:
-            q_val = z4_add(*q_val, *z4_mul(*z4_sq_lift(x[i]), *form.q_num[i]))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if x[i] and x[j] and form.b_num[i][j]:
-                cross = gf2_mul(gf2_mul(x[i], x[j]), form.b_num[i][j])
-                q_val = z4_add(*q_val, 0, cross)  # 2 * lift of the cross term
-    return b_val, q_val
+    return b_val, eval_q(form, x)
 
 
 def direct_sum(forms):
@@ -256,47 +299,55 @@ def orthogonal_complement(form, S):
         raise ValueError("submodule ambient rank does not match form")
     if not S.basis:
         return full_module(form.rank)
-    M = mat_mul(form.b_num, mat_transpose(S.basis))
-    return Submodule(form.rank, left_kernel(M))
+    return _complement(mat_mul(S.basis, form.b_num))
+
+
+def _complement(SB):
+    """The orthogonal complement of the nonzero rows s of S, from SB = S *
+    b_num, whose row i holds the pairings of s_i with the basis: b_num is
+    symmetric, so x pairs to 0 with all of S when x * SB^T = 0."""
+    return Submodule(len(SB[0]), left_kernel(mat_transpose(SB)))
 
 
 def _check_sublagrangian(form, S):
+    """Check that q vanishes on the generators of S, then b on pairs of
+    them, and return SB = S * b_num (see _complement).  b on S is the Gram
+    matrix SB * S^T; its first nonzero entry with i <= j in row-major order
+    is reported."""
     for i, row in enumerate(S.basis):
-        _, qv = eval_bq(form, row, row)
-        if qv != Z4_ZERO:
+        if eval_q(form, row) != Z4_ZERO:
             raise ValueError(f"q does not vanish on generator {i} of S")
-    for i, ri in enumerate(S.basis):
-        for j in range(i, len(S.basis)):
-            bv, _ = eval_bq(form, ri, S.basis[j])
-            if bv:
-                raise ValueError(f"b({i},{j}) is nonzero on S: S is not isotropic")
+    SB = mat_mul(S.basis, form.b_num)
+    for i, row in enumerate(mat_mul(SB, mat_transpose(S.basis))):
+        j = next((j for j in range(i, len(row)) if row[j]), None)
+        if j is not None:
+            raise ValueError(f"b({i},{j}) is nonzero on S: S is not isotropic")
+    return SB
 
 
 def sublagrangian_reduce(form, S):
     """The induced form on (S-perp)/S.  S must be isotropic with q|S = 0 and
     a direct summand of its complement; the quotient basis comes from a
-    Smith decomposition of S inside S-perp."""
-    _check_sublagrangian(form, S)
-    comp = orthogonal_complement(form, S)
+    Smith decomposition of S inside S-perp.  b on the quotient basis is the
+    Gram matrix reps * b_num * reps^T and q is eval_q on each rep."""
+    if S.ambient_rank != form.rank:
+        raise ValueError("submodule ambient rank does not match form")
+    if not S.basis:
+        return form
+    SB = _check_sublagrangian(form, S)
+    comp = _complement(SB)
     if not comp.contains(S):
         raise ValueError("S is not contained in its orthogonal complement")
     T = comp.basis
-    if not S.basis:
-        reps = T
-    else:
-        C = tuple(divmod_rows(row, T)[0] for row in S.basis)
-        D, _, V = smith(C)
-        r = len(S.basis)
-        if any(D[i][i] != 1 for i in range(r)):
-            raise ValueError("S is not a direct summand of its orthogonal complement")
-        V_inv = mat_inverse(V)
-        reps = mat_mul(V_inv[r:], T)
-    k2 = len(reps)
-    b = tuple(
-        tuple(eval_bq(form, reps[i], reps[j])[0] for j in range(k2)) for i in range(k2)
-    )
-    q = tuple(eval_bq(form, reps[i], reps[i])[1] for i in range(k2))
-    return LinkingForm(k2, b, q)
+    C = tuple(divmod_rows(row, T)[0] for row in S.basis)
+    D, _, V = smith(C)
+    r = len(S.basis)
+    if any(D[i][i] != 1 for i in range(r)):
+        raise ValueError("S is not a direct summand of its orthogonal complement")
+    reps = mat_mul(mat_inverse(V)[r:], T)
+    b = mat_mul(mat_mul(reps, form.b_num), mat_transpose(reps))
+    q = tuple(eval_q(form, row) for row in reps)
+    return LinkingForm(len(reps), b, q)
 
 
 def arf_even(form):
@@ -304,17 +355,19 @@ def arf_even(form):
     in F2[t]/{g^2 - g} (see polynomials.idem_reduce).
 
     b_num is alternating and unimodular over F2[t], so it has a symplectic
-    basis (u_i, v_i) over F2[t] itself (funcfield.symplectic_basis), and the
-    class of sum q(u_i)/2 * q(v_i)/2 does not depend on the basis.  It is
-    also the class in F2(t)/{g^2 - g}: if g^2 + g is a polynomial then so is
-    g, so F2[t]/{g^2 - g} embeds there.
+    basis (u_i, v_i) over F2[t] itself, and the class of sum q2(u_i) *
+    q2(v_i), q = 2 q2, does not depend on the basis.  The q2 values are
+    carried through the moves that build the basis
+    (funcfield.symplectic_basis), so q is never evaluated on its
+    coordinates.  The class is also the class in F2(t)/{g^2 - g}: if g^2 +
+    g is a polynomial then so is g, so F2[t]/{g^2 - g} embeds there.
     """
     if not is_even(form):
         raise ValueError("Arf invariant needs an even form")
     total = 0
-    for u, v in symplectic_basis(form.b_num):
-        # q of an even form is 2*q2, so its numerator is (0, q2)
-        total ^= gf2_mul(eval_bq(form, u, u)[1][1], eval_bq(form, v, v)[1][1])
+    # q of an even form is 2*q2, so its numerator is (0, q2)
+    for _, _, qu, qv in symplectic_basis(form.b_num, [hi for _, hi in form.q_num]):
+        total ^= gf2_mul(qu, qv)
     return idem_reduce(total)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 # the parsers refuse exponents above this before building anything from
 # them: parse_poly's dense tuple and the bitmasks of parse_f2 and parse_z4
@@ -193,17 +192,20 @@ def _exponent(text, pos):
 
 
 def _coefficient(text, pos):
-    """The Fraction spelled by text ([+-]digits[/digits]).  A numerator or
-    denominator of more than MAX_COEFFICIENT_DIGITS digits, leading zeros
-    aside, is refused unread, and so is a zero denominator."""
+    """The integer spelled by text ([+-]digits[/digits]), or None for a
+    fraction whose denominator does not divide its numerator.  A numerator
+    or denominator of more than MAX_COEFFICIENT_DIGITS digits, leading
+    zeros aside, is refused unread, and so is a zero denominator."""
     num, _, den = text.lstrip("+-").partition("/")
     num, den = num.lstrip("0") or "0", den.lstrip("0") or ("1" if not den else "0")
     if max(len(num), len(den)) > MAX_COEFFICIENT_DIGITS:
         raise ValueError(f"coefficient above {MAX_COEFFICIENT_DIGITS} digits at position {pos}")
     if den == "0":
         raise ValueError(f"zero denominator at position {pos}")
-    sign = -1 if text.startswith("-") else 1
-    return Fraction(sign * int(num), int(den))
+    c, rem = divmod(int(num), int(den))
+    if rem:
+        return None
+    return -c if text.startswith("-") else c
 
 
 def _parse_terms(text):
@@ -227,14 +229,14 @@ def _parse_terms(text):
             c = _coefficient(m.group("ct"), pos)
             e = _exponent(m.group("e1"), pos)
         elif m.group("st") is not None:
-            c = Fraction(-1 if m.group("st") == "-" else 1)
+            c = -1 if m.group("st") == "-" else 1
             e = _exponent(m.group("e2"), pos)
         else:
             c = _coefficient(m.group("c"), pos)
             e = 0
-        if c.denominator != 1:
+        if c is None:
             raise ValueError(f"fractional coefficient at position {pos}")
-        coeffs[e] = coeffs.get(e, 0) + int(c)
+        coeffs[e] = coeffs.get(e, 0) + c
     return coeffs
 
 

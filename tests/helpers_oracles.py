@@ -343,3 +343,95 @@ def reference_json(n, degree_cutoff, z_bound, bar=False):
         "rows": list(_reference_dicts(n, reference_rows(n, degree_cutoff, z_bound, bar))),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def f2_divmod(a, b):
+    """Long division of bit-packed F2 polynomials, b nonzero."""
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        sh = a.bit_length() - b.bit_length()
+        q |= 1 << sh
+        a ^= b << sh
+    return q, a
+
+
+def bareiss_det(M):
+    """Reference for f2linalg.det: the fraction-free (Bareiss) elimination,
+    whose step-k entries are the (k+1) x (k+1) leading minors, so each
+    division by the previous pivot is exact."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(row) for row in M]
+    prev = 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            i0 = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if i0 is None:
+                return 0
+            A[k], A[i0] = A[i0], A[k]  # char 2, no sign to track
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = f2_mul(A[i][j], A[k][k]) ^ f2_mul(A[i][k], A[k][j])
+                q, rem = f2_divmod(num, prev)
+                assert not rem, "Bareiss division must be exact"
+                A[i][j] = q
+        prev = A[k][k]
+    return A[n - 1][n - 1]
+
+
+def check_sublagrangian_by_eval_bq(form, S):
+    """Reference for linking._check_sublagrangian: q on each generator of S,
+    then b on each pair i <= j in row-major order, one eval_bq call each.
+    Raises the ValueError of the first failure."""
+    from unilcalc.linking import eval_bq
+
+    for i, row in enumerate(S.basis):
+        if eval_bq(form, row, row)[1] != (0, 0):
+            raise ValueError(f"q does not vanish on generator {i} of S")
+    for i, ri in enumerate(S.basis):
+        for j in range(i, len(S.basis)):
+            if eval_bq(form, ri, S.basis[j])[0]:
+                raise ValueError(f"b({i},{j}) is nonzero on S: S is not isotropic")
+
+
+def sublagrangian_reduce_by_eval_bq(form, S):
+    """Reference for linking.sublagrangian_reduce: the same quotient basis,
+    with b and q on it from one eval_bq call per entry."""
+    from unilcalc.f2linalg import divmod_rows, mat_inverse, mat_mul, smith
+    from unilcalc.linking import LinkingForm, eval_bq, orthogonal_complement
+
+    check_sublagrangian_by_eval_bq(form, S)
+    comp = orthogonal_complement(form, S)
+    if not comp.contains(S):
+        raise ValueError("S is not contained in its orthogonal complement")
+    T = comp.basis
+    if not S.basis:
+        reps = T
+    else:
+        C = tuple(divmod_rows(row, T)[0] for row in S.basis)
+        D, _, V = smith(C)
+        r = len(S.basis)
+        if any(D[i][i] != 1 for i in range(r)):
+            raise ValueError("S is not a direct summand of its orthogonal complement")
+        reps = mat_mul(mat_inverse(V)[r:], T)
+    k2 = len(reps)
+    b = tuple(tuple(eval_bq(form, reps[i], reps[j])[0] for j in range(k2)) for i in range(k2))
+    q = tuple(eval_bq(form, reps[i], reps[i])[1] for i in range(k2))
+    return LinkingForm(k2, b, q)
+
+
+def arf_by_eval_bq(form):
+    """Reference for linking.arf_even: the class of sum q2(u_i) q2(v_i) over
+    the symplectic basis, with q2 = q/2 evaluated by eval_bq on the basis
+    coordinates rather than carried through the moves."""
+    from unilcalc.funcfield import symplectic_basis
+    from unilcalc.linking import eval_bq
+
+    total = 0
+    for u, v, _, _ in symplectic_basis(form.b_num, [0] * form.rank):
+        total ^= f2_mul(eval_bq(form, u, u)[1][1], eval_bq(form, v, v)[1][1])
+    for e in range(total.bit_length() - 1, 1, -1):
+        if e % 2 == 0 and total >> e & 1:
+            total ^= (1 << e) | (1 << (e // 2))
+    return total

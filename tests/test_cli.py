@@ -12,9 +12,11 @@ from unilcalc import cli
 from unilcalc.classify import MAX_TABLE_ROWS
 from unilcalc.cli import main
 from unilcalc.linking import (
+    MAX_FORM_WORK,
     MAX_SEARCH_ROWS,
     LinkingForm,
     direct_sum,
+    form_work,
     witt_four_term_instance,
 )
 from unilcalc.polynomials import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT, Polynomial
@@ -283,6 +285,41 @@ def test_malformed_json_rejected(capsys, tmp_path, command, doc, message):
     assert code == 1 and out == ""
     assert err.splitlines()[0] == f"error: {message}"
     assert "Traceback" not in err
+
+
+class TestFormWorkLimit:
+    @staticmethod
+    def form_with_degree(k, degree):
+        # hyperbolic planes, with t^degree added to q of the first vector
+        doc = direct_sum([LinkingForm(2, ((0, 1), (1, 0)), ((0, 0), (0, 0)))] * (k // 2)).to_json_dict()
+        doc["q_num"][0] = f"2*t^{degree}"
+        return doc
+
+    def test_form_just_past_the_limit_is_refused_at_once(self, capsys, tmp_path):
+        k = 8
+        degree = next(d for d in range(MAX_EXPONENT) if form_work(k, d) > MAX_FORM_WORK)
+        for command in ("arf", "witt-check"):
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps(self.form_with_degree(k, degree)))
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(path))
+            assert time.perf_counter() - start < 1
+            assert code == 1 and out == ""
+            assert err.splitlines() == [
+                f"error: a form of rank {k} with entries of degree up to {degree} is too large: "
+                f"its work estimate {form_work(k, degree)} is above the limit {MAX_FORM_WORK}"
+            ]
+
+    def test_form_just_below_the_limit_is_read(self, tmp_path):
+        k = 8
+        degree = next(d for d in range(MAX_EXPONENT) if form_work(k, d) > MAX_FORM_WORK) - 1
+        form = LinkingForm.from_json_dict(self.form_with_degree(k, degree))
+        assert form.q_num[0] == (0, 1 << degree)
+
+    def test_benchmark_forms_sit_far_below(self):
+        # the algebra benchmark's largest forms: rank 20, entries of degree
+        # below 64
+        assert 100 * form_work(20, 64) < MAX_FORM_WORK
 
 
 def test_json_position_counts_leading_blanks(capsys, tmp_path):
@@ -636,7 +673,7 @@ try:
     cli.main(sys.argv[1:])
 except SystemExit:
     pass
-loaded = sorted(m for m in sys.modules if m.startswith("unilcalc.") or m == "hashlib")
+loaded = sorted(m for m in sys.modules if m.startswith("unilcalc.") or m in ("hashlib", "fractions", "decimal"))
 print(json.dumps(loaded), file=sys.stderr)
 """
 
@@ -670,8 +707,14 @@ class TestImports:
         loaded = self.loaded(command, str(path))
         assert "unilcalc.linking" in loaded
         forbidden = {"unilcalc.forms", "unilcalc.dihedral", "unilcalc.unil", "unilcalc.classify",
-                     "hashlib"}
+                     "hashlib", "fractions", "decimal"}
         assert not loaded & forbidden
+
+    def test_parsing_loads_no_fractions(self):
+        # a coefficient a/b is read with integer division
+        loaded = self.loaded("reduce", "versch", "9/3*t^3+2*t")
+        assert "unilcalc.polynomials" in loaded
+        assert not loaded & {"fractions", "decimal"}
 
     def test_verify_paper(self):
         loaded = self.loaded("verify-paper", "--degree", "0")

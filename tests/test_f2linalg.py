@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from tests.helpers_oracles import bareiss_det
 from unilcalc.f2linalg import (
     det,
     divmod_rows,
@@ -64,6 +65,26 @@ class TestDet:
 
     def test_singular(self):
         assert det(((0b10, 0b10), (0b10, 0b10))) == 0
+
+    def test_against_bareiss(self):
+        # sizes 0-8, dense and sparse, singular ones among them
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            M = [list(row) for row in rand_mat(rng, n, n, rng.randint(0, 5))]
+            for row in M:
+                for j in range(n):
+                    if rng.random() < 0.4:
+                        row[j] = 0
+            if n > 1 and rng.random() < 0.2:
+                M[rng.randrange(n)] = list(M[rng.randrange(n)])
+            assert det(M) == bareiss_det(M), M
+
+    def test_unimodular_matrices_have_det_one(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            assert det(rand_unimodular(rng, n, ops=4 * n, deg=3)) == 1
 
 
 class TestHermite:

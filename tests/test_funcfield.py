@@ -17,7 +17,7 @@ class TestSymplecticBasis:
             qvals = [(rng.randrange(16), rng.randrange(16)) for _ in range(k)]
             forms.append(even_form_with_known_arf(qvals, 6 * k, 3, rng)[0])
         for B in forms:
-            P = tuple(x for pair in symplectic_basis(B) for x in pair)
+            P = tuple(w for u, v, _, _ in symplectic_basis(B, [0] * len(B)) for w in (u, v))
             n = len(B)
             J = tuple(tuple(int(j == (i ^ 1)) for j in range(n)) for i in range(n))
             assert mat_mul(mat_mul(P, B), mat_transpose(P)) == J
@@ -32,8 +32,8 @@ class TestSymplecticBasis:
             qvals = [(rng.randrange(16), rng.randrange(16)) for _ in range(10)]
             B = even_form_with_known_arf(qvals, 60, 3, rng)[0]
             entry_deg = max(x.bit_length() for row in B for x in row) - 1
-            pairs = symplectic_basis(B)
-            coord_deg = max(x.bit_length() for pair in pairs for w in pair for x in w) - 1
+            pairs = symplectic_basis(B, [0] * len(B))
+            coord_deg = max(x.bit_length() for u, v, _, _ in pairs for w in (u, v) for x in w) - 1
             assert coord_deg <= len(B) * entry_deg
 
     @pytest.mark.parametrize(
@@ -46,8 +46,8 @@ class TestSymplecticBasis:
     )
     def test_rejects_a_pairing_that_is_not_unimodular(self, B):
         with pytest.raises(ValueError, match="not unimodular"):
-            symplectic_basis(B)
+            symplectic_basis(B, [0] * len(B))
 
     def test_rejects_a_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="zero diagonal"):
-            symplectic_basis(((1,),))
+            symplectic_basis(((1,),), [0])

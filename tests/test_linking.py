@@ -5,11 +5,15 @@ import re
 import pytest
 
 from tests.helpers_oracles import (
+    arf_by_eval_bq,
+    check_sublagrangian_by_eval_bq,
     even_form_with_known_arf,
     f2_bits,
     lagrangian_candidates_by_eval_bq,
+    sublagrangian_reduce_by_eval_bq,
     z4_pair,
 )
+from tests.test_f2linalg import rand_unimodular
 from unilcalc import linking
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
 from unilcalc.linking import (
@@ -20,6 +24,7 @@ from unilcalc.linking import (
     arf_even,
     direct_sum,
     eval_bq,
+    eval_q,
     find_lagrangian,
     full_module,
     is_even,
@@ -33,6 +38,7 @@ from unilcalc.linking import (
 )
 from unilcalc import forms
 from unilcalc.dihedral import ONE as DONE, DihedralElement
+from unilcalc.f2linalg import mat_inverse, mat_mul, mat_transpose
 from unilcalc.forms import QuadResolution, standard_resolution
 from unilcalc.polynomials import Polynomial
 
@@ -422,6 +428,122 @@ class TestArf:
                 found += 1
                 assert arf_even(f) == 0
         assert found > 0
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def killed_blocks_instance(rng, kills, keeps):
+    """A form with a known sublagrangian, on a random basis: hyperbolic
+    blocks with q = (0, 2h), S spanned by the first vector of each, beside
+    random rank-2 blocks, even or odd, that S leaves alone; then the basis
+    is the rows of a random unimodular U, on which b is U b U^T, q(e_i) is
+    q(U_i), and S has the coordinates S U^-1."""
+    blocks = [hyperbolic(q2=(0, rng.randrange(8))) for _ in range(kills)]
+    blocks += [rand_form(rng, 2, deg=2, even=rng.random() < 0.5) for _ in range(keeps)]
+    rng.shuffle(blocks)
+    f = direct_sum(blocks)
+    k = f.rank
+    S = []
+    off = 0
+    for blk in blocks:
+        if blk.q_num[0] == (0, 0) and blk.b_num == ((0, 1), (1, 0)):
+            S.append(tuple(int(c == off) for c in range(k)))
+        off += 2
+    U = rand_unimodular(rng, k, ops=3 * k, deg=2)
+    g = LinkingForm(k, mat_mul(mat_mul(U, f.b_num), mat_transpose(U)), tuple(eval_q(f, u) for u in U))
+    return g, Submodule.from_generators(mat_mul(S, mat_inverse(U)) if S else (), k)
+
+
+class TestAgainstEvalBqOracles:
+    """The Gram-product check and reduction and the carried Arf class
+    against the eval_bq code they replaced (tests.helpers_oracles)."""
+
+    def test_reduction_on_known_sublagrangians(self):
+        rng = random.Random(261)
+        cases = [witt_four_term_instance(Polynomial(tuple(bits >> k & 1 for k in range(4)))) for bits in range(16)]
+        cases += [killed_blocks_instance(rng, rng.randint(1, 3), rng.randint(0, 2)) for _ in range(40)]
+        for form, S in cases:
+            red = sublagrangian_reduce(form, S)
+            assert red == sublagrangian_reduce_by_eval_bq(form, S)
+            assert red.rank == form.rank - 2 * S.rank
+
+    def test_check_messages_on_random_submodules(self):
+        # S spanned by basis vectors on which q is made to vanish, so that
+        # b on S is the block of b_num they pick, plus at times an
+        # arbitrary vector
+        rng = random.Random(263)
+        seen = set()
+        for _ in range(150):
+            if rng.random() < 0.4:
+                f = rand_form(rng, rng.choice((2, 4)), deg=2, even=rng.random() < 0.5)
+            else:
+                qvals = [(rng.randrange(8), rng.randrange(8)) for _ in range(rng.randint(1, 4))]
+                b, q, _ = even_form_with_known_arf(qvals, 4 * len(qvals), 2, rng)
+                f = LinkingForm(len(q), b, q)
+            k = f.rank
+            picked = sorted(rng.sample(range(k), rng.randint(1, k)))
+            q = tuple((lo, 0) if i in picked else (lo, hi) for i, (lo, hi) in enumerate(f.q_num))
+            f = LinkingForm(k, f.b_num, q)
+            gens = [tuple(int(c == i) for c in range(k)) for i in picked]
+            if rng.random() < 0.2:
+                gens.append(tuple(rng.randrange(4) for _ in range(k)))
+            S = Submodule.from_generators(gens, k)
+            got = outcome(linking._check_sublagrangian, f, S)
+            want = outcome(check_sublagrangian_by_eval_bq, f, S)
+            if want is None:
+                assert not isinstance(got, str)
+            else:
+                assert got == want
+            seen.add(want if want is None else want.split(" ")[1][0])
+            assert outcome(sublagrangian_reduce, f, S) == outcome(sublagrangian_reduce_by_eval_bq, f, S)
+        # every outcome occurred: isotropic, q nonzero, b nonzero
+        assert seen == {None, "q", "b"}
+
+    def test_q_is_checked_before_b(self):
+        # b(0, 1) = 1 and q(generator 1) = 2: the q failure is reported
+        f = direct_sum([hyperbolic(q2=(0, 1)), hyperbolic()])
+        S = Submodule.from_generators(((1, 0, 0, 0), (0, 1, 0, 0)), 4)
+        message = "q does not vanish on generator 1 of S"
+        for check in (linking._check_sublagrangian, check_sublagrangian_by_eval_bq):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(f, S)
+
+    def test_first_nonzero_b_in_row_major_order(self):
+        # b pairs e_i with e_(9-i), q = 0, and S is spanned by e1, e2, e7, e8:
+        # b(1, 2) and b(0, 3) are the nonzero pairings, and row-major order
+        # over i <= j meets b(0, 3) first
+        f = LinkingForm(8, tuple(tuple(int(i + j == 7) for j in range(8)) for i in range(8)), ((0, 0),) * 8)
+        S = Submodule.from_generators([tuple(int(c == i) for c in range(8)) for i in (0, 1, 6, 7)], 8)
+        message = "b(0,3) is nonzero on S: S is not isotropic"
+        for check in (linking._check_sublagrangian, check_sublagrangian_by_eval_bq):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(f, S)
+
+    def test_arf_class(self):
+        rng = random.Random(267)
+        cases = [rand_even_form(rng, k=rng.choice((2, 4)), deg=rng.randint(1, 4)) for _ in range(30)]
+        for _ in range(30):
+            qvals = [(rng.randrange(16), rng.randrange(16)) for _ in range(rng.randint(1, 6))]
+            b, q, _ = even_form_with_known_arf(qvals, 6 * len(qvals), 3, rng)
+            cases.append(LinkingForm(len(q), b, q))
+        for f in cases:
+            assert arf_even(f) == arf_by_eval_bq(f)
+
+    def test_carried_q2_values(self):
+        # the q2 values symplectic_basis returns are q/2 on its vectors
+        rng = random.Random(269)
+        for _ in range(20):
+            qvals = [(rng.randrange(16), rng.randrange(16)) for _ in range(rng.randint(1, 5))]
+            b, q, _ = even_form_with_known_arf(qvals, 6 * len(qvals), 3, rng)
+            f = LinkingForm(len(q), b, q)
+            for u, v, qu, qv in linking.symplectic_basis(f.b_num, [hi for _, hi in f.q_num]):
+                assert (eval_q(f, u), eval_q(f, v)) == ((0, qu), (0, qv))
 
 
 class TestFindLagrangian:

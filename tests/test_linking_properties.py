@@ -1,13 +1,21 @@
 """Property tests of the lagrangian search: the slot-by-slot q of its row
-filter, and the Arf obstruction to a witness; and of the Arf class itself."""
+filter, and the Arf obstruction to a witness; of the Arf class itself; and
+of the determinant."""
 
 import random
 
 import pytest
 
-from tests.helpers_oracles import elementary_base_change
+from tests.helpers_oracles import (
+    arf_by_eval_bq,
+    bareiss_det,
+    elementary_base_change,
+    even_form_with_known_arf,
+)
+from tests.test_f2linalg import rand_unimodular
 from tests.test_linking import rand_form
 from unilcalc import linking
+from unilcalc.f2linalg import det, mat_mul
 from unilcalc.kernels import z4_neg
 from unilcalc.linking import LinkingForm, arf_even, direct_sum, eval_bq, find_lagrangian
 
@@ -64,3 +72,38 @@ def test_arf_class_is_invariant_under_base_change(seed, k, steps, degree):
     f = rand_form(rng, k, deg=2, even=True)
     b, h = elementary_base_change(f.b_num, [hi for _, hi in f.q_num], steps, degree, rng)
     assert arf_even(LinkingForm(k, b, tuple((0, x) for x in h))) == arf_even(f)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    zeros=st.floats(0, 0.8),
+    steps=st.integers(0, 14),
+    degree=st.integers(0, 3),
+)
+def test_det_is_invariant_under_unimodular_base_change(seed, n, zeros, steps, degree):
+    rng = random.Random(seed)
+    M = tuple(tuple(0 if rng.random() < zeros else rng.randrange(16) for _ in range(n)) for _ in range(n))
+    U = rand_unimodular(rng, n, steps, degree)
+    V = rand_unimodular(rng, n, steps, degree)
+    assert det(mat_mul(mat_mul(U, M), V)) == det(M) == bareiss_det(M)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.integers(1, 6),
+    steps=st.integers(0, 40),
+    degree=st.integers(0, 3),
+)
+def test_arf_class_of_a_known_form_after_base_change(seed, blocks, steps, degree):
+    """Hyperbolic blocks with q = (2a_i, 2b_i), moved by random unimodular
+    base changes: det stays 1 and the class stays that of sum a_i b_i,
+    carried through the moves as by eval_bq on the basis coordinates."""
+    rng = random.Random(seed)
+    qvals = [(rng.randrange(16), rng.randrange(16)) for _ in range(blocks)]
+    b, q, arf = even_form_with_known_arf(qvals, steps, degree, rng)
+    assert bareiss_det(b) == 1
+    f = LinkingForm(len(q), b, q)
+    assert arf_even(f) == arf == arf_by_eval_bq(f)

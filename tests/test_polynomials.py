@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -80,6 +81,30 @@ class TestParser:
             parse_f2("t^-1")
         with pytest.raises(ValueError, match="fractional"):
             parse_z4("1/2*t")
+
+    @pytest.mark.parametrize(
+        "text,canon",
+        [("6/3*t", "2*t^1"), ("-6/3", "-2*t^0"), ("0/7*t^2+t", "1*t^1"), ("-09/003*t^2", "-3*t^2"),
+         ("1" + "0" * 3999 + "/1" + "0" * 3998 + "*t", "10*t^1")],
+    )
+    def test_fraction_with_integer_value_is_the_quotient(self, text, canon):
+        assert str(parse_poly(text)) == canon
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t+1/2*t^2", "fractional coefficient at position 1"),
+            ("t-7/2", "fractional coefficient at position 1"),
+            # the exponent is checked before the fraction
+            ("1/2*t^99999999", "exponent above the limit 65536 at position 0"),
+            ("1/2*t^-1", "negative exponent at position 0"),
+            ("1/0*t", "zero denominator at position 0"),
+        ],
+    )
+    def test_fraction_errors_in_order(self, text, message):
+        for parse in (parse_poly, parse_f2, parse_z4):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse(text)
 
     def test_error_position_counts_leading_blanks(self):
         with pytest.raises(ValueError, match=r"bad term '\+x' at position 3$"):

@@ -402,7 +402,9 @@ class TestLiteralsAndJson:
 class TestAgainstDenseReference:
     """The element operations on bitmasks against dense Polynomial
     arithmetic over Z, read mod 4 and reduced by dense_versch_reduce for x
-    and read mod 2 for y, over every element at cutoff 3."""
+    and read mod 2 for y, over every element at cutoff 3.  Sums and
+    differences are checked for every element against the generators (one
+    nonzero coefficient) and for a seeded sample of the other pairs."""
 
     def test_operations(self):
         elements = enumerate_truncated("UNil3", 3).elements
@@ -420,7 +422,13 @@ class TestAgainstDenseReference:
             assert e.doubled() == UNil3Element(x_of(x * 2), 0)
             assert switch_unil3(e) == UNil3Element(e.x, y_of(x + y))
             assert B_coords(e) == (y_of(x), y_of(y))
-            for f in elements:
-                fx, fy = dense[f]
-                assert e + f == UNil3Element(x_of(x + fx), y_of(y + fy))
-                assert e - f == UNil3Element(x_of(x - fx), y_of(y - fy))
+        generators = [e for e in elements if sum(bin(v).count("1") for v in (*e.x, e.y)) == 1]
+        # x = t, 2t, t^2, t^3, 2t^3 and y = t, t^2, t^3, which generate the group
+        assert len(generators) == 8
+        pairs = [(e, f) for e in elements for f in generators]
+        pairs += random.Random(409).sample([(e, f) for e in elements for f in elements], 4000)
+        for e, f in pairs:
+            x, y = dense[e]
+            fx, fy = dense[f]
+            assert e + f == UNil3Element(x_of(x + fx), y_of(y + fy))
+            assert e - f == UNil3Element(x_of(x - fx), y_of(y - fy))
