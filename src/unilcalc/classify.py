@@ -11,12 +11,12 @@ import csv
 import io
 import json
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations_with_replacement, groupby, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
+from unilcalc._record import Record
 from unilcalc.unil import compact_literal, orbit_count, orbit_reps
 
 
@@ -35,13 +35,15 @@ MAX_TABLE_ROWS = 2_000_000
 CHUNK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class StructureSetDescriptor:
-    n: int
-    m: int
-    ell: int
-    z2_count: int
-    has_Z: bool
+class StructureSetDescriptor(Record):
+    _fields = ("n", "m", "ell", "z2_count", "has_Z")
+
+    def __init__(self, n, m, ell, z2_count, has_Z):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "z2_count", z2_count)
+        object.__setattr__(self, "has_Z", has_Z)
 
     def count(self, z_bound=0):
         if z_bound < 0:
@@ -212,15 +214,17 @@ class TableRows:
                 yield Row(a, b, theta, flag, absorbed)
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
+class ClassificationTable(Record):
     """A classification table, named by its parameters; its rows are made
     each time they are iterated."""
 
-    n: int
-    degree_cutoff: int
-    z_bound: int
-    folded: bool = False
+    _fields = ("n", "degree_cutoff", "z_bound", "folded")
+
+    def __init__(self, n, degree_cutoff, z_bound, folded=False):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree_cutoff", degree_cutoff)
+        object.__setattr__(self, "z_bound", z_bound)
+        object.__setattr__(self, "folded", folded)
 
     @property
     def desc(self):
@@ -300,7 +304,7 @@ def bar_J(n, table):
         raise ValueError("dimension does not match the table")
     if n % 4 != 3:
         return table
-    return replace(table, folded=True)
+    return ClassificationTable(table.n, table.degree_cutoff, table.z_bound, folded=True)
 
 
 _COLUMNS = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")

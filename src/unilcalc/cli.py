@@ -7,22 +7,32 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 
 from unilcalc import __version__
+from unilcalc._record import Record
 
 # Each command imports the layers it runs in the first lines of its body,
 # so that start-up, which dominates the small commands, loads only those.
+# No command imports dataclasses (with inspect, ast, dis and tokenize, about
+# 10 ms); the records are _record.Record subclasses.  With bytecode writing
+# off (PYTHONDONTWRITEBYTECODE=1), the next start-up cost is compiling the
+# imported sources on every run: about 13 ms for arf and witt-check on one
+# core of a 2-vCPU x86_64 VM with CPython 3.11 (README, Layout).
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: str  # pass | fail | value
-    payload: dict
-    elapsed: float = 0.0
-    human: tuple = ()
-    notes: tuple = ()  # lines for stderr, before the elapsed time
-    streamed: bool = False  # the command wrote its own stdout
+class CommandResult(Record):
+    """status: pass | fail | value; payload: the JSON document; human: the
+    lines of text output; notes: lines for stderr, before the elapsed time;
+    streamed: the command wrote its own stdout."""
+
+    _fields = ("status", "payload", "human", "notes", "streamed")
+
+    def __init__(self, status, payload, human=(), notes=(), streamed=False):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "human", human)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "streamed", streamed)
 
 
 def _read_json(source):
@@ -111,7 +121,8 @@ def _cmd_witt_check(args):
 
 
 # verify-paper's sweeps run 2^(degree+1) instances each, so every degree
-# doubles the run: degree 12 takes about 30 s on one x86_64 core
+# doubles the run: degree 12 takes about 8 s on one core of a 2-vCPU x86_64
+# VM with CPython 3.11
 MAX_VERIFY_DEGREE = 12
 
 
@@ -372,7 +383,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = replace(result, elapsed=time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
     if result.streamed:
         pass  # the table is already on stdout
     elif getattr(args, "format", "text") == "json":
@@ -383,5 +394,5 @@ def main(argv=None):
             print(line)
     for line in result.notes:
         print(line, file=sys.stderr)
-    print(f"elapsed: {result.elapsed:.3f}s", file=sys.stderr)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if result.status != "fail" else 1

@@ -33,8 +33,7 @@ and ``("assert_equal", {"theta": M})`` (forms) or ``("assert_equal", {"d": ..,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from unilcalc._record import Record
 from unilcalc.dihedral import A, B, ONE, DihedralElement, _group_inv, quad_indeterminacy_equal
 from unilcalc.polynomials import Polynomial
 
@@ -86,12 +85,15 @@ def _mat_eq(Am, Bm):
     return all(x == y for ra, rb in zip(Am, Bm) for x, y in zip(ra, rb))
 
 
-@dataclass(frozen=True)
-class QuadraticFormTheta:
+class QuadraticFormTheta(Record):
     """eps-quadratic form presented by a theta matrix."""
 
-    theta: tuple
-    epsilon: int
+    _fields = ("theta", "epsilon")
+
+    def __init__(self, theta, epsilon):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "epsilon", epsilon)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.epsilon not in (1, -1):
@@ -111,14 +113,17 @@ class QuadraticFormTheta:
         return tuple(self.theta[i][i] for i in range(self.rank))
 
 
-@dataclass(frozen=True)
-class QuadResolution:
+class QuadResolution(Record):
     """Resolution data (d, psi0, psi1); psi1 + psi1^* = -d*psi0 is enforced."""
 
-    d: tuple
-    psi0: tuple
-    psi1: tuple
-    epsilon: int
+    _fields = ("d", "psi0", "psi1", "epsilon")
+
+    def __init__(self, d, psi0, psi1, epsilon):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "psi0", psi0)
+        object.__setattr__(self, "psi1", psi1)
+        object.__setattr__(self, "epsilon", epsilon)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.epsilon not in (1, -1):

@@ -28,8 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
+from unilcalc._record import Record
 from unilcalc.f2linalg import (
     det,
     divmod_rows,
@@ -93,11 +93,14 @@ def _parse_polys(value, what, length, parse, name):
     return out
 
 
-@dataclass(frozen=True)
-class LinkingForm:
-    rank: int
-    b_num: tuple
-    q_num: tuple
+class LinkingForm(Record):
+    _fields = ("rank", "b_num", "q_num")
+
+    def __init__(self, rank, b_num, q_num):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "b_num", b_num)
+        object.__setattr__(self, "q_num", q_num)
+        self.__post_init__()
 
     def __post_init__(self):
         k = self.rank
@@ -148,12 +151,14 @@ class LinkingForm:
         return cls(k, b, q)
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(Record):
     """Submodule of F2[t]^k held by its canonical Hermite basis."""
 
-    ambient_rank: int
-    basis: tuple
+    _fields = ("ambient_rank", "basis")
+
+    def __init__(self, ambient_rank, basis):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def from_generators(cls, gens, ambient_rank):

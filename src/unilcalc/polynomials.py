@@ -25,7 +25,9 @@ mod 2 and mod 4.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import index
+
+from unilcalc._record import Record
 
 # the parsers refuse exponents above this before building anything from
 # them: parse_poly's dense tuple and the bitmasks of parse_f2 and parse_z4
@@ -37,14 +39,21 @@ MAX_EXPONENT = 1 << 16
 MAX_COEFFICIENT_DIGITS = 4000
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Immutable dense polynomial over Z; coeffs[k] is the coefficient of t^k."""
+class Polynomial(Record):
+    """Immutable dense polynomial over Z; coeffs[k] is the coefficient of t^k.
+    The coefficients must be integers; trailing zeros are dropped."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        cs = [int(c) for c in self.coeffs]
+    def __init__(self, coeffs):
+        cs = []
+        for k, c in enumerate(coeffs):
+            try:
+                cs.append(index(c))
+            except TypeError:
+                raise TypeError(
+                    f"coefficient {k} is not an integer: {type(c).__name__} {c!r}"
+                ) from None
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -16,21 +16,24 @@ render); a Polynomial over Z appears only as the parameters p and g of
 the generator dictionary.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
+from unilcalc._record import Record
 from unilcalc.kernels import gf2_mul, z4_add, z4_neg
 from unilcalc.polynomials import idem_reduce, parse_f2, parse_z4, render, versch_reduce
 
 _ZERO_X = (0, 0)
 
 
-@dataclass(frozen=True)
-class UNil2Element:
+class UNil2Element(Record):
     """arf_bits: the canonical representative as an F2[t] bitmask, checked
     on construction."""
 
-    arf_bits: int
+    _fields = ("arf_bits",)
+
+    def __init__(self, arf_bits):
+        object.__setattr__(self, "arf_bits", arf_bits)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.arf_bits & 1:
@@ -61,13 +64,16 @@ class UNil2Element:
     __str__ = __repr__ = literal
 
 
-@dataclass(frozen=True)
-class UNil3Element:
+class UNil3Element(Record):
     """x: the canonical representative as a Z4[t] (lo, hi) pair; y: an
     F2[t] bitmask.  Both are checked on construction."""
 
-    x: tuple
-    y: int
+    _fields = ("x", "y")
+
+    def __init__(self, x, y):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.y & 1:
@@ -251,13 +257,15 @@ def n_class_of_generator(p, g):
     return n_class_combination([(1, p, g)])
 
 
-@dataclass(frozen=True)
-class TruncatedEnumeration:
-    elements: tuple
-    orbit_reps: tuple
-    total: int
-    fixed: int
-    orbits: int
+class TruncatedEnumeration(Record):
+    _fields = ("elements", "orbit_reps", "total", "fixed", "orbits")
+
+    def __init__(self, elements, orbit_reps, total, fixed, orbits):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "orbit_reps", orbit_reps)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "orbits", orbits)
 
 
 def orbit_count(group, degree_cutoff):

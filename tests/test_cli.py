@@ -673,7 +673,8 @@ try:
     cli.main(sys.argv[1:])
 except SystemExit:
     pass
-loaded = sorted(m for m in sys.modules if m.startswith("unilcalc.") or m in ("hashlib", "fractions", "decimal"))
+loaded = sorted(m for m in sys.modules if m.startswith("unilcalc.")
+                or m in ("hashlib", "fractions", "decimal", "dataclasses", "inspect"))
 print(json.dumps(loaded), file=sys.stderr)
 """
 
@@ -727,3 +728,22 @@ class TestImports:
         forbidden = {"unilcalc.linking", "unilcalc.forms", "unilcalc.dihedral",
                      "unilcalc.funcfield", "unilcalc.f2linalg"}
         assert not loaded & forbidden
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--version",),
+            ("reduce", "idem", "t^4+t"),
+            ("sw", "j1[t] + j2[t^2]"),
+            ("arf", "FORM"),
+            ("witt-check", "FORM"),
+            ("verify-paper", "--degree", "0"),
+            ("classify", "4", "--degree-cutoff", "1"),
+        ],
+    )
+    def test_no_command_loads_dataclasses(self, tmp_path, argv):
+        # dataclasses pulls in inspect, ast, dis and tokenize at start-up
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(hyperbolic_json()))
+        loaded = self.loaded(*(str(path) if a == "FORM" else a for a in argv))
+        assert not loaded & {"dataclasses", "inspect"}

@@ -48,6 +48,18 @@ class TestArithmetic:
         with pytest.raises(TypeError, match="expected Polynomial, got tuple"):
             Polynomial.t() + (0, 1)
 
+    @pytest.mark.parametrize(
+        "coeffs,message",
+        [
+            ((0.5, 2.9), "coefficient 0 is not an integer: float 0.5"),
+            ((1, 2, "3"), "coefficient 2 is not an integer: str '3'"),
+            ((0, None), "coefficient 1 is not an integer: NoneType None"),
+        ],
+    )
+    def test_coefficients_must_be_integers(self, coeffs, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Polynomial(coeffs)
+
     def test_negative_coefficients_round_trip(self):
         p = parse_poly("t^2-2*t+1")
         assert str(p) == "1*t^2-2*t^1+1*t^0"
