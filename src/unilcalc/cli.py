@@ -121,8 +121,8 @@ def _cmd_witt_check(args):
 
 
 # verify-paper's sweeps run 2^(degree+1) instances each, so every degree
-# doubles the run: degree 12 takes about 8 s on one core of a 2-vCPU x86_64
-# VM with CPython 3.11
+# doubles the run: degree 12 takes 7-9 s on one core of a 2-vCPU x86_64 VM
+# (Intel Xeon) with CPython 3.11.7, most of it in four_term_sublagrangian
 MAX_VERIFY_DEGREE = 12
 
 

@@ -8,7 +8,16 @@ quadratic refinement mu is the diagonal of theta, compared modulo the
 indeterminacy {v - eps*vbar}.
 
 A resolution is a triple (d, psi0, psi1) of square matrices with
-psi1 + psi1^* = -d*psi0, checked on construction.
+psi1 + psi1^* = -d*psi0, checked on construction.  The check builds no
+matrices: dihedral.resolution_identity_holds sums each entry
+psi1[i][j] + bar(psi1[j][i]) + sum_l d[i][l] psi0[l][j] into one dict and
+asks that it vanish.
+
+Base change is by monomial matrices P of units (group elements up to
+sign), computed entry by entry rather than as matrix products: column j of
+P holds one unit u_j in row r_j, so (P* M P)[i][j] = bar(u_i) M[r_i][r_j] u_j,
+and d -> P* d (P^-1)* takes bar(u_j^-1) as its right factor.  P^-1 has the
+transposed pattern of P, so P P^-1 = P^-1 P = I is checked unit by unit.
 
 The paper's data lives over Z[t] and is induced into the group ring: theta
 and psi entries q(t) become q(t)*a, and d keeps its entries q(t).  The
@@ -34,11 +43,19 @@ and ``("assert_equal", {"theta": M})`` (forms) or ``("assert_equal", {"d": ..,
 from __future__ import annotations
 
 from unilcalc._record import Record
-from unilcalc.dihedral import A, B, ONE, DihedralElement, _group_inv, quad_indeterminacy_equal
+from unilcalc.dihedral import (
+    A,
+    B,
+    ONE,
+    DihedralElement,
+    quad_indeterminacy_equal,
+    resolution_identity_holds,
+)
 from unilcalc.polynomials import Polynomial
 
 _ZERO = DihedralElement.zero()
 _TWO = DihedralElement.monomial(0, 0, 2)
+_TWO_A = DihedralElement.monomial(0, 1, 2)
 
 
 def _mconj_t(M):
@@ -56,33 +73,6 @@ def _mneg(M):
 
 def _msign(M, eps):
     return M if eps == 1 else _mneg(M)
-
-
-def _mmul(Am, Bm):
-    n, inner = len(Am), len(Bm)
-    if n == 0 or inner == 0:
-        return ()
-    m = len(Bm[0])
-    out = []
-    for ra in Am:
-        # the matrices multiplied here, such as d = 2I and P = diag(b, a),
-        # are often half zeros, so only products of two nonzero entries are
-        # formed
-        nonzero = [(k, a) for k, a in enumerate(ra) if not a.is_zero()]
-        row = []
-        for j in range(m):
-            acc = _ZERO
-            for k, a in nonzero:
-                b = Bm[k][j]
-                if not b.is_zero():
-                    acc = a * b if acc is _ZERO else acc + a * b
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_eq(Am, Bm):
-    return all(x == y for ra, rb in zip(Am, Bm) for x, y in zip(ra, rb))
 
 
 class QuadraticFormTheta(Record):
@@ -132,9 +122,7 @@ class QuadResolution(Record):
         for M in (self.d, self.psi0, self.psi1):
             if len(M) != k or any(len(row) != k for row in M):
                 raise ValueError("d, psi0, psi1 must be square of equal rank")
-        lhs = _madd(self.psi1, _mconj_t(self.psi1))
-        rhs = _mneg(_mmul(self.d, self.psi0))
-        if not _mat_eq(lhs, rhs):
+        if not resolution_identity_holds(self.d, self.psi0, self.psi1):
             raise ValueError("resolution identity psi1 + psi1* = -d*psi0 fails")
 
     @property
@@ -161,10 +149,10 @@ def standard_resolution(p, g):
 
 
 def _unit_inverse(x):
+    # a unit c*g with c = +-1 and g a group element has inverse c*g^(-1)
     if len(x.terms) != 1 or x.terms[0][1] not in (1, -1):
         raise ValueError(f"entry {x} is not a group-element unit")
-    (k, e), c = x.terms[0]
-    return DihedralElement.monomial(*_group_inv(k, e), c=c)
+    return x.bar()
 
 
 def _monomial_inverse(P):
@@ -180,10 +168,14 @@ def _monomial_inverse(P):
 
 def _checked_inverse(P):
     P_inv = _monomial_inverse(P)
-    n = len(P)
-    eye = tuple(tuple(ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-    if not (_mat_eq(_mmul(P, P_inv), eye) and _mat_eq(_mmul(P_inv, P), eye)):
-        raise ValueError("base-change matrix is not invertible")
+    # P is monomial and P^-1 has the transposed pattern, so P P^-1 = P^-1 P = I
+    # exactly when u u^-1 = u^-1 u = 1 for every nonzero entry u of P
+    for i, row in enumerate(P):
+        for j, u in enumerate(row):
+            if not u.is_zero():
+                v = P_inv[j][i]
+                if u * v != ONE or v * u != ONE:
+                    raise ValueError("base-change matrix is not invertible")
     return P_inv
 
 
@@ -191,16 +183,24 @@ def base_change(x, P):
     """Congruence by P: theta -> P* theta P.  For resolutions the psi
     matrices transform the same way and d -> P* d (P^-1)*.  P must be a
     monomial matrix of units (group elements up to sign), which is
-    inverted entry by entry."""
+    inverted entry by entry.  The products are formed entry by entry, as
+    the module docstring describes."""
     P = tuple(tuple(row) for row in P)
     P_inv = _checked_inverse(P)
-    Pc = _mconj_t(P)
+    rows = [next(r for r, row in enumerate(P) if not row[j].is_zero()) for j in range(len(P))]
+    left = [P[r][j].bar() for j, r in enumerate(rows)]
+
+    def congruence(M, right):
+        return tuple(
+            tuple(_ZERO if M[r][s].is_zero() else u * M[r][s] * v for s, v in zip(rows, right))
+            for r, u in zip(rows, left)
+        )
+
+    right = [P[r][j] for j, r in enumerate(rows)]
     if isinstance(x, QuadraticFormTheta):
-        return QuadraticFormTheta(_mmul(Pc, _mmul(x.theta, P)), x.epsilon)
-    d = _mmul(Pc, _mmul(x.d, _mconj_t(P_inv)))
-    psi0 = _mmul(Pc, _mmul(x.psi0, P))
-    psi1 = _mmul(Pc, _mmul(x.psi1, P))
-    return QuadResolution(d, psi0, psi1, x.epsilon)
+        return QuadraticFormTheta(congruence(x.theta, right), x.epsilon)
+    d = congruence(x.d, [P_inv[j][r].bar() for j, r in enumerate(rows)])
+    return QuadResolution(d, congruence(x.psi0, right), congruence(x.psi1, right), x.epsilon)
 
 
 def switch_form(x):
@@ -304,12 +304,12 @@ def verify_chain(start, steps):
 
 def _poly_times_b_on_left(p):
     # b*p(t) = sum c_k t^(1-k) a
-    return DihedralElement.from_dict({(1 - k, 1): c for k, c in enumerate(p.coeffs) if c})
+    return B * DihedralElement.from_poly(p)
 
 
 def _two_a_times_poly(g):
     # 2a*g(t) = sum 2 c_k t^(-k) a
-    return DihedralElement.from_dict({(-k, 1): 2 * c for k, c in enumerate(g.coeffs) if c})
+    return _TWO_A * DihedralElement.from_poly(g)
 
 
 def generator_switch_chain(p):

@@ -9,6 +9,7 @@ cannot share a bug with.
 import csv
 import io
 import json
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 
@@ -435,3 +436,129 @@ def arf_by_eval_bq(form):
         if e % 2 == 0 and total >> e & 1:
             total ^= (1 << e) | (1 << (e // 2))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Z[D_inf] by its action on the integers: t is x -> x + 1 and a is x -> -x.
+# An affine map of Z is stored as its values (f(0), f(1)), so the group law
+# is composition of maps and never the library's exponent arithmetic.
+
+def _apply(f, x):
+    return f[0] + (f[1] - f[0]) * x
+
+
+def _compose(f, g):
+    """The map f o g."""
+    return (_apply(f, _apply(g, 0)), _apply(f, _apply(g, 1)))
+
+
+def _inverse_map(f):
+    # f(x) = f0 + s x with s = +-1, so f^-1(y) = s (y - f0)
+    s = f[1] - f[0]
+    return (-s * f[0], s * (1 - f[0]))
+
+
+_T_MAP, _T_INV_MAP, _A_MAP = (1, 2), (-1, 0), (0, -1)
+_HALF = Fraction(1, 2)
+# the switch conjugates by x -> 1/2 - x, which exchanges a and b = ta
+_SWITCH_MAP = (_HALF, -_HALF)
+
+
+def group_map(k, eps):
+    """The map of t^k a^eps, composed from the generators' maps."""
+    f = (0, 1)
+    for _ in range(abs(k)):
+        f = _compose(f, _T_MAP if k > 0 else _T_INV_MAP)
+    return _compose(f, _A_MAP) if eps else f
+
+
+def ring_oracle(x):
+    """A DihedralElement as {map: coefficient}."""
+    out = {}
+    for (k, eps), c in x.terms:
+        f = group_map(k, eps)
+        out[f] = out.get(f, 0) + c
+    return {f: c for f, c in out.items() if c}
+
+
+def _collect(pairs):
+    out = {}
+    for f, c in pairs:
+        out[f] = out.get(f, 0) + c
+    return {f: c for f, c in out.items() if c}
+
+
+def oracle_add(X, Y):
+    return _collect([*X.items(), *Y.items()])
+
+
+def oracle_neg(X):
+    return {f: -c for f, c in X.items()}
+
+
+def oracle_mul(X, Y):
+    return _collect((_compose(f, g), c * e) for f, c in X.items() for g, e in Y.items())
+
+
+def oracle_bar(X):
+    return _collect((_inverse_map(f), c) for f, c in X.items())
+
+
+def oracle_switch(X):
+    # the conjugated map takes integers to integers, so its values are ints
+    return _collect(
+        (tuple(int(v) for v in _compose(_SWITCH_MAP, _compose(f, _SWITCH_MAP))), c)
+        for f, c in X.items()
+    )
+
+
+# ---------------------------------------------------------------------------
+# the matrix formulas that forms computed before it worked entry by entry:
+# products of whole matrices over Z[D_inf], then an entrywise comparison
+
+def dihedral_matmul(Am, Bm):
+    from unilcalc.dihedral import DihedralElement
+
+    n, inner = len(Am), len(Bm)
+    m = len(Bm[0]) if inner else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = DihedralElement.zero()
+            for k in range(inner):
+                acc = acc + Am[i][k] * Bm[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dihedral_conj_t(M):
+    n = len(M)
+    return tuple(tuple(M[j][i].bar() for j in range(n)) for i in range(n))
+
+
+def dihedral_matadd(Am, Bm):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(Am, Bm))
+
+
+def dihedral_matneg(M):
+    return tuple(tuple(-x for x in row) for row in M)
+
+
+def resolution_identity_by_matrices(d, psi0, psi1):
+    """psi1 + psi1^* == -d*psi0, from the matrices themselves."""
+    return dihedral_matadd(psi1, dihedral_conj_t(psi1)) == dihedral_matneg(dihedral_matmul(d, psi0))
+
+
+def is_identity_matrix(M):
+    from unilcalc.dihedral import ONE, DihedralElement
+
+    n = len(M)
+    return M == tuple(tuple(ONE if i == j else DihedralElement.zero() for j in range(n)) for i in range(n))
+
+
+def base_change_by_matrices(M, P, P_inv=None):
+    """P* M P, or P* M (P^-1)* when the inverse P_inv is given (the rule for d)."""
+    right = P if P_inv is None else dihedral_conj_t(P_inv)
+    return dihedral_matmul(dihedral_conj_t(P), dihedral_matmul(M, right))

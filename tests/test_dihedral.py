@@ -3,6 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from tests.helpers_oracles import (
+    oracle_add,
+    oracle_bar,
+    oracle_mul,
+    oracle_neg,
+    oracle_switch,
+    ring_oracle,
+)
 from unilcalc.dihedral import (
     A,
     B,
@@ -70,6 +78,99 @@ class TestRepresentation:
             x = rand_elem(rng, nterms=5)
             assert (x + (-x)).terms == ()
             assert (x - x).is_zero() and x - x == DihedralElement.zero()
+
+
+class TestInputChecks:
+    def test_repeated_group_elements_are_summed(self):
+        assert DihedralElement([((0, 0), 1), ((0, 0), 1)]) == DihedralElement.monomial(0, 0, 2)
+        assert str(DihedralElement([((0, 0), 1), ((0, 0), 1)])) == "2*t^0"
+        assert DihedralElement([((2, 1), 3), ((2, 1), -3)]).is_zero()
+        assert DihedralElement({(1, 0): 2, (-1, 1): 0}) == DihedralElement.monomial(1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DihedralElement([((0, 0), 1.5)]),
+            lambda: DihedralElement([((0.5, 0), 1)]),
+            lambda: DihedralElement.from_dict({(0, 0): "1"}),
+            lambda: DihedralElement.from_dict({(1.0, 1): 1}),
+            lambda: DihedralElement.monomial(0, 0, c=1.5),
+            lambda: DihedralElement.monomial(0.5, 0),
+        ],
+        ids=["init-coefficient", "init-exponent", "from_dict-coefficient", "from_dict-exponent",
+             "monomial-coefficient", "monomial-exponent"],
+    )
+    def test_non_integers_rejected(self, build):
+        with pytest.raises(TypeError, match="is not an integer"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DihedralElement.monomial(0, 2),
+            lambda: DihedralElement.monomial(1, -1),
+            lambda: DihedralElement.monomial(0, 1.0),
+            lambda: DihedralElement([((0, 2), 1)]),
+            lambda: DihedralElement.from_dict({(3, 5): 1}),
+        ],
+        ids=["monomial-2", "monomial--1", "monomial-float", "init-2", "from_dict-5"],
+    )
+    def test_a_exponent_must_be_0_or_1(self, build):
+        with pytest.raises(ValueError, match="a-exponent must be 0 or 1"):
+            build()
+
+
+def oracle_elem(rng, shape):
+    """A random element of a given shape: zero, a single rotation t^k or
+    reflection t^k a, or a sum of several terms; exponents run negative
+    and coefficients are +-1 and +-2."""
+    if shape == "zero":
+        return DihedralElement.zero()
+    coeff = lambda: rng.choice((1, -1, 2, -2))  # noqa: E731
+    if shape in ("rotation", "reflection"):
+        return DihedralElement.monomial(rng.randint(-4, 4), int(shape == "reflection"), c=coeff())
+    return DihedralElement(
+        [((rng.randint(-3, 3), rng.randint(0, 1)), coeff()) for _ in range(rng.randint(2, 5))]
+    )
+
+
+class TestAgainstActionOracle:
+    """The ring operations against D_inf acting on Z by t: x -> x + 1 and
+    a: x -> -x (helpers_oracles), where products compose maps."""
+
+    SHAPES = ("zero", "rotation", "reflection", "general")
+
+    @pytest.mark.parametrize("left", SHAPES)
+    @pytest.mark.parametrize("right", SHAPES)
+    def test_product_paths(self, left, right):
+        rng = random.Random(f"{left}-{right}")
+        for _ in range(60):
+            x, y = oracle_elem(rng, left), oracle_elem(rng, right)
+            assert ring_oracle(x * y) == oracle_mul(ring_oracle(x), ring_oracle(y)), (x, y)
+
+    def test_ring_operations(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            x, y = (oracle_elem(rng, rng.choice(self.SHAPES)) for _ in range(2))
+            X, Y = ring_oracle(x), ring_oracle(y)
+            assert ring_oracle(x + y) == oracle_add(X, Y)
+            assert ring_oracle(x - y) == oracle_add(X, oracle_neg(Y))
+            assert ring_oracle(-x) == oracle_neg(X)
+            assert ring_oracle(x.bar()) == oracle_bar(X)
+            assert ring_oracle(x.switch()) == oracle_switch(X)
+
+    def test_cancelling_sums(self):
+        rng = random.Random(73)
+        for _ in range(100):
+            x, y = (oracle_elem(rng, "general") for _ in range(2))
+            s = x * y + (-x) * y
+            assert s.is_zero() and s.terms == () and ring_oracle(s) == {}
+            assert x + (-x) == DihedralElement.zero()
+
+    def test_generators(self):
+        # b is a conjugated by x -> 1/2 - x, and t = ba
+        assert ring_oracle(A.switch()) == ring_oracle(B)
+        assert ring_oracle(T) == oracle_mul(ring_oracle(B), ring_oracle(A))
 
 
 class TestInvolution:

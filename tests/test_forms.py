@@ -2,10 +2,20 @@ import random
 
 import pytest
 
-from unilcalc.dihedral import A, B, ONE as DONE, DihedralElement
+from tests.helpers_oracles import (
+    base_change_by_matrices,
+    dihedral_conj_t,
+    dihedral_matadd,
+    dihedral_matmul,
+    dihedral_matneg,
+    is_identity_matrix,
+    resolution_identity_by_matrices,
+)
+from unilcalc.dihedral import A, B, ONE as DONE, T as T_ELEM, DihedralElement, resolution_identity_holds
 from unilcalc.forms import (
     QuadResolution,
     QuadraticFormTheta,
+    _checked_inverse,
     base_change,
     forms_equal,
     generator_form,
@@ -316,3 +326,103 @@ class TestEquality:
         r1 = standard_resolution(T, ONE)
         r2 = standard_resolution(T + ONE, ONE)
         assert not resolutions_equal(r1, r2)
+
+
+def rand_entry(rng):
+    return DihedralElement(
+        [((rng.randint(-2, 2), rng.randint(0, 1)), rng.choice((1, -1, 2))) for _ in range(rng.randint(0, 3))]
+    )
+
+
+def rand_matrix(rng, n):
+    return tuple(tuple(rand_entry(rng) for _ in range(n)) for _ in range(n))
+
+
+def rand_resolution(rng, n):
+    """A resolution of rank n over Z[D_inf]: with N = d V d^*, psi0 =
+    (V + V^*) d^* and psi1 = -N + U - U^* satisfy psi1 + psi1^* = -d*psi0."""
+    d, V, U = (rand_matrix(rng, n) for _ in range(3))
+    psi0 = dihedral_matmul(dihedral_matadd(V, dihedral_conj_t(V)), dihedral_conj_t(d))
+    N = dihedral_matmul(dihedral_matmul(d, V), dihedral_conj_t(d))
+    psi1 = dihedral_matadd(dihedral_matneg(N), dihedral_matadd(U, dihedral_matneg(dihedral_conj_t(U))))
+    return QuadResolution(d, psi0, psi1, rng.choice((1, -1)))
+
+
+class TestAgainstMatrixFormulas:
+    """The entrywise identity check and base change against the products of
+    whole matrices they replace (helpers_oracles)."""
+
+    def test_base_change_of_forms(self):
+        rng = random.Random(191)
+        for n in (1, 2, 3):
+            for _ in range(30):
+                f = QuadraticFormTheta(rand_matrix(rng, n), rng.choice((1, -1)))
+                P = rand_monomial_P(rng, n)
+                assert base_change(f, P).theta == base_change_by_matrices(f.theta, P)
+
+    def test_base_change_of_resolutions(self):
+        rng = random.Random(193)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                r = rand_resolution(rng, n)
+                P = rand_monomial_P(rng, n)
+                P_inv = _checked_inverse(P)
+                got = base_change(r, P)
+                assert got.d == base_change_by_matrices(r.d, P, P_inv)
+                assert got.psi0 == base_change_by_matrices(r.psi0, P)
+                assert got.psi1 == base_change_by_matrices(r.psi1, P)
+                assert got.epsilon == r.epsilon
+
+    def test_checked_inverse_is_two_sided(self):
+        rng = random.Random(197)
+        for n in (1, 2, 3):
+            for _ in range(30):
+                P = rand_monomial_P(rng, n)
+                P_inv = _checked_inverse(P)
+                assert is_identity_matrix(dihedral_matmul(P, P_inv))
+                assert is_identity_matrix(dihedral_matmul(P_inv, P))
+
+    def test_identity_check_accepts_what_the_matrix_formula_accepts(self):
+        rng = random.Random(199)
+        outcomes = set()
+        for _ in range(150):
+            p, g = zpoly(rng, 2), zpoly(rng, 2)
+            r = standard_resolution(p, g)
+            r = base_change(r, rand_monomial_P(rng))
+            if rng.random() < 0.5:
+                r = switch_form(r)
+            mats = {"d": r.d, "psi0": r.psi0, "psi1": r.psi1}
+            if rng.random() < 0.8:
+                name, i, j = rng.choice(tuple(mats)), rng.randint(0, 1), rng.randint(0, 1)
+                M = [list(row) for row in mats[name]]
+                M[i][j] = M[i][j] + (rand_entry(rng) if rng.random() < 0.7 else T_ELEM - T_ELEM.bar())
+                mats[name] = tuple(tuple(row) for row in M)
+            want = resolution_identity_by_matrices(mats["d"], mats["psi0"], mats["psi1"])
+            assert resolution_identity_holds(mats["d"], mats["psi0"], mats["psi1"]) == want
+            outcomes.add(want)
+            if want:
+                QuadResolution(mats["d"], mats["psi0"], mats["psi1"], r.epsilon)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    QuadResolution(mats["d"], mats["psi0"], mats["psi1"], r.epsilon)
+                assert str(exc.value) == "resolution identity psi1 + psi1* = -d*psi0 fails"
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "P,message",
+        [
+            (((B, B), (DZERO, A)), "base-change matrix is not monomial"),
+            (((B, DZERO), (A, DZERO)), "base-change matrix is not monomial"),
+            (((DZERO,),), "base-change matrix is not monomial"),
+            (((B * 2, DZERO), (DZERO, A)), "entry 2*t^1*a is not a group-element unit"),
+            (((A + B,),), "entry 1*t^0*a+1*t^1*a is not a group-element unit"),
+        ],
+        ids=["two-in-a-row", "two-in-a-column", "zero", "twice-a-unit", "sum-of-units"],
+    )
+    def test_checked_inverse_messages(self, P, message):
+        with pytest.raises(ValueError) as exc:
+            _checked_inverse(P)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            base_change(QuadraticFormTheta(tuple((DZERO,) * len(P) for _ in P), 1), P)
+        assert str(exc.value) == message
