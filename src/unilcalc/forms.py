@@ -15,9 +15,11 @@ asks that it vanish.
 
 Base change is by monomial matrices P of units (group elements up to
 sign), computed entry by entry rather than as matrix products: column j of
-P holds one unit u_j in row r_j, so (P* M P)[i][j] = bar(u_i) M[r_i][r_j] u_j,
-and d -> P* d (P^-1)* takes bar(u_j^-1) as its right factor.  P^-1 has the
-transposed pattern of P, so P P^-1 = P^-1 P = I is checked unit by unit.
+P holds one unit u_j in row r_j, so (P* M P)[i][j] = bar(u_i) M[r_i][r_j] u_j.
+Such a P is unitary.  The involution sends a group element g to g^-1, so
+bar(u) u = u bar(u) = 1 for every unit u = +-g, and P* P = P P* = I.  So
+P^-1 = P*, the resolution rule d -> P* d (P^-1)* is the congruence
+d -> P* d P that theta, psi0 and psi1 get, and no inverse is formed.
 
 The paper's data lives over Z[t] and is induced into the group ring: theta
 and psi entries q(t) become q(t)*a, and d keeps its entries q(t).  The
@@ -46,7 +48,6 @@ from unilcalc._record import Record
 from unilcalc.dihedral import (
     A,
     B,
-    ONE,
     DihedralElement,
     quad_indeterminacy_equal,
     resolution_identity_holds,
@@ -148,59 +149,42 @@ def standard_resolution(p, g):
     return QuadResolution(((_TWO, _ZERO), (_ZERO, _TWO)), psi0, _mneg(psi0), 1)
 
 
-def _unit_inverse(x):
-    # a unit c*g with c = +-1 and g a group element has inverse c*g^(-1)
-    if len(x.terms) != 1 or x.terms[0][1] not in (1, -1):
-        raise ValueError(f"entry {x} is not a group-element unit")
-    return x.bar()
-
-
-def _monomial_inverse(P):
+def _monomial_units(P):
+    """Each column j's row r_j and unit u_j of a monomial matrix P of units,
+    as two lists.  A P that does not have one nonzero entry in each row and
+    each column is refused first, then the first nonzero entry, in row-major
+    order, that is not a unit +-g."""
     n = len(P)
     entries = [(i, j) for i in range(n) for j in range(n) if not P[i][j].is_zero()]
     if len(entries) != n or len({i for i, _ in entries}) != n or len({j for _, j in entries}) != n:
         raise ValueError("base-change matrix is not monomial")
-    inv = [[_ZERO] * n for _ in range(n)]
+    rows, units = [0] * n, [None] * n
     for i, j in entries:
-        inv[j][i] = _unit_inverse(P[i][j])
-    return tuple(tuple(row) for row in inv)
-
-
-def _checked_inverse(P):
-    P_inv = _monomial_inverse(P)
-    # P is monomial and P^-1 has the transposed pattern, so P P^-1 = P^-1 P = I
-    # exactly when u u^-1 = u^-1 u = 1 for every nonzero entry u of P
-    for i, row in enumerate(P):
-        for j, u in enumerate(row):
-            if not u.is_zero():
-                v = P_inv[j][i]
-                if u * v != ONE or v * u != ONE:
-                    raise ValueError("base-change matrix is not invertible")
-    return P_inv
+        u = P[i][j]
+        if len(u.terms) != 1 or u.terms[0][1] not in (1, -1):
+            raise ValueError(f"entry {u} is not a group-element unit")
+        rows[j], units[j] = i, u
+    return rows, units
 
 
 def base_change(x, P):
-    """Congruence by P: theta -> P* theta P.  For resolutions the psi
-    matrices transform the same way and d -> P* d (P^-1)*.  P must be a
-    monomial matrix of units (group elements up to sign), which is
-    inverted entry by entry.  The products are formed entry by entry, as
+    """The congruence M -> P* M P, applied to theta of a form and to each of
+    d, psi0 and psi1 of a resolution.  P must be a monomial matrix of units
+    (group elements up to sign); such a P is unitary, so this is also the
+    rule d -> P* d (P^-1)*.  The products are formed entry by entry, as
     the module docstring describes."""
-    P = tuple(tuple(row) for row in P)
-    P_inv = _checked_inverse(P)
-    rows = [next(r for r, row in enumerate(P) if not row[j].is_zero()) for j in range(len(P))]
-    left = [P[r][j].bar() for j, r in enumerate(rows)]
+    rows, units = _monomial_units(P)
+    left = [u.bar() for u in units]
 
-    def congruence(M, right):
+    def congruence(M):
         return tuple(
-            tuple(_ZERO if M[r][s].is_zero() else u * M[r][s] * v for s, v in zip(rows, right))
+            tuple(_ZERO if M[r][s].is_zero() else u * M[r][s] * v for s, v in zip(rows, units))
             for r, u in zip(rows, left)
         )
 
-    right = [P[r][j] for j, r in enumerate(rows)]
     if isinstance(x, QuadraticFormTheta):
-        return QuadraticFormTheta(congruence(x.theta, right), x.epsilon)
-    d = congruence(x.d, [P_inv[j][r].bar() for j, r in enumerate(rows)])
-    return QuadResolution(d, congruence(x.psi0, right), congruence(x.psi1, right), x.epsilon)
+        return QuadraticFormTheta(congruence(x.theta), x.epsilon)
+    return QuadResolution(congruence(x.d), congruence(x.psi0), congruence(x.psi1), x.epsilon)
 
 
 def switch_form(x):

@@ -339,11 +339,8 @@ def sublagrangian_reduce(form, S):
         raise ValueError("submodule ambient rank does not match form")
     if not S.basis:
         return form
-    SB = _check_sublagrangian(form, S)
-    comp = _complement(SB)
-    if not comp.contains(S):
-        raise ValueError("S is not contained in its orthogonal complement")
-    T = comp.basis
+    # b vanishes on S, so S * SB^T = 0 and S lies in its complement
+    T = _complement(_check_sublagrangian(form, S)).basis
     C = tuple(divmod_rows(row, T)[0] for row in S.basis)
     D, _, V = smith(C)
     r = len(S.basis)

@@ -169,6 +169,9 @@ _TERM_RE = re.compile(
     )$""",
     re.VERBOSE,
 )
+# blanks are dropped from a term before it is matched, except where they
+# separate two digits: "1 0*t" is a bad term, not 10*t
+_SPLIT_DIGITS_RE = re.compile(r"\d +\d")
 
 
 def _split_terms(text):
@@ -232,7 +235,7 @@ def _parse_terms(text):
         if term in ("+", "-", ""):
             raise ValueError(f"dangling sign at position {pos}")
         m = _TERM_RE.match(term)
-        if not m:
+        if not m or (" " in raw and _SPLIT_DIGITS_RE.search(raw)):
             raise ValueError(f"bad term {raw.strip()!r} at position {pos}")
         if m.group("ct") is not None:
             c = _coefficient(m.group("ct"), pos)

@@ -562,3 +562,22 @@ def base_change_by_matrices(M, P, P_inv=None):
     """P* M P, or P* M (P^-1)* when the inverse P_inv is given (the rule for d)."""
     right = P if P_inv is None else dihedral_conj_t(P_inv)
     return dihedral_matmul(dihedral_conj_t(P), dihedral_matmul(M, right))
+
+
+def monomial_inverse_by_oracle(P):
+    """P^-1 of a monomial matrix P of units +-g: the entry u at (i, j) goes
+    to (j, i) as u^-1, with g^-1 read off the inverse of g's affine map.
+    The map of t^k a^eps sends 0 to k and has slope (-1)^eps."""
+    from unilcalc.dihedral import DihedralElement
+
+    n = len(P)
+    inv = [[DihedralElement.zero()] * n for _ in range(n)]
+    for i, row in enumerate(P):
+        for j, u in enumerate(row):
+            if not u.is_zero():
+                ((f, c),) = ring_oracle(u).items()
+                if c not in (1, -1):
+                    raise ValueError(f"entry {u} is not a group-element unit")
+                g = _inverse_map(f)
+                inv[j][i] = DihedralElement.monomial(g[0], int(g[1] < g[0]), c)
+    return tuple(tuple(row) for row in inv)

@@ -86,6 +86,11 @@ class TestReduce:
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {message}"]
 
+    def test_blanks_inside_a_number_are_refused(self, capsys):
+        code, out, err = run(capsys, "reduce", "idem", "1 0*t")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: bad term '1 0*t' at position 0"]
+
     def test_elapsed_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "reduce", "idem", "t")
         assert "elapsed" not in out and "elapsed" in err
@@ -124,6 +129,7 @@ class TestSw:
             ("j1[]", "empty polynomial at position 3"),
             ("j1[  ]", "empty polynomial at position 3"),
             ("j2[t] + j1[ t + q]", "bad term '+ q' at position 14"),
+            ("j1[t^1 0]", "bad term 't^1 0' at position 3"),
         ],
     )
     def test_bad_coordinate_rejected(self, capsys, literal, message):
@@ -347,6 +353,11 @@ def test_json_position_counts_leading_blanks(capsys, tmp_path):
                 "sublagrangian": {"generators": [["1", "0"], ["0", "t^"]]},
             },
             "generators[1][1]: bad term 't^' at position 0",
+        ),
+        (
+            "arf",
+            {"rank": 2, "b_num": [["0", "1 1"], ["1", "0"]], "q_num": ["0", "0"]},
+            "b_num[0][1]: bad term '1 1' at position 0",
         ),
     ],
 )

@@ -9,13 +9,13 @@ from tests.helpers_oracles import (
     dihedral_matmul,
     dihedral_matneg,
     is_identity_matrix,
+    monomial_inverse_by_oracle,
     resolution_identity_by_matrices,
 )
 from unilcalc.dihedral import A, B, ONE as DONE, T as T_ELEM, DihedralElement, resolution_identity_holds
 from unilcalc.forms import (
     QuadResolution,
     QuadraticFormTheta,
-    _checked_inverse,
     base_change,
     forms_equal,
     generator_form,
@@ -109,9 +109,7 @@ class TestBaseChange:
             if f.rank != 2:
                 continue
             P = rand_monomial_P(rng)
-            from unilcalc.forms import _monomial_inverse
-
-            assert base_change(base_change(f, P), _monomial_inverse(P)) == f
+            assert base_change(base_change(f, P), monomial_inverse_by_oracle(P)) == f
 
     def test_displayed_intermediate(self):
         # diag(b, a) congruence of the induced (tp, 1) generator
@@ -366,7 +364,7 @@ class TestAgainstMatrixFormulas:
             for _ in range(20):
                 r = rand_resolution(rng, n)
                 P = rand_monomial_P(rng, n)
-                P_inv = _checked_inverse(P)
+                P_inv = monomial_inverse_by_oracle(P)
                 got = base_change(r, P)
                 assert got.d == base_change_by_matrices(r.d, P, P_inv)
                 assert got.psi0 == base_change_by_matrices(r.psi0, P)
@@ -374,13 +372,18 @@ class TestAgainstMatrixFormulas:
                 assert got.epsilon == r.epsilon
 
     def test_checked_inverse_is_two_sided(self):
+        # the oracle's P^-1 is a two-sided inverse, and so is P*: a monomial
+        # P of units is unitary, which is why base change forms no inverse
         rng = random.Random(197)
         for n in (1, 2, 3):
             for _ in range(30):
                 P = rand_monomial_P(rng, n)
-                P_inv = _checked_inverse(P)
+                P_inv = monomial_inverse_by_oracle(P)
                 assert is_identity_matrix(dihedral_matmul(P, P_inv))
                 assert is_identity_matrix(dihedral_matmul(P_inv, P))
+                assert is_identity_matrix(dihedral_matmul(dihedral_conj_t(P), P))
+                assert is_identity_matrix(dihedral_matmul(P, dihedral_conj_t(P)))
+                assert P_inv == dihedral_conj_t(P)
 
     def test_identity_check_accepts_what_the_matrix_formula_accepts(self):
         rng = random.Random(199)
@@ -420,9 +423,8 @@ class TestAgainstMatrixFormulas:
         ids=["two-in-a-row", "two-in-a-column", "zero", "twice-a-unit", "sum-of-units"],
     )
     def test_checked_inverse_messages(self, P, message):
-        with pytest.raises(ValueError) as exc:
-            _checked_inverse(P)
-        assert str(exc.value) == message
-        with pytest.raises(ValueError) as exc:
-            base_change(QuadraticFormTheta(tuple((DZERO,) * len(P) for _ in P), 1), P)
-        assert str(exc.value) == message
+        zero = tuple((DZERO,) * len(P) for _ in P)
+        for x in (QuadraticFormTheta(zero, 1), QuadResolution(zero, zero, zero, 1)):
+            with pytest.raises(ValueError) as exc:
+                base_change(x, P)
+            assert str(exc.value) == message

@@ -505,6 +505,34 @@ class TestAgainstEvalBqOracles:
         # every outcome occurred: isotropic, q nonzero, b nonzero
         assert seen == {None, "q", "b"}
 
+    def test_a_passing_check_puts_s_in_its_complement(self):
+        # sublagrangian_reduce takes the complement's basis without asking
+        # whether it contains S: a zero Gram matrix S * SB^T says it does
+        rng = random.Random(271)
+        passed = failed = 0
+        for _ in range(120):
+            if rng.random() < 0.3:
+                f, S = killed_blocks_instance(rng, rng.randint(1, 3), rng.randint(0, 2))
+            else:
+                f = rand_form(rng, rng.choice((2, 4)), deg=2, even=rng.random() < 0.5)
+                k = f.rank
+                picked = sorted(rng.sample(range(k), rng.randint(1, k)))
+                q = tuple((lo, 0) if i in picked else (lo, hi) for i, (lo, hi) in enumerate(f.q_num))
+                f = LinkingForm(k, f.b_num, q)
+                gens = [tuple(int(c == i) for c in range(k)) for i in picked]
+                gens += [tuple(rng.randrange(8) for _ in range(k)) for _ in range(rng.randint(0, 2))]
+                S = Submodule.from_generators(gens, k)
+            if not S.basis:
+                continue
+            try:
+                SB = linking._check_sublagrangian(f, S)
+            except ValueError:
+                failed += 1
+                continue
+            passed += 1
+            assert linking._complement(SB).contains(S)
+        assert passed >= 20 and failed >= 20
+
     def test_q_is_checked_before_b(self):
         # b(0, 1) = 1 and q(generator 1) = 2: the q failure is reported
         f = direct_sum([hyperbolic(q2=(0, 1)), hyperbolic()])

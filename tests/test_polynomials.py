@@ -76,6 +76,12 @@ class TestParser:
             ("2*t", "2*t^1"),
             ("1*t^2+0*t^1+1*t^0", "1*t^2+1*t^0"),
             ("t+t", "2*t^1"),
+            # blanks between tokens
+            ("t ^ 3", "1*t^3"),
+            ("2 * t", "2*t^1"),
+            ("- t", "-1*t^1"),
+            ("1 / 1 * t", "1*t^1"),
+            (" 3 * t ^ 2 - 1 ", "3*t^2-1*t^0"),
         ],
     )
     def test_accepted_forms(self, text, canon):
@@ -132,6 +138,23 @@ class TestParser:
                 parse(text)
             messages.add(str(exc.value))
         assert len(messages) == 1, messages
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1 0*t", "bad term '1 0*t' at position 0"),
+            ("t^1 0", "bad term 't^1 0' at position 0"),
+            ("2*t^2 2", "bad term '2*t^2 2' at position 0"),
+            ("t + 1 2", "bad term '+ 1 2' at position 2"),
+            ("1/1  0*t", "bad term '1/1  0*t' at position 0"),
+            ("t ^ 1 0", "bad term 't ^ 1 0' at position 0"),
+        ],
+    )
+    def test_blanks_inside_a_number_are_refused(self, text, message):
+        # dropping the blanks would read 10*t, t^10, 2*t^22, ...
+        for parse in (parse_poly, parse_f2, parse_z4):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse(text)
 
     def test_round_trip_random(self):
         rng = random.Random(11)
