@@ -106,10 +106,6 @@ def divmod_rows(v, H):
     return tuple(coeffs), tuple(v)
 
 
-def in_row_span(v, H):
-    return not any(divmod_rows(v, H)[1])
-
-
 def left_kernel(M):
     """Canonical basis of {u : u*M = 0}."""
     H, U = hnf(M)

@@ -26,14 +26,14 @@ def _bit_polys(degree):
 
 def _fx_generator_chain(degree, corrupt):
     for i, p in enumerate(_bit_polys(degree)):
-        start, steps = generator_switch_chain(p)
+        start, P, mid, end = generator_switch_chain(p)
         if corrupt and i == 0:
             theta = tuple(
                 tuple(-c if (r, s) == (0, 1) else c for s, c in enumerate(row))
                 for r, row in enumerate(start.theta)
             )
             start = QuadraticFormTheta(theta, start.epsilon)
-        failure = verify_chain(start, steps)
+        failure = verify_chain(start, P, mid, end)
         yield f"p={render(p, compact=True)}", failure is None, failure
 
 

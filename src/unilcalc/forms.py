@@ -37,9 +37,9 @@ indeterminacy {v - eps*vbar} restricted to the t^k*a terms is {0} for
 eps = +1 and the even multiples for eps = -1, which is the Z[t]
 indeterminacy {v - eps*v}.
 
-A chain is a sequence of steps ``("base_change", P)``, ``("switch", None)``
-and ``("assert_equal", {"theta": M})`` (forms) or ``("assert_equal", {"d": ..,
-"psi0": .., "psi1": ..})`` (resolutions).
+A switch chain is four records (start, P, mid, end), all forms or all
+resolutions, and verify_chain runs its four fixed steps: base change of
+start by P, comparison with mid, switch, comparison with end.
 """
 
 from __future__ import annotations
@@ -247,44 +247,33 @@ def resolutions_equal(lhs, rhs):
 # ---------------------------------------------------------------------------
 # chains
 
-def _build_target(state, payload):
-    if isinstance(state, QuadraticFormTheta):
-        if set(payload) != {"theta"}:
-            raise ValueError("form target takes a single theta matrix")
-        return QuadraticFormTheta(payload["theta"], state.epsilon)
-    if set(payload) != {"d", "psi0", "psi1"}:
-        raise ValueError("resolution target needs d=, psi0=, psi1=")
-    return QuadResolution(payload["d"], payload["psi0"], payload["psi1"], state.epsilon)
-
-
-def verify_chain(start, steps):
-    """Run chain steps against a start form or resolution.  Returns None
-    when every step passes, else the first failure, located by step."""
-    state = start
-    for n, (op, payload) in enumerate(steps, start=1):
-        try:
-            if op == "base_change":
-                state = base_change(state, payload)
-            elif op == "switch":
-                state = switch_form(state)
-            elif op == "assert_equal":
-                target = _build_target(state, payload)
-                diff = (
-                    _forms_diff(state, target)
-                    if isinstance(state, QuadraticFormTheta)
-                    else _res_diff(state, target)
-                )
-                if diff is not None:
-                    return f"step {n} assert_equal: {diff}"
-            else:
-                raise ValueError(f"unknown chain step {op!r}")
-        except ValueError as exc:
-            return f"step {n} {op}: {exc}"
-    return None
+def verify_chain(start, P, mid, end):
+    """Apply the base change P to start, compare the result with mid,
+    switch it, and compare that with end.  Returns None when all four steps
+    pass, else the first failure as ``step N <op>: ...`` (1 base_change,
+    2 assert_equal, 3 switch, 4 assert_equal)."""
+    diff = _forms_diff if isinstance(start, QuadraticFormTheta) else _res_diff
+    step = "1 base_change"
+    try:
+        state = base_change(start, P)
+        step = "2 assert_equal"
+        failure = diff(state, mid)
+        if failure is None:
+            step = "3 switch"
+            state = switch_form(state)
+            step = "4 assert_equal"
+            failure = diff(state, end)
+    except ValueError as exc:
+        failure = str(exc)
+    return None if failure is None else f"step {step}: {failure}"
 
 
 # ---------------------------------------------------------------------------
 # the two bundled chains
+
+# diag(b, a), the base change of both chains
+_DIAG_BA = ((B, _ZERO), (_ZERO, A))
+
 
 def _poly_times_b_on_left(p):
     # b*p(t) = sum c_k t^(1-k) a
@@ -297,32 +286,19 @@ def _two_a_times_poly(g):
 
 
 def generator_switch_chain(p):
-    """Start form and chain steps certifying that the switch of the induced
-    rank-2 generator with parameters (tp, 1) equals the induced generator
-    with parameters (p, t)."""
+    """The chain (start, P, mid, end) certifying that the switch of the
+    induced rank-2 generator with parameters (tp, 1) equals the induced
+    generator with parameters (p, t)."""
     t, one = Polynomial.t(), Polynomial.one()
-    start = generator_form(t * p, one)
-    mid = ((_poly_times_b_on_left(p), B), (_ZERO, A))
-    steps = (
-        ("base_change", ((B, _ZERO), (_ZERO, A))),
-        ("assert_equal", {"theta": mid}),
-        ("switch", None),
-        ("assert_equal", {"theta": generator_form(p, t).theta}),
-    )
-    return start, steps
+    mid = QuadraticFormTheta(((_poly_times_b_on_left(p), B), (_ZERO, A)), -1)
+    return generator_form(t * p, one), _DIAG_BA, mid, generator_form(p, t)
 
 
 def resolution_switch_chain(p, g):
-    """Start resolution and chain steps certifying that the switch of the
+    """The chain (start, P, mid, end) certifying that the switch of the
     induced complex for (tp, g) equals the induced complex for (p, tg)."""
     t = Polynomial.t()
     start = standard_resolution(t * p, g)
     mid_psi0 = ((_poly_times_b_on_left(p), B), (B, _two_a_times_poly(g)))
-    target = standard_resolution(p, t * g)
-    steps = (
-        ("base_change", ((B, _ZERO), (_ZERO, A))),
-        ("assert_equal", {"d": start.d, "psi0": mid_psi0, "psi1": _mneg(mid_psi0)}),
-        ("switch", None),
-        ("assert_equal", {"d": target.d, "psi0": target.psi0, "psi1": target.psi1}),
-    )
-    return start, steps
+    mid = QuadResolution(start.d, mid_psi0, _mneg(mid_psi0), 1)
+    return start, _DIAG_BA, mid, standard_resolution(p, t * g)

@@ -34,7 +34,6 @@ from unilcalc.f2linalg import (
     det,
     divmod_rows,
     hnf,
-    in_row_span,
     left_kernel,
     mat_identity,
     mat_inverse,
@@ -174,14 +173,6 @@ class Submodule(Record):
     @property
     def rank(self):
         return len(self.basis)
-
-    def member(self, v):
-        if len(v) != self.ambient_rank:
-            raise ValueError("vector length does not match ambient rank")
-        return in_row_span(tuple(v), self.basis) if self.basis else not any(v)
-
-    def contains(self, other):
-        return all(self.member(row) for row in other.basis)
 
     def to_json_dict(self):
         return {"generators": [[render(x) for x in row] for row in self.basis]}

@@ -175,18 +175,24 @@ _SPLIT_DIGITS_RE = re.compile(r"\d +\d")
 
 
 def _split_terms(text):
-    """Split on top-level +/- while keeping the sign with each term."""
+    """Split on top-level +/- while keeping the sign with each term: a sign
+    starts a new term once the term so far holds a character other than
+    "+", "-" and " ", and its last character that is not whitespace is
+    not *, ^ or /.
+    One pass, with each term sliced from text, so that a long run of signs
+    costs linear time."""
     out = []
-    cur = ""
-    cur_pos = 0
+    start, body, last = 0, False, ""
     for i, ch in enumerate(text):
-        if ch in "+-" and cur.strip("+- ") != "" and not cur.rstrip().endswith(("*", "^", "/")):
-            out.append((cur, cur_pos))
-            cur = ch
-            cur_pos = i
-        else:
-            cur += ch
-    out.append((cur, cur_pos))
+        if ch in "+-":
+            if body and last not in ("*", "^", "/"):
+                out.append((text[start:i], start))
+                start, body = i, False
+        elif ch != " ":
+            body = True
+        if not ch.isspace():
+            last = ch
+    out.append((text[start:], start))
     return out
 
 

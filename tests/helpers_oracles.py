@@ -396,6 +396,14 @@ def check_sublagrangian_by_eval_bq(form, S):
                 raise ValueError(f"b({i},{j}) is nonzero on S: S is not isotropic")
 
 
+def submodule_contains(big, small):
+    """Whether every generator of the Submodule small reduces to zero modulo
+    the Hermite basis of big."""
+    from unilcalc.f2linalg import divmod_rows
+
+    return all(not any(divmod_rows(row, big.basis)[1]) for row in small.basis)
+
+
 def sublagrangian_reduce_by_eval_bq(form, S):
     """Reference for linking.sublagrangian_reduce: the same quotient basis,
     with b and q on it from one eval_bq call per entry."""
@@ -404,7 +412,7 @@ def sublagrangian_reduce_by_eval_bq(form, S):
 
     check_sublagrangian_by_eval_bq(form, S)
     comp = orthogonal_complement(form, S)
-    if not comp.contains(S):
+    if not submodule_contains(comp, S):
         raise ValueError("S is not contained in its orthogonal complement")
     T = comp.basis
     if not S.basis:
@@ -581,3 +589,23 @@ def monomial_inverse_by_oracle(P):
                 g = _inverse_map(f)
                 inv[j][i] = DihedralElement.monomial(g[0], int(g[1] < g[0]), c)
     return tuple(tuple(row) for row in inv)
+
+
+def split_terms_by_concatenation(text):
+    """Reference for polynomials._split_terms: the term so far is grown one
+    character at a time and re-stripped at every sign, which is quadratic
+    on a run of signs but plainly states the rule.  A sign starts a new term
+    when the term so far holds something besides "+", "-" and " " and does
+    not end, blanks aside, in *, ^ or /."""
+    out = []
+    cur = ""
+    cur_pos = 0
+    for i, ch in enumerate(text):
+        if ch in "+-" and cur.strip("+- ") != "" and not cur.rstrip().endswith(("*", "^", "/")):
+            out.append((cur, cur_pos))
+            cur = ch
+            cur_pos = i
+        else:
+            cur += ch
+    out.append((cur, cur_pos))
+    return out

@@ -272,38 +272,49 @@ class TestChains:
             assert verify_chain(*resolution_switch_chain(p, g)) is None
 
     def test_corrupted_chain_fails_located(self):
-        # flip the sign of an off-diagonal entry, which changes lambda
-        start, steps = generator_switch_chain(T + ONE)
-        op, payload = steps[1]
-        (x, y), row1 = payload["theta"]
-        assert op == "assert_equal" and y == B
-        bad = (steps[0], (op, {"theta": ((x, -y), row1)})) + steps[2:]
-        assert verify_chain(start, bad) == (
+        # flip the sign of an off-diagonal entry of mid, which changes lambda
+        start, P, mid, end = generator_switch_chain(T + ONE)
+        (x, y), row1 = mid.theta
+        assert y == B
+        bad = QuadraticFormTheta(((x, -y), row1), mid.epsilon)
+        assert verify_chain(start, P, bad, end) == (
             "step 2 assert_equal: lambda entry (0,1): 1*t^1*a vs -1*t^1*a"
         )
 
     def test_sign_flip_on_a_type_diagonal_is_indeterminate(self):
         # for eps = -1 the diagonal is read mod {v + vbar}; negating an
         # a-type term shifts by 2*t^k*a, which is in the lattice
-        start, steps = generator_switch_chain(T + ONE)
-        op, payload = steps[1]
-        (x, y), row1 = payload["theta"]
+        start, P, mid, end = generator_switch_chain(T + ONE)
+        (x, y), row1 = mid.theta
         assert x.terms[0] == ((0, 1), 1)
         shifted = DihedralElement.from_dict({**dict(x.terms), (0, 1): -1})
         assert shifted != x
-        flipped = (steps[0], (op, {"theta": ((shifted, y), row1)})) + steps[2:]
-        assert verify_chain(start, flipped) is None
+        flipped = QuadraticFormTheta(((shifted, y), row1), mid.epsilon)
+        assert verify_chain(start, P, flipped, end) is None
+
+    def test_wrong_end_fails_at_step_4(self):
+        # both chains for p = t (and g = 1) end at parameters (t, t), not at
+        # (t + 1, t) or (t, 1)
+        start, P, mid, _ = generator_switch_chain(T)
+        assert verify_chain(start, P, mid, generator_form(T + ONE, T)) == (
+            "step 4 assert_equal: mu entry 0: 1*t^1*a vs 1*t^0*a+1*t^1*a"
+        )
+        start, P, mid, _ = resolution_switch_chain(T, ONE)
+        assert verify_chain(start, P, mid, standard_resolution(T, ONE)) == (
+            "step 4 assert_equal: psi0 entry (1,1): 2*t^1*a vs 2*t^0*a"
+        )
+
+    def test_sign_mismatch_is_located(self):
+        start, P, mid, end = generator_switch_chain(T)
+        other_sign = QuadraticFormTheta(mid.theta, -mid.epsilon)
+        assert verify_chain(start, P, other_sign, end) == (
+            "step 2 assert_equal: forms have different signs"
+        )
 
     def test_step_errors_are_located(self):
-        start, steps = generator_switch_chain(T)
-        assert verify_chain(start, steps[:1] + (("frobnicate", None),)) == (
-            "step 2 frobnicate: unknown chain step 'frobnicate'"
-        )
-        assert verify_chain(start, (("assert_equal", {"d": start.theta}),)) == (
-            "step 1 assert_equal: form target takes a single theta matrix"
-        )
+        start, _, mid, end = generator_switch_chain(T)
         singular = ((B, B), (B, B))
-        assert verify_chain(start, (("base_change", singular),)) == (
+        assert verify_chain(start, singular, mid, end) == (
             "step 1 base_change: base-change matrix is not monomial"
         )
 

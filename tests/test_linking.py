@@ -11,10 +11,12 @@ from tests.helpers_oracles import (
     f2_bits,
     lagrangian_candidates_by_eval_bq,
     sublagrangian_reduce_by_eval_bq,
+    submodule_contains,
     z4_pair,
 )
 from tests.test_f2linalg import rand_unimodular
 from unilcalc import linking
+from unilcalc.f2linalg import divmod_rows
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
 from unilcalc.linking import (
     MAX_SEARCH_COMBINATIONS,
@@ -246,18 +248,25 @@ class TestResolutionDictionary:
             resolution_to_linking(r)
 
     def test_resolution_chain_check_count(self, monkeypatch):
-        # two standard_resolution calls, one base change, two assert_equal
-        # targets and one switch: each builds one checked resolution
-        built = []
-        check = forms.QuadResolution.__post_init__
+        # start, mid and end are built once each, and the base change and
+        # the switch build one more each: five resolutions, each of which
+        # checks the resolution identity
+        built, checked = [], []
+        post_init = forms.QuadResolution.__post_init__
+        identity = forms.resolution_identity_holds
 
-        def counting(self):
+        def counting_post_init(self):
             built.append(self)
-            check(self)
+            post_init(self)
 
-        monkeypatch.setattr(forms.QuadResolution, "__post_init__", counting)
+        def counting_identity(*args):
+            checked.append(args)
+            return identity(*args)
+
+        monkeypatch.setattr(forms.QuadResolution, "__post_init__", counting_post_init)
+        monkeypatch.setattr(forms, "resolution_identity_holds", counting_identity)
         assert forms.verify_chain(*forms.resolution_switch_chain(T, ONE)) is None
-        assert len(built) == 6
+        assert len(built) == len(checked) == 5
 
 
 class TestEven:
@@ -307,7 +316,8 @@ class TestComplement:
         v0 = (0, 0, 0, 0, 0, 1, 0, 0b10)
         v1 = (0, 1, 0, 1, 0, 0, 0, 0)
         disp = Submodule.from_generators((u1, u2, u3, u4, v0, v1), 8)
-        assert perp.contains(disp) and disp.contains(perp)
+        # both bases are canonical, so equal spans give equal Submodules
+        assert perp == disp
 
 
 def u_vectors(p):
@@ -366,7 +376,7 @@ class TestSublagrangian:
             perp = orthogonal_complement(G, S)
             us = u_vectors(p)
             for u in us:
-                assert perp.member(u)
+                assert not any(divmod_rows(u, perp.basis)[1])
             pair = [[eval_bq(G, ui, uj)[0] for uj in us] for ui in us]
             assert pair == [
                 [0, 1, 0, 0],
@@ -530,7 +540,7 @@ class TestAgainstEvalBqOracles:
                 failed += 1
                 continue
             passed += 1
-            assert linking._complement(SB).contains(S)
+            assert submodule_contains(linking._complement(SB), S)
         assert passed >= 20 and failed >= 20
 
     def test_q_is_checked_before_b(self):

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from tests.helpers_oracles import (
     f2_bits,
     f2_coeffs,
     idem_relation_subgroup,
+    split_terms_by_concatenation,
     versch_relation_subgroup,
     z4_coeffs,
     z4_pair,
@@ -18,6 +20,7 @@ from unilcalc.kernels import gf2_mul, z4_add, z4_mul
 from unilcalc.linking import Submodule, witt_four_term_instance
 from unilcalc.polynomials import (
     Polynomial,
+    _split_terms,
     idem_reduce,
     parse_f2,
     parse_poly,
@@ -155,6 +158,28 @@ class TestParser:
         for parse in (parse_poly, parse_f2, parse_z4):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse(text)
+
+    def test_split_matches_the_concatenating_splitter(self):
+        # same terms at the same offsets, so every message and position
+        # stays as it was
+        rng = random.Random(241)
+        for _ in range(20000):
+            text = "".join(rng.choice("+-*^/ t0123\t\n") for _ in range(rng.randint(0, 16)))
+            assert _split_terms(text) == split_terms_by_concatenation(text), text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-" * 200000 + "t", "+ " * 200000, "t" + "+-" * 100000],
+        ids=["minus-run", "plus-blank-run", "alternating-run"],
+    )
+    def test_a_long_run_of_signs_is_refused_in_linear_time(self, text):
+        # a JSON form field has no length limit; a splitter that re-strips
+        # the term at every sign takes minutes on 200,000 signs
+        for parse in (parse_poly, parse_f2, parse_z4):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="^bad term '"):
+                parse(text)
+            assert time.perf_counter() - t0 < 1.0
 
     def test_round_trip_random(self):
         rng = random.Random(11)
