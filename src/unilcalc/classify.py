@@ -17,16 +17,18 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from unilcalc._record import Record
-from unilcalc.unil import compact_literal, orbit_count, orbit_reps
+from unilcalc.polynomials import render
+from unilcalc.unil import compact_literal, orbit_count, orbit_reps, unil3_literal
 
 
 # enumerate_J refuses a table with more rows than this.  Rows are made and
 # written a chunk at a time, so the limit bounds the time and the size of the
-# output, not memory.  On one x86_64 core with CPython 3.11 a row takes about
-# 0.6 us as CSV and 0.8 us as JSON when its pair has thousands of theta
-# orbits (classify 8 --degree-cutoff 6), and about 1.7 and 2.9 us when it has
-# one (classify 7 --z-bound 249); at 50 bytes of CSV or 200 of JSON a row,
-# the largest admitted table takes up to about 6 s and writes up to 400 MB.
+# output, not memory.  On one core of a 2-vCPU x86_64 VM with CPython 3.11 a
+# row takes about 0.2 us as CSV and 0.4 us as JSON when its pair has thousands
+# of theta orbits (classify 8 --degree-cutoff 6), and about 1.1 and 2.0 us
+# when it has one (classify 7 --z-bound 249); at 50 bytes of CSV or 200 of
+# JSON a row, the largest admitted table takes up to about 4 s and writes up
+# to 400 MB.
 # The largest table the tests, README and benchmark use (classify 8
 # --degree-cutoff 5) has 152,064 rows.
 MAX_TABLE_ROWS = 2_000_000
@@ -148,13 +150,30 @@ class TableRows:
 
     def _thetas(self):
         """The text of each switch-orbit of the UNil group, and whether the
-        orbit is nonzero, made afresh on each call."""
+        orbit is nonzero, made afresh on each call.
+
+        On UNil_3 a theta's text is joined from its coordinates' text,
+        rendered once each: the representatives come one x row at a time,
+        so an x-coordinate is rendered when its row starts, and each of the
+        2^d y-coordinates the first time it is met."""
         group = relevant_unil(self.table.n)
         if group == "Zero":
             yield "0", False
             return
-        for theta in orbit_reps(group, self.table.degree_cutoff):
-            yield compact_literal(theta), not theta.is_zero()
+        reps = orbit_reps(group, self.table.degree_cutoff)
+        if group == "UNil2":
+            for theta in reps:
+                yield compact_literal(theta), not theta.is_zero()
+            return
+        x, x_text, y_texts = None, "", {0: ""}
+        for theta in reps:
+            if theta.x != x:
+                x = theta.x
+                x_text = render(x, True) if any(x) else ""
+            y_text = y_texts.get(theta.y)
+            if y_text is None:
+                y_text = y_texts[theta.y] = render(theta.y, True)
+            yield unil3_literal(x_text, y_text), not theta.is_zero()
 
     @cached_property
     def _coords(self):

@@ -143,7 +143,17 @@ class DihedralElement:
         return _element({g: -c for g, c in self._d.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        # one pass, as __add__, instead of x + (-y), which builds -y first
+        if not isinstance(other, DihedralElement):
+            raise _not_an_element(other)
+        d = self._d.copy()
+        for g, c in other._d.items():
+            c = d.get(g, 0) - c
+            if c:
+                d[g] = c
+            else:
+                del d[g]
+        return _element(d)
 
     def __mul__(self, other):
         if not isinstance(other, DihedralElement):

@@ -226,6 +226,19 @@ def _coefficient(text, pos):
     return -c if text.startswith("-") else c
 
 
+# an error quotes at most this many characters of a bad term; the position
+# locates the rest
+MAX_QUOTED_CHARS = 40
+
+
+def _quote(term):
+    """repr(term), cut to its first MAX_QUOTED_CHARS characters and an
+    ellipsis when it is longer."""
+    if len(term) <= MAX_QUOTED_CHARS:
+        return repr(term)
+    return f"{term[:MAX_QUOTED_CHARS]!r}..."
+
+
 def _parse_terms(text):
     """The textual polynomial grammar as a dict {exponent: integer
     coefficient}, repeated exponents summed; errors carry the offset in
@@ -242,7 +255,7 @@ def _parse_terms(text):
             raise ValueError(f"dangling sign at position {pos}")
         m = _TERM_RE.match(term)
         if not m or (" " in raw and _SPLIT_DIGITS_RE.search(raw)):
-            raise ValueError(f"bad term {raw.strip()!r} at position {pos}")
+            raise ValueError(f"bad term {_quote(raw.strip())} at position {pos}")
         if m.group("ct") is not None:
             c = _coefficient(m.group("ct"), pos)
             e = _exponent(m.group("e1"), pos)

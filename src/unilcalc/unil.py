@@ -16,6 +16,7 @@ render); a Polynomial over Z appears only as the parameters p and g of
 the generator dictionary.
 """
 
+from functools import partial
 from itertools import product
 
 from unilcalc._record import Record
@@ -107,12 +108,8 @@ class UNil3Element(Record):
         """'j1[x] + j2[y]' with the coordinates rendered by
         polynomials.render, zero coordinates left out; '0' for the zero
         element."""
-        parts = []
-        if self.x != _ZERO_X:
-            parts.append(f"j1[{render(self.x, compact)}]")
-        if self.y:
-            parts.append(f"j2[{render(self.y, compact)}]")
-        return " + ".join(parts) or "0"
+        x_text = render(self.x, compact) if self.x != _ZERO_X else ""
+        return unil3_literal(x_text, render(self.y, compact) if self.y else "")
 
     __str__ = __repr__ = literal
 
@@ -122,6 +119,16 @@ class UNil3Element(Record):
     @classmethod
     def from_json_dict(cls, data):
         return cls(versch_reduce(*parse_z4(data["x"])), parse_f2(data["y"]))
+
+
+def unil3_literal(x_text, y_text):
+    """The UNil_3 literal 'j1[x_text] + j2[y_text]' of rendered coordinates,
+    with a coordinate whose text is empty (a zero one) left out; '0' when
+    both are.  UNil3Element.literal and the classify tables join their
+    coordinates' text here."""
+    if not x_text:
+        return f"j2[{y_text}]" if y_text else "0"
+    return f"j1[{x_text}] + j2[{y_text}]" if y_text else f"j1[{x_text}]"
 
 
 def j1(x):
@@ -294,44 +301,43 @@ def _mask(cs):
 
 
 def _element_rows(group, d):
-    """Yield (elements, orbit representatives, fixed count) for the canonical
-    elements supported on exponents <= d, one row per x-coordinate on UNil_3
-    (one row in all on UNil_2), in lexicographic coefficient order.
+    """Yield (make, coordinates, low) for the canonical elements supported
+    on exponents <= d, one row per x-coordinate on UNil_3 (one row in all on
+    UNil_2), in lexicographic coefficient order: make(c) builds and checks
+    the element of coordinate c of the row, and the switch-orbit
+    representatives are the elements whose coordinate c has c & low == 0.
+    A row with low == 0 is fixed by the switch, element by element.
 
-    The elements are built in ``product`` order over the coefficients,
-    which is already the lexicographic order.  On UNil_3 the orbit of
-    (x, y) is {(x, y), (x, y + pi(x))}: a fixed point when pi(x) = 0, and
-    otherwise a pair whose two y's first differ at the lowest exponent of
-    pi(x), so the lex-least member is the one with a 0 there.
+    The coordinates are listed in ``product`` order over the coefficients,
+    which is already the lexicographic order.  On UNil_3 the coordinate of
+    a row is y, and the orbit of (x, y) is {(x, y), (x, y + pi(x))}: a
+    fixed point when pi(x) = 0, and otherwise a pair whose two y's first
+    differ at the lowest exponent of pi(x), so the lex-least member is the
+    one with a 0 there; low is that exponent as a bitmask.
     """
     if d < 0:
         raise ValueError("degree cutoff must be >= 0")
     if group == "UNil2":
         ranges = [range(2) if k % 2 else range(1) for k in range(1, d + 1)]
-        elements = [UNil2Element(_mask(cs)) for cs in product(*ranges)]
         # the switch is the identity on UNil_2
-        yield elements, elements, len(elements)
+        yield UNil2Element, [_mask(cs) for cs in product(*ranges)], 0
     elif group == "UNil3":
         ranges = [range(2) if k % 2 == 0 else range(4) for k in range(1, d + 1)]
         ys = [_mask(ymask) for ymask in product((0, 1), repeat=d)]
         for xcs in product(*ranges):
             x = (_mask(xcs), _mask(c >> 1 for c in xcs))
-            row = [UNil3Element(x, y) for y in ys]
-            # the lowest exponent where pi(x) has a 1, as a bitmask
-            low = x[0] & -x[0]
-            if not low:
-                yield row, row, len(row)
-            else:
-                yield row, [e for e in row if not e.y & low], 0
+            yield partial(UNil3Element, x), ys, x[0] & -x[0]
     else:
         raise ValueError("group must be 'UNil2' or 'UNil3'")
 
 
 def orbit_reps(group, degree_cutoff):
     """Yield the switch-orbit representatives enumerate_truncated lists, in
-    its order, holding one row of elements at a time."""
-    for _, reps, _ in _element_rows(group, degree_cutoff):
-        yield from reps
+    its order, building and checking only them, one at a time."""
+    for make, coords, low in _element_rows(group, degree_cutoff):
+        for c in coords:
+            if not c & low:
+                yield make(c)
 
 
 def enumerate_truncated(group, degree_cutoff):
@@ -345,10 +351,14 @@ def enumerate_truncated(group, degree_cutoff):
     elements = []
     reps = []
     fixed = 0
-    for row, row_reps, row_fixed in _element_rows(group, degree_cutoff):
+    for make, coords, low in _element_rows(group, degree_cutoff):
+        row = [make(c) for c in coords]
         elements += row
-        reps += row_reps
-        fixed += row_fixed
+        if low:
+            reps += [e for e, c in zip(row, coords) if not c & low]
+        else:
+            reps += row
+            fixed += len(row)
     orbits = len(reps)
     if 2 * orbits != len(elements) + fixed:
         raise RuntimeError(

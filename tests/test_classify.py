@@ -23,6 +23,7 @@ from unilcalc.classify import (
     table_to_csv,
     table_to_json,
 )
+from unilcalc.unil import compact_literal, enumerate_truncated
 
 
 def parse_coord(text):
@@ -192,6 +193,41 @@ class TestEnumerateJ:
         for n, d, z in ((4, 12, 0), (7, 0, 10**9)):
             with pytest.raises(ValueError, match=f"above the limit {MAX_TABLE_ROWS}"):
                 enumerate_J(n, d, z)
+
+
+class TestThetas:
+    @pytest.mark.parametrize("n, group", [(8, "UNil3"), (5, "UNil2")])
+    @pytest.mark.parametrize("d", range(7))
+    def test_texts_are_the_compact_literals(self, n, group, d):
+        reps = enumerate_truncated(group, d).orbit_reps
+        expected = [(compact_literal(e), not e.is_zero()) for e in reps]
+        assert list(enumerate_J(n, d).rows._thetas()) == expected
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("d", range(7))
+    def test_zero_group_has_one_theta(self, n, d):
+        assert list(enumerate_J(n, d).rows._thetas()) == [("0", False)]
+
+    def test_each_coordinate_is_rendered_once(self, monkeypatch):
+        # classify 8 --degree-cutoff 5 has 255 nonzero x-coordinates and 31
+        # nonzero y-coordinates; the 4,224 theta literals are joined from
+        # their text
+        import unilcalc.polynomials
+        import unilcalc.unil
+
+        render = unilcalc.polynomials.render
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return render(*args, **kwargs)
+
+        for module in (unilcalc.polynomials, unilcalc.unil, unilcalc.classify):
+            if getattr(module, "render", None) is render:
+                monkeypatch.setattr(module, "render", counted)
+        text = "".join(table_to_csv(enumerate_J(8, 5)))
+        assert text.count("\n") == table_row_count(8, 5) + 1
+        assert len(calls) <= 255 + 31
 
 
 class TestBarJ:

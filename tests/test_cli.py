@@ -91,6 +91,12 @@ class TestReduce:
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: bad term '1 0*t' at position 0"]
 
+    def test_short_bad_term_is_quoted_whole(self, capsys):
+        term = "t" * 39 + "x"
+        code, out, err = run(capsys, "reduce", "idem", term)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: bad term {term!r} at position 0"]
+
     def test_elapsed_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "reduce", "idem", "t")
         assert "elapsed" not in out and "elapsed" in err
@@ -160,6 +166,18 @@ class TestArf:
         path.write_text(json.dumps(make_N(t, one).to_json_dict()))
         code, _, err = run(capsys, "arf", str(path))
         assert code == 1 and "even" in err
+
+    def test_long_bad_term_is_quoted_in_part(self, capsys, tmp_path):
+        # a 100,000-character term is quoted by a bounded prefix; the
+        # position locates it
+        form = {"rank": 2, "b_num": [["0", "1"], ["1", "0"]], "q_num": ["+ " * 50_000, "0"]}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(form))
+        code, out, err = run(capsys, "arf", str(path))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line == f"error: q_num[0]: bad term {'+ ' * 20!r}... at position 0"
+        assert len(line.encode()) < 200
 
 
 class TestWittCheck:

@@ -25,6 +25,7 @@ from unilcalc.unil import (
     n_class_combination,
     n_class_of_generator,
     orbit_count,
+    orbit_reps,
     parse_unil3,
     pi_map,
     switch_unil2,
@@ -342,6 +343,24 @@ class TestEnumerate:
     def test_elements_are_distinct(self):
         out = enumerate_truncated("UNil3", 2)
         assert len(set(out.elements)) == out.total
+
+    @pytest.mark.parametrize("group", ["UNil2", "UNil3"])
+    @pytest.mark.parametrize("d", range(6))
+    def test_orbit_reps_are_enumerate_truncateds(self, group, d):
+        assert tuple(orbit_reps(group, d)) == enumerate_truncated(group, d).orbit_reps
+
+    def test_orbit_reps_builds_only_the_representatives(self, monkeypatch):
+        built = []
+        post_init = UNil3Element.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(UNil3Element, "__post_init__", counted)
+        reps = list(orbit_reps("UNil3", 5))
+        assert len(reps) == orbit_count("UNil3", 5) == 4224
+        assert len(built) == 4224
 
 
 class TestOrderAndDivisibility:
