@@ -4,8 +4,10 @@ instance; a fixture stops at its first failing instance."""
 
 from unilcalc.forms import (
     QuadraticFormTheta,
+    assemble_resolution_chain,
     generator_switch_chain,
-    resolution_switch_chain,
+    resolution_chain_g_half,
+    resolution_chain_p_half,
     verify_chain,
 )
 from unilcalc.linking import (
@@ -38,11 +40,16 @@ def _fx_generator_chain(degree, corrupt):
 
 
 def _fx_resolution_chain(degree, _corrupt):
-    d = min(degree, 4)
-    for p in _bit_polys(d):
-        for g in _bit_polys(d):
-            failure = verify_chain(*resolution_switch_chain(p, g))
-            yield f"p={render(p, compact=True)} g={render(g, compact=True)}", failure is None, failure
+    # every pair (p, g) is a chain, so the sweep is capped at degree 4
+    # (1,024 chains); each half and each label is built once per polynomial
+    polys = list(_bit_polys(min(degree, 4)))
+    labels = [render(p, compact=True) for p in polys]
+    g_halves = [resolution_chain_g_half(g) for g in polys]
+    for p, p_label in zip(polys, labels):
+        p_half = resolution_chain_p_half(p)
+        for g_half, g_label in zip(g_halves, labels):
+            failure = verify_chain(*assemble_resolution_chain(p_half, g_half))
+            yield f"p={p_label} g={g_label}", failure is None, failure
             if failure is not None:
                 return
 

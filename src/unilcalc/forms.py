@@ -40,6 +40,16 @@ indeterminacy {v - eps*v}.
 A switch chain is four records (start, P, mid, end), all forms or all
 resolutions, and verify_chain runs its four fixed steps: base change of
 start by P, comparison with mid, switch, comparison with end.
+
+In the resolution chain for (p, g), every resolution has d = 2I, the
+off-diagonal psi0 entries a or b, and psi1 = -psi0, so its only entries
+that vary are psi0[0][0], which depends on p alone, and psi0[1][1], which
+depends on g alone.  The chain is assembled from two halves:
+resolution_chain_p_half(p) holds psi0[0][0] of start, mid and end, each
+with its negation for psi1, and resolution_chain_g_half(g) holds
+psi0[1][1] the same way.  A sweep over pairs (p, g) builds each half
+once per polynomial; every assembled resolution is still a checked
+QuadResolution.
 """
 
 from __future__ import annotations
@@ -68,12 +78,8 @@ def _madd(Am, Bm):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(Am, Bm))
 
 
-def _mneg(M):
-    return tuple(tuple(-x for x in row) for row in M)
-
-
 def _msign(M, eps):
-    return M if eps == 1 else _mneg(M)
+    return M if eps == 1 else tuple(tuple(-x for x in row) for row in M)
 
 
 class QuadraticFormTheta(Record):
@@ -141,12 +147,29 @@ def generator_form(p, g):
     return QuadraticFormTheta(((_times_a(p), A), (_ZERO, _times_a(g))), -1)
 
 
+def _signed(x):
+    """x with its negation: a psi0 entry and the psi1 entry -psi0."""
+    return x, -x
+
+
+_D2 = ((_TWO, _ZERO), (_ZERO, _TWO))
+_SIGNED_A = _signed(A)
+_SIGNED_B = _signed(B)
+
+
+def _corner_resolution(x, off, y):
+    """The checked resolution with d = 2I, psi0 = ((x, off), (off, y)) and
+    psi1 = -psi0, where x, off and y are (entry, -entry) pairs."""
+    return QuadResolution(
+        _D2, ((x[0], off[0]), (off[0], y[0])), ((x[1], off[1]), (off[1], y[1])), 1
+    )
+
+
 def standard_resolution(p, g):
     """The rank-2 complex over Z[t] with d = 2I, psi0 = [[p,1],[1,2g]],
     psi1 = -psi0, induced: psi entries pick up the factor a.  It resolves
     the linking form with parameters (p, g)."""
-    psi0 = ((_times_a(p), A), (A, _times_a(g * 2)))
-    return QuadResolution(((_TWO, _ZERO), (_ZERO, _TWO)), psi0, _mneg(psi0), 1)
+    return _corner_resolution(_signed(_times_a(p)), _SIGNED_A, _signed(_times_a(g * 2)))
 
 
 def _monomial_units(P):
@@ -229,14 +252,18 @@ def _res_diff(lhs, rhs):
         return f"rank {lhs.rank} vs {rhs.rank}"
     for name in ("d", "psi0"):
         M, N = getattr(lhs, name), getattr(rhs, name)
+        if M == N:
+            continue
+        # walk the entries only to name the first that differs
         for i in range(lhs.rank):
             for j in range(lhs.rank):
                 if M[i][j] != N[i][j]:
                     return f"{name} entry ({i},{j}): {M[i][j]} vs {N[i][j]}"
     # psi1 off-diagonal is pure indeterminacy; the diagonal is defined mod {v - vbar}
     for i in range(lhs.rank):
-        if not quad_indeterminacy_equal(lhs.psi1[i][i], rhs.psi1[i][i], 1):
-            return f"psi1 diagonal entry {i}: {lhs.psi1[i][i]} vs {rhs.psi1[i][i]}"
+        x, y = lhs.psi1[i][i], rhs.psi1[i][i]
+        if x != y and not quad_indeterminacy_equal(x, y, 1):
+            return f"psi1 diagonal entry {i}: {x} vs {y}"
     return None
 
 
@@ -294,11 +321,39 @@ def generator_switch_chain(p):
     return generator_form(t * p, one), _DIAG_BA, mid, generator_form(p, t)
 
 
+def resolution_chain_p_half(p):
+    """psi0[0][0] of the resolution chain's start, mid and end for p, each
+    as an (entry, -entry) pair: tp*a, b*p and p*a."""
+    return (
+        _signed(_times_a(Polynomial.t() * p)),
+        _signed(_poly_times_b_on_left(p)),
+        _signed(_times_a(p)),
+    )
+
+
+def resolution_chain_g_half(g):
+    """psi0[1][1] of the resolution chain's start, mid and end for g, each
+    as an (entry, -entry) pair: 2g*a, 2a*g and 2tg*a."""
+    return (
+        _signed(_times_a(g * 2)),
+        _signed(_two_a_times_poly(g)),
+        _signed(_times_a(Polynomial.t() * g * 2)),
+    )
+
+
+def assemble_resolution_chain(p_half, g_half):
+    """The chain (start, P, mid, end) for (p, g) from the halves of p and
+    of g; start, mid and end are built, and so checked, here."""
+    (start_p, mid_p, end_p), (start_g, mid_g, end_g) = p_half, g_half
+    return (
+        _corner_resolution(start_p, _SIGNED_A, start_g),
+        _DIAG_BA,
+        _corner_resolution(mid_p, _SIGNED_B, mid_g),
+        _corner_resolution(end_p, _SIGNED_A, end_g),
+    )
+
+
 def resolution_switch_chain(p, g):
     """The chain (start, P, mid, end) certifying that the switch of the
     induced complex for (tp, g) equals the induced complex for (p, tg)."""
-    t = Polynomial.t()
-    start = standard_resolution(t * p, g)
-    mid_psi0 = ((_poly_times_b_on_left(p), B), (B, _two_a_times_poly(g)))
-    mid = QuadResolution(start.d, mid_psi0, _mneg(mid_psi0), 1)
-    return start, _DIAG_BA, mid, standard_resolution(p, t * g)
+    return assemble_resolution_chain(resolution_chain_p_half(p), resolution_chain_g_half(g))

@@ -192,14 +192,20 @@ def full_module(k):
     return Submodule(k, mat_identity(k))
 
 
-def make_N(p, g):
-    """Rank-2 generator for p, g over Z: b_num = [[p, 1], [1, 0]] mod 2,
-    q_num = (p, 2g) mod 4.  Requires p(0) = 0 or g(0) = 0."""
+def _n_entries(p, g):
+    """b_num[0][0] and q_num of make_N(p, g)."""
     if p.coefficient(0) != 0 and g.coefficient(0) != 0:
         raise ValueError("need p(0) = 0 or g(0) = 0")
     p4 = p.mod4()
     # 2g mod 4 is g mod 2 on the hi plane
-    return LinkingForm(2, ((p4[0], 1), (1, 0)), (p4, (0, g.mod4()[0])))
+    return p4[0], (p4, (0, g.mod4()[0]))
+
+
+def make_N(p, g):
+    """Rank-2 generator for p, g over Z: b_num = [[p, 1], [1, 0]] mod 2,
+    q_num = (p, 2g) mod 4.  Requires p(0) = 0 or g(0) = 0."""
+    b00, q = _n_entries(p, g)
+    return LinkingForm(2, ((b00, 1), (1, 0)), q)
 
 
 def eval_q(form, x):
@@ -533,17 +539,19 @@ def witt_four_term_instance(p):
     over Z, together with its standard sublagrangian span(v0, v1), where
     v0 = p_ev e4 + e6 + t p_od e8 and v1 = e2 + p_od e4 + p_ev e8 use the
     even/odd split p = p_ev^2 + t p_od^2 mod 2.  Reducing at this
-    sublagrangian certifies [N_{t,p}] + [N_{p,t}] = [N_{1,tp}] + [N_{tp,1}]."""
+    sublagrangian certifies [N_{t,p}] + [N_{p,t}] = [N_{1,tp}] + [N_{tp,1}].
+    The rank-8 form is built block by block, as one LinkingForm."""
     t = Polynomial.t()
     one = Polynomial.one()
-    G = direct_sum(
-        [
-            make_N(t, p),
-            make_N(p, t),
-            negate(make_N(one, t * p)),
-            negate(make_N(t * p, one)),
-        ]
-    )
+    tp = t * p
+    b = [[0] * 8 for _ in range(8)]
+    q = []
+    for i, (x, y, negated) in enumerate(((t, p, False), (p, t, False), (one, tp, True), (tp, one, True))):
+        b00, q_block = _n_entries(x, y)
+        b[2 * i][2 * i] = b00
+        b[2 * i][2 * i + 1] = b[2 * i + 1][2 * i] = 1
+        q.extend((z4_neg(*c) for c in q_block) if negated else q_block)
+    G = LinkingForm(8, tuple(map(tuple, b)), tuple(q))
     # p_ev takes the even-exponent coefficients of p mod 2, p_od the odd ones
     pe = sum((c & 1) << k for k, c in enumerate(p.coeffs[0::2]))
     po = sum((c & 1) << k for k, c in enumerate(p.coeffs[1::2]))

@@ -609,3 +609,29 @@ def split_terms_by_concatenation(text):
             cur += ch
     out.append((cur, cur_pos))
     return out
+
+
+def witt_four_term_instance_by_direct_sum(p):
+    """Reference for linking.witt_four_term_instance: the four rank-2
+    generators are built as forms, two of them negated, and summed by
+    direct_sum, so seven LinkingForms are built and checked."""
+    from unilcalc.kernels import gf2_mul
+    from unilcalc.linking import Submodule, direct_sum, make_N, negate
+    from unilcalc.polynomials import Polynomial
+
+    t = Polynomial.t()
+    one = Polynomial.one()
+    G = direct_sum(
+        [
+            make_N(t, p),
+            make_N(p, t),
+            negate(make_N(one, t * p)),
+            negate(make_N(t * p, one)),
+        ]
+    )
+    # p_ev takes the even-exponent coefficients of p mod 2, p_od the odd ones
+    pe = sum((c & 1) << k for k, c in enumerate(p.coeffs[0::2]))
+    po = sum((c & 1) << k for k, c in enumerate(p.coeffs[1::2]))
+    v0 = (0, 0, 0, pe, 0, 1, 0, gf2_mul(2, po))  # t*p_od
+    v1 = (0, 1, 0, po, 0, 0, 0, pe)
+    return G, Submodule.from_generators((v0, v1), 8)

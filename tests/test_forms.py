@@ -12,7 +12,16 @@ from tests.helpers_oracles import (
     monomial_inverse_by_oracle,
     resolution_identity_by_matrices,
 )
-from unilcalc.dihedral import A, B, ONE as DONE, T as T_ELEM, DihedralElement, resolution_identity_holds
+from unilcalc import forms
+from unilcalc.dihedral import (
+    A,
+    B,
+    ONE as DONE,
+    T as T_ELEM,
+    DihedralElement,
+    quad_indeterminacy_equal,
+    resolution_identity_holds,
+)
 from unilcalc.forms import (
     QuadResolution,
     QuadraticFormTheta,
@@ -265,6 +274,22 @@ class TestChains:
     def test_resolution_chain_passes(self):
         assert verify_chain(*resolution_switch_chain(T, ONE)) is None
 
+    def test_resolution_chain_from_halves(self):
+        # the halves assemble the chain of the three induced complexes:
+        # start (tp, g), mid with psi0 = [[b*p, b], [b, 2a*g]], end (p, tg)
+        rng = random.Random(197)
+        for _ in range(10):
+            p, g = zpoly(rng), zpoly(rng)
+            start, P, mid, end = resolution_switch_chain(p, g)
+            mid_psi0 = (
+                (B * DihedralElement.from_poly(p), B),
+                (B, A * DTWO * DihedralElement.from_poly(g)),
+            )
+            assert start == standard_resolution(T * p, g)
+            assert P == ((B, DZERO), (DZERO, A))
+            assert mid == QuadResolution(start.d, mid_psi0, dihedral_matneg(mid_psi0), 1)
+            assert end == standard_resolution(p, T * g)
+
     def test_resolution_chain_sweep(self):
         rng = random.Random(181)
         for _ in range(10):
@@ -336,6 +361,18 @@ class TestEquality:
         r2 = standard_resolution(T + ONE, ONE)
         assert not resolutions_equal(r1, r2)
 
+    def test_failure_wording_matches_an_entry_walk(self):
+        # d and psi0 are compared as whole matrices first; a failure still
+        # names the first differing entry, as a walk over the entries does
+        rng = random.Random(199)
+        for n in (1, 2, 3):
+            for _ in range(30):
+                r1 = rand_resolution(rng, n)
+                r2 = rand_resolution(rng, n, d=r1.d if rng.random() < 0.5 else None, eps=r1.epsilon)
+                noisy = QuadResolution(r1.d, r1.psi0, dihedral_matadd(r1.psi1, rand_skew(rng, n)), r1.epsilon)
+                for other in (r1, r2, noisy):
+                    assert forms._res_diff(r1, other) == res_diff_by_entry_walk(r1, other)
+
 
 def rand_entry(rng):
     return DihedralElement(
@@ -347,14 +384,37 @@ def rand_matrix(rng, n):
     return tuple(tuple(rand_entry(rng) for _ in range(n)) for _ in range(n))
 
 
-def rand_resolution(rng, n):
+def rand_skew(rng, n):
+    """U - U^* for a random U: adding it to psi1 keeps psi1 + psi1^*."""
+    U = rand_matrix(rng, n)
+    return dihedral_matadd(U, dihedral_matneg(dihedral_conj_t(U)))
+
+
+def rand_resolution(rng, n, d=None, eps=None):
     """A resolution of rank n over Z[D_inf]: with N = d V d^*, psi0 =
-    (V + V^*) d^* and psi1 = -N + U - U^* satisfy psi1 + psi1^* = -d*psi0."""
-    d, V, U = (rand_matrix(rng, n) for _ in range(3))
+    (V + V^*) d^* and psi1 = -N + U - U^* satisfy psi1 + psi1^* = -d*psi0.
+    d and the sign are random unless given."""
+    d = rand_matrix(rng, n) if d is None else d
+    V = rand_matrix(rng, n)
     psi0 = dihedral_matmul(dihedral_matadd(V, dihedral_conj_t(V)), dihedral_conj_t(d))
     N = dihedral_matmul(dihedral_matmul(d, V), dihedral_conj_t(d))
-    psi1 = dihedral_matadd(dihedral_matneg(N), dihedral_matadd(U, dihedral_matneg(dihedral_conj_t(U))))
-    return QuadResolution(d, psi0, psi1, rng.choice((1, -1)))
+    psi1 = dihedral_matadd(dihedral_matneg(N), rand_skew(rng, n))
+    return QuadResolution(d, psi0, psi1, rng.choice((1, -1)) if eps is None else eps)
+
+
+def res_diff_by_entry_walk(lhs, rhs):
+    """Reference wording for forms._res_diff: every entry of d, then of
+    psi0, then the psi1 diagonal modulo {v - vbar}, in order."""
+    for name in ("d", "psi0"):
+        M, N = getattr(lhs, name), getattr(rhs, name)
+        for i in range(lhs.rank):
+            for j in range(lhs.rank):
+                if M[i][j] != N[i][j]:
+                    return f"{name} entry ({i},{j}): {M[i][j]} vs {N[i][j]}"
+    for i in range(lhs.rank):
+        if not quad_indeterminacy_equal(lhs.psi1[i][i], rhs.psi1[i][i], 1):
+            return f"psi1 diagonal entry {i}: {lhs.psi1[i][i]} vs {rhs.psi1[i][i]}"
+    return None
 
 
 class TestAgainstMatrixFormulas:

@@ -12,6 +12,7 @@ from tests.helpers_oracles import (
     lagrangian_candidates_by_eval_bq,
     sublagrangian_reduce_by_eval_bq,
     submodule_contains,
+    witt_four_term_instance_by_direct_sum,
     z4_pair,
 )
 from tests.test_f2linalg import rand_unimodular
@@ -367,6 +368,29 @@ class TestSublagrangian:
             assert red.rank == 4
             assert is_even(red)
             assert arf_even(red) == 0
+
+    def test_four_term_instance_against_direct_sum(self):
+        # the form built block by block equals the direct sum of the four
+        # generators, two of them negated: every 0/1 p of degree <= 8 but 0,
+        # and random p over Z
+        rng = random.Random(239)
+        polys = [Polynomial(tuple(bits >> k & 1 for k in range(9))) for bits in range(1, 512)]
+        polys += [zpoly(rng, deg=rng.randint(0, 5)) for _ in range(50)]
+        for p in polys:
+            assert witt_four_term_instance(p) == witt_four_term_instance_by_direct_sum(p), p
+
+    def test_four_term_instance_builds_one_form(self, monkeypatch):
+        # one LinkingForm, so one det, where the direct sum builds seven
+        dets = []
+        det = linking.det
+
+        def counting_det(M):
+            dets.append(len(M))
+            return det(M)
+
+        monkeypatch.setattr(linking, "det", counting_det)
+        witt_four_term_instance(T)
+        assert dets == [8]
 
     def test_u_basis_pairing_display(self):
         rng = random.Random(233)
