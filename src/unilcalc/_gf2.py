@@ -17,14 +17,15 @@ def gf2_deg(a):
 
 
 def gf2_mul(a, b):
+    # one shifted copy of the larger operand per set bit of the smaller:
+    # b & -b is the lowest set bit, and clearing it costs no shift of b
     if a < b:
         a, b = b, a
     r = 0
     while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
+        low = b & -b
+        r ^= a << (low.bit_length() - 1)
+        b ^= low
     return r
 
 

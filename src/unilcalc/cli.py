@@ -16,8 +16,9 @@ from unilcalc._record import Record
 # No command imports dataclasses (with inspect, ast, dis and tokenize, about
 # 10 ms); the records are _record.Record subclasses.  With bytecode writing
 # off (PYTHONDONTWRITEBYTECODE=1), the next start-up cost is compiling the
-# imported sources on every run: about 13 ms for arf and witt-check on one
-# core of a 2-vCPU x86_64 VM with CPython 3.11 (README, Layout).
+# imported sources on every run.  arf on an even form compiles neither
+# f2linalg nor the lagrangian search, which witt-check adds (README,
+# Layout, gives the times).
 
 
 class CommandResult(Record):
@@ -79,14 +80,8 @@ def _cmd_arf(args):
 
 
 def _cmd_witt_check(args):
-    from unilcalc.linking import (
-        LinkingForm,
-        Submodule,
-        arf_even,
-        find_lagrangian,
-        is_even,
-        sublagrangian_reduce,
-    )
+    from unilcalc.lagrangian import Submodule, find_lagrangian, sublagrangian_reduce
+    from unilcalc.linking import LinkingForm, arf_even, is_even
     from unilcalc.polynomials import render
 
     if args.bound < 0:

@@ -1,6 +1,9 @@
-"""The verify-paper fixtures.  Each is a generator taking (degree,
-corrupt) and yielding (instance label, ok, failure message or None) per
-instance; a fixture stops at its first failing instance."""
+"""The verify-paper fixtures and the paper's generators they are built
+from.  Each fixture is a generator taking (degree, corrupt) and yielding
+(instance label, ok, failure message or None) per instance; a fixture
+stops at its first failing instance.  make_N(p, g) is the rank-2 linking
+form of the generator N_{p,g}, and witt_four_term_instance(p) the rank-8
+form and sublagrangian of the four-term relation among them."""
 
 from unilcalc.forms import (
     QuadraticFormTheta,
@@ -10,15 +13,53 @@ from unilcalc.forms import (
     resolution_chain_p_half,
     verify_chain,
 )
-from unilcalc.linking import (
-    arf_even,
-    find_lagrangian,
-    is_even,
-    sublagrangian_reduce,
-    witt_four_term_instance,
-)
+from unilcalc.kernels import gf2_mul, z4_neg
+from unilcalc.lagrangian import Submodule, find_lagrangian, sublagrangian_reduce
+from unilcalc.linking import LinkingForm, arf_even, is_even
 from unilcalc.polynomials import Polynomial, render
 from unilcalc.unil import B_coords, enumerate_truncated, n_class_combination, pi_map, switch_unil3
+
+
+def _n_entries(p, g):
+    """b_num[0][0] and q_num of make_N(p, g)."""
+    if p.coefficient(0) != 0 and g.coefficient(0) != 0:
+        raise ValueError("need p(0) = 0 or g(0) = 0")
+    p4 = p.mod4()
+    # 2g mod 4 is g mod 2 on the hi plane
+    return p4[0], (p4, (0, g.mod4()[0]))
+
+
+def make_N(p, g):
+    """Rank-2 generator for p, g over Z: b_num = [[p, 1], [1, 0]] mod 2,
+    q_num = (p, 2g) mod 4.  Requires p(0) = 0 or g(0) = 0."""
+    b00, q = _n_entries(p, g)
+    return LinkingForm(2, ((b00, 1), (1, 0)), q)
+
+
+def witt_four_term_instance(p):
+    """The rank-8 sum (N_{t,p} + N_{p,t}) + (-(N_{1,tp} + N_{tp,1})) for p
+    over Z, together with its standard sublagrangian span(v0, v1), where
+    v0 = p_ev e4 + e6 + t p_od e8 and v1 = e2 + p_od e4 + p_ev e8 use the
+    even/odd split p = p_ev^2 + t p_od^2 mod 2.  Reducing at this
+    sublagrangian certifies [N_{t,p}] + [N_{p,t}] = [N_{1,tp}] + [N_{tp,1}].
+    The rank-8 form is built block by block, as one LinkingForm."""
+    t = Polynomial.t()
+    one = Polynomial.one()
+    tp = t * p
+    b = [[0] * 8 for _ in range(8)]
+    q = []
+    for i, (x, y, negated) in enumerate(((t, p, False), (p, t, False), (one, tp, True), (tp, one, True))):
+        b00, q_block = _n_entries(x, y)
+        b[2 * i][2 * i] = b00
+        b[2 * i][2 * i + 1] = b[2 * i + 1][2 * i] = 1
+        q.extend((z4_neg(*c) for c in q_block) if negated else q_block)
+    G = LinkingForm(8, tuple(map(tuple, b)), tuple(q))
+    # p_ev takes the even-exponent coefficients of p mod 2, p_od the odd ones
+    pe = sum((c & 1) << k for k, c in enumerate(p.coeffs[0::2]))
+    po = sum((c & 1) << k for k, c in enumerate(p.coeffs[1::2]))
+    v0 = (0, 0, 0, pe, 0, 1, 0, gf2_mul(2, po))  # t*p_od
+    v1 = (0, 1, 0, po, 0, 0, 0, pe)
+    return G, Submodule.from_generators((v0, v1), 8)
 
 
 def _bit_polys(degree):

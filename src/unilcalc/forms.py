@@ -228,6 +228,9 @@ def _forms_diff(lhs, rhs):
         raise ValueError("forms have different signs")
     if lhs.rank != rhs.rank:
         return f"rank {lhs.rank} vs {rhs.rank}"
+    # equal thetas give equal lambda and mu
+    if lhs.theta == rhs.theta:
+        return None
     la, lb = lhs.lam(), rhs.lam()
     for i in range(lhs.rank):
         for j in range(lhs.rank):

@@ -212,7 +212,7 @@ def even_form_with_known_arf(qvals, steps, degree, rng):
 
 
 def lagrangian_candidates_by_eval_bq(form, pivots, bound):
-    """Reference for linking._lagrangian_candidates: for every pivot value
+    """Reference for lagrangian._lagrangian_candidates: for every pivot value
     tuple, build each row's full product of slot values and keep the rows
     with eval_bq(form, row, row) giving q = 0, then yield the product of
     the kept rows.  No tables and no incremental q.  A row list is a pure
@@ -382,7 +382,7 @@ def bareiss_det(M):
 
 
 def check_sublagrangian_by_eval_bq(form, S):
-    """Reference for linking._check_sublagrangian: q on each generator of S,
+    """Reference for lagrangian._check_sublagrangian: q on each generator of S,
     then b on each pair i <= j in row-major order, one eval_bq call each.
     Raises the ValueError of the first failure."""
     from unilcalc.linking import eval_bq
@@ -405,10 +405,11 @@ def submodule_contains(big, small):
 
 
 def sublagrangian_reduce_by_eval_bq(form, S):
-    """Reference for linking.sublagrangian_reduce: the same quotient basis,
+    """Reference for lagrangian.sublagrangian_reduce: the same quotient basis,
     with b and q on it from one eval_bq call per entry."""
     from unilcalc.f2linalg import divmod_rows, mat_inverse, mat_mul, smith
-    from unilcalc.linking import LinkingForm, eval_bq, orthogonal_complement
+    from unilcalc.lagrangian import orthogonal_complement
+    from unilcalc.linking import LinkingForm, eval_bq
 
     check_sublagrangian_by_eval_bq(form, S)
     comp = orthogonal_complement(form, S)
@@ -430,11 +431,56 @@ def sublagrangian_reduce_by_eval_bq(form, S):
     return LinkingForm(k2, b, q)
 
 
+def symplectic_basis(b_num, q2):
+    """Reference for funcfield.symplectic_q2, the same Euclid pass with the
+    coordinates kept: tuples (u_i, v_i, q2(u_i), q2(v_i)), with u_i, v_i in
+    the standard coordinates.  Stacked as the rows u_1, v_1, u_2, v_2, ...
+    the vectors form P with P * b_num * P^T = J, the block sum of [[0, 1],
+    [1, 0]], and det P = 1.  Every move is applied to the coordinates P and
+    to both sides of G, and carried on q2 by the quadratic law; a row that
+    ends in an entry other than 1 raises ValueError."""
+    k = len(b_num)
+    if any(b_num[i][i] for i in range(k)):
+        raise ValueError("a symplectic basis needs a zero diagonal")
+    G = [list(row) for row in b_num]
+    P = [[int(i == j) for j in range(k)] for i in range(k)]
+    q2 = list(q2)
+    active = list(range(k))
+
+    def move(dst, src, f):
+        q2[dst] ^= f2_mul(f, f2_mul(f, q2[src]) ^ G[dst][src])
+        P[dst] = [x ^ f2_mul(f, y) for x, y in zip(P[dst], P[src])]
+        gd, gs = G[dst], G[src]
+        for l in active:
+            gd[l] ^= f2_mul(f, gs[l])
+        for l in active:
+            G[l][dst] ^= f2_mul(f, G[l][src])
+
+    pairs = []
+    while active:
+        u = active[0]
+        row = [l for l in active if G[u][l]]
+        while len(row) > 1:
+            v = min(row, key=lambda l: G[u][l].bit_length())
+            for l in row:
+                if l != v:
+                    move(l, v, f2_divmod(G[u][l], G[u][v])[0])
+            row = [l for l in active if G[u][l]]
+        if not row or G[u][row[0]] != 1:
+            raise ValueError("b_num is not unimodular: a pairing row is not primitive")
+        v = row[0]
+        for l in active:
+            if l != u and G[l][v]:
+                move(l, u, G[l][v])
+        pairs.append((tuple(P[u]), tuple(P[v]), q2[u], q2[v]))
+        active = [l for l in active if l not in (u, v)]
+    return pairs
+
+
 def arf_by_eval_bq(form):
     """Reference for linking.arf_even: the class of sum q2(u_i) q2(v_i) over
     the symplectic basis, with q2 = q/2 evaluated by eval_bq on the basis
     coordinates rather than carried through the moves."""
-    from unilcalc.funcfield import symplectic_basis
     from unilcalc.linking import eval_bq
 
     total = 0
@@ -611,12 +657,39 @@ def split_terms_by_concatenation(text):
     return out
 
 
+def direct_sum(forms):
+    """The orthogonal sum of LinkingForms, block by block."""
+    from unilcalc.linking import LinkingForm
+
+    forms = tuple(forms)
+    k = sum(f.rank for f in forms)
+    b = [[0] * k for _ in range(k)]
+    q = []
+    off = 0
+    for f in forms:
+        for i in range(f.rank):
+            for j in range(f.rank):
+                b[off + i][off + j] = f.b_num[i][j]
+        q.extend(f.q_num)
+        off += f.rank
+    return LinkingForm(k, tuple(tuple(row) for row in b), tuple(q))
+
+
+def negate(form):
+    """The form with q negated and b kept: -q_num in Z4[t], and -b = b mod 2."""
+    from unilcalc.kernels import z4_neg
+    from unilcalc.linking import LinkingForm
+
+    return LinkingForm(form.rank, form.b_num, tuple(z4_neg(*c) for c in form.q_num))
+
+
 def witt_four_term_instance_by_direct_sum(p):
-    """Reference for linking.witt_four_term_instance: the four rank-2
+    """Reference for fixtures.witt_four_term_instance: the four rank-2
     generators are built as forms, two of them negated, and summed by
     direct_sum, so seven LinkingForms are built and checked."""
+    from unilcalc.fixtures import make_N
     from unilcalc.kernels import gf2_mul
-    from unilcalc.linking import Submodule, direct_sum, make_N, negate
+    from unilcalc.lagrangian import Submodule
     from unilcalc.polynomials import Polynomial
 
     t = Polynomial.t()

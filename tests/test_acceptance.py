@@ -23,15 +23,9 @@ from unilcalc.forms import (
     standard_resolution,
     verify_chain,
 )
-from unilcalc.linking import (
-    arf_even,
-    find_lagrangian,
-    is_even,
-    make_N,
-    resolution_to_linking,
-    sublagrangian_reduce,
-    witt_four_term_instance,
-)
+from unilcalc.fixtures import make_N, witt_four_term_instance
+from unilcalc.lagrangian import find_lagrangian, sublagrangian_reduce
+from unilcalc.linking import arf_even, is_even, resolution_to_linking
 from unilcalc.polynomials import Polynomial, idem_reduce, render, versch_reduce
 from unilcalc.unil import (
     B_coords,

@@ -7,18 +7,14 @@ import time
 import pytest
 
 import unilcalc.classify
-import unilcalc.linking
+import unilcalc.lagrangian
+from tests.helpers_oracles import direct_sum
 from unilcalc import cli
 from unilcalc.classify import MAX_TABLE_ROWS
 from unilcalc.cli import main
-from unilcalc.linking import (
-    MAX_FORM_WORK,
-    MAX_SEARCH_ROWS,
-    LinkingForm,
-    direct_sum,
-    form_work,
-    witt_four_term_instance,
-)
+from unilcalc.fixtures import witt_four_term_instance
+from unilcalc.lagrangian import MAX_SEARCH_ROWS
+from unilcalc.linking import MAX_FORM_WORK, LinkingForm, form_work
 from unilcalc.polynomials import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT, Polynomial
 
 
@@ -160,7 +156,7 @@ class TestArf:
 
     def test_odd_form_rejected(self, capsys, tmp_path):
         t, one = Polynomial.t(), Polynomial.one()
-        from unilcalc.linking import make_N
+        from unilcalc.fixtures import make_N
 
         path = tmp_path / "f.json"
         path.write_text(json.dumps(make_N(t, one).to_json_dict()))
@@ -210,7 +206,7 @@ class TestWittCheck:
         def search(*_args, **_kwargs):
             raise AssertionError("searched a form with a nonzero Arf class")
 
-        monkeypatch.setattr(unilcalc.linking, "find_lagrangian", search)
+        monkeypatch.setattr(unilcalc.lagrangian, "find_lagrangian", search)
         code, out, _ = run(capsys, "witt-check", str(path), "--bound", "2", "--format", "json")
         doc = json.loads(out)
         assert code == 0 and doc["rank"] == 6
@@ -252,7 +248,7 @@ class TestWittCheck:
     def test_combination_limit_is_an_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(hyperbolic_json()))
-        monkeypatch.setattr(unilcalc.linking, "MAX_SEARCH_COMBINATIONS", 0)
+        monkeypatch.setattr(unilcalc.lagrangian, "MAX_SEARCH_COMBINATIONS", 0)
         code, out, err = run(capsys, "witt-check", str(path), "--bound", "2")
         assert code == 1 and out == ""
         assert err.splitlines() == [
@@ -709,8 +705,8 @@ print(json.dumps(loaded), file=sys.stderr)
 
 LAYERS = {
     f"unilcalc.{name}"
-    for name in ("polynomials", "funcfield", "f2linalg", "dihedral", "forms", "linking", "unil",
-                 "classify", "fixtures")
+    for name in ("polynomials", "funcfield", "f2linalg", "dihedral", "forms", "linking",
+                 "lagrangian", "unil", "classify", "fixtures")
 }
 
 
@@ -740,6 +736,27 @@ class TestImports:
                      "hashlib", "fractions", "decimal"}
         assert not loaded & forbidden
 
+    def test_even_arf_loads_neither_f2linalg_nor_the_search(self, tmp_path):
+        # the symplectic pass proves an even form unimodular and gives its
+        # Arf class, so no determinant is taken
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(hyperbolic_json()))
+        loaded = self.loaded("arf", str(path))
+        assert {"unilcalc.linking", "unilcalc.funcfield"} <= loaded
+        assert not loaded & {"unilcalc.f2linalg", "unilcalc.lagrangian"}
+
+    def test_odd_arf_loads_f2linalg(self, tmp_path):
+        # an odd form is checked by det, and then refused
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(LinkingForm(1, ((1,),), ((1, 0),)).to_json_dict()))
+        loaded = self.loaded("arf", str(path))
+        assert "unilcalc.f2linalg" in loaded and "unilcalc.lagrangian" not in loaded
+
+    def test_witt_check_loads_the_search(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(hyperbolic_json()))
+        assert {"unilcalc.f2linalg", "unilcalc.lagrangian"} <= self.loaded("witt-check", str(path))
+
     def test_parsing_loads_no_fractions(self):
         # a coefficient a/b is read with integer division
         loaded = self.loaded("reduce", "versch", "9/3*t^3+2*t")
@@ -754,8 +771,8 @@ class TestImports:
     def test_classify(self):
         loaded = self.loaded("classify", "4", "--degree-cutoff", "1")
         assert "unilcalc.classify" in loaded
-        forbidden = {"unilcalc.linking", "unilcalc.forms", "unilcalc.dihedral",
-                     "unilcalc.funcfield", "unilcalc.f2linalg"}
+        forbidden = {"unilcalc.linking", "unilcalc.lagrangian", "unilcalc.forms",
+                     "unilcalc.dihedral", "unilcalc.funcfield", "unilcalc.f2linalg"}
         assert not loaded & forbidden
 
     @pytest.mark.parametrize(

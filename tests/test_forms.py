@@ -156,6 +156,16 @@ class TestFormsEqual:
         f = rand_dihedral_form(random.Random(137), -1)
         assert forms_equal(f, f)
 
+    def test_equal_thetas_build_no_lambda(self, monkeypatch):
+        # equal thetas give equal lambda and mu, so neither is built
+        f = rand_dihedral_form(random.Random(141), -1)
+
+        def no_lam(_self):
+            raise AssertionError("lambda built for equal thetas")
+
+        monkeypatch.setattr(QuadraticFormTheta, "lam", no_lam)
+        assert forms_equal(f, QuadraticFormTheta(f.theta, f.epsilon))
+
     @pytest.mark.parametrize("eps", [1, -1])
     def test_theta_not_unique(self, eps):
         # [[0,a],[0,0]] and [[0,0],[eps*a,0]] present the same form

@@ -7,37 +7,39 @@ import pytest
 from tests.helpers_oracles import (
     arf_by_eval_bq,
     check_sublagrangian_by_eval_bq,
+    direct_sum,
     even_form_with_known_arf,
     f2_bits,
     lagrangian_candidates_by_eval_bq,
+    negate,
     sublagrangian_reduce_by_eval_bq,
     submodule_contains,
+    symplectic_basis,
     witt_four_term_instance_by_direct_sum,
     z4_pair,
 )
 from tests.test_f2linalg import rand_unimodular
-from unilcalc import linking
+from unilcalc import f2linalg, lagrangian
 from unilcalc.f2linalg import divmod_rows
+from unilcalc.fixtures import make_N, witt_four_term_instance
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
-from unilcalc.linking import (
+from unilcalc.lagrangian import (
     MAX_SEARCH_COMBINATIONS,
     MAX_SEARCH_ROWS,
-    LinkingForm,
     Submodule,
-    arf_even,
-    direct_sum,
-    eval_bq,
-    eval_q,
     find_lagrangian,
     full_module,
-    is_even,
-    make_N,
-    negate,
     orthogonal_complement,
-    resolution_to_linking,
     search_rows,
     sublagrangian_reduce,
-    witt_four_term_instance,
+)
+from unilcalc.linking import (
+    LinkingForm,
+    arf_even,
+    eval_bq,
+    eval_q,
+    is_even,
+    resolution_to_linking,
 )
 from unilcalc import forms
 from unilcalc.dihedral import ONE as DONE, DihedralElement
@@ -382,13 +384,13 @@ class TestSublagrangian:
     def test_four_term_instance_builds_one_form(self, monkeypatch):
         # one LinkingForm, so one det, where the direct sum builds seven
         dets = []
-        det = linking.det
+        det = f2linalg.det
 
         def counting_det(M):
             dets.append(len(M))
             return det(M)
 
-        monkeypatch.setattr(linking, "det", counting_det)
+        monkeypatch.setattr(f2linalg, "det", counting_det)
         witt_four_term_instance(T)
         assert dets == [8]
 
@@ -528,7 +530,7 @@ class TestAgainstEvalBqOracles:
             if rng.random() < 0.2:
                 gens.append(tuple(rng.randrange(4) for _ in range(k)))
             S = Submodule.from_generators(gens, k)
-            got = outcome(linking._check_sublagrangian, f, S)
+            got = outcome(lagrangian._check_sublagrangian, f, S)
             want = outcome(check_sublagrangian_by_eval_bq, f, S)
             if want is None:
                 assert not isinstance(got, str)
@@ -559,12 +561,12 @@ class TestAgainstEvalBqOracles:
             if not S.basis:
                 continue
             try:
-                SB = linking._check_sublagrangian(f, S)
+                SB = lagrangian._check_sublagrangian(f, S)
             except ValueError:
                 failed += 1
                 continue
             passed += 1
-            assert submodule_contains(linking._complement(SB), S)
+            assert submodule_contains(lagrangian._complement(SB), S)
         assert passed >= 20 and failed >= 20
 
     def test_q_is_checked_before_b(self):
@@ -572,7 +574,7 @@ class TestAgainstEvalBqOracles:
         f = direct_sum([hyperbolic(q2=(0, 1)), hyperbolic()])
         S = Submodule.from_generators(((1, 0, 0, 0), (0, 1, 0, 0)), 4)
         message = "q does not vanish on generator 1 of S"
-        for check in (linking._check_sublagrangian, check_sublagrangian_by_eval_bq):
+        for check in (lagrangian._check_sublagrangian, check_sublagrangian_by_eval_bq):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 check(f, S)
 
@@ -583,7 +585,7 @@ class TestAgainstEvalBqOracles:
         f = LinkingForm(8, tuple(tuple(int(i + j == 7) for j in range(8)) for i in range(8)), ((0, 0),) * 8)
         S = Submodule.from_generators([tuple(int(c == i) for c in range(8)) for i in (0, 1, 6, 7)], 8)
         message = "b(0,3) is nonzero on S: S is not isotropic"
-        for check in (linking._check_sublagrangian, check_sublagrangian_by_eval_bq):
+        for check in (lagrangian._check_sublagrangian, check_sublagrangian_by_eval_bq):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 check(f, S)
 
@@ -598,13 +600,13 @@ class TestAgainstEvalBqOracles:
             assert arf_even(f) == arf_by_eval_bq(f)
 
     def test_carried_q2_values(self):
-        # the q2 values symplectic_basis returns are q/2 on its vectors
+        # the q2 values the oracle symplectic_basis returns are q/2 on its vectors
         rng = random.Random(269)
         for _ in range(20):
             qvals = [(rng.randrange(16), rng.randrange(16)) for _ in range(rng.randint(1, 5))]
             b, q, _ = even_form_with_known_arf(qvals, 6 * len(qvals), 3, rng)
             f = LinkingForm(len(q), b, q)
-            for u, v, qu, qv in linking.symplectic_basis(f.b_num, [hi for _, hi in f.q_num]):
+            for u, v, qu, qv in symplectic_basis(f.b_num, [hi for _, hi in f.q_num]):
                 assert (eval_q(f, u), eval_q(f, v)) == ((0, qu), (0, qv))
 
 
@@ -643,7 +645,7 @@ class TestCandidateFilter:
     @staticmethod
     def assert_same_stream(form, bound, limit=200):
         for pivots in itertools.combinations(range(form.rank), form.rank // 2):
-            got = itertools.islice(linking._lagrangian_candidates(form, pivots, bound), limit)
+            got = itertools.islice(lagrangian._lagrangian_candidates(form, pivots, bound), limit)
             want = itertools.islice(lagrangian_candidates_by_eval_bq(form, pivots, bound), limit)
             assert list(got) == list(want), (form, pivots, bound)
 
@@ -685,8 +687,8 @@ class TestCandidateFilter:
             calls.append(args)
             return z4_mul(*args)
 
-        monkeypatch.setattr(linking, "z4_mul", counting)
-        linking._slot_tables.cache_clear()
+        monkeypatch.setattr(lagrangian, "z4_mul", counting)
+        lagrangian._slot_tables.cache_clear()
         assert find_lagrangian(red, 2) is None
         assert len(calls) <= red.rank << 3
 
@@ -723,7 +725,7 @@ class TestSearchLimits:
         def no_tables(*args):
             raise AssertionError("tables built for a refused search")
 
-        monkeypatch.setattr(linking, "_slot_tables", no_tables)
+        monkeypatch.setattr(lagrangian, "_slot_tables", no_tables)
         form = direct_sum([hyperbolic()] * (k // 2))
         with pytest.raises(ValueError, match=f"more than {MAX_SEARCH_ROWS} candidate rows"):
             find_lagrangian(form, bound)
@@ -733,7 +735,7 @@ def count_combinations(monkeypatch):
     """Make find_lagrangian record how many candidate combinations each
     search checks; returns the list it appends to."""
     counts = []
-    candidates = linking._lagrangian_candidates
+    candidates = lagrangian._lagrangian_candidates
 
     def counting(*args):
         for combo in candidates(*args):
@@ -744,7 +746,7 @@ def count_combinations(monkeypatch):
         counts.append(0)
         return find_lagrangian(form, bound)
 
-    monkeypatch.setattr(linking, "_lagrangian_candidates", counting)
+    monkeypatch.setattr(lagrangian, "_lagrangian_candidates", counting)
     return counts, search
 
 
@@ -763,7 +765,7 @@ class TestCombinationLimit:
         # a nonzero Arf block beside two hyperbolic planes has no lagrangian,
         # so the search runs through every candidate; at bound 2 one pivot
         # pattern alone has 40.5M, which ran for minutes before the limit
-        monkeypatch.setattr(linking, "MAX_SEARCH_COMBINATIONS", 1000)
+        monkeypatch.setattr(lagrangian, "MAX_SEARCH_COMBINATIONS", 1000)
         counts, search = count_combinations(monkeypatch)
         form = direct_sum([hyperbolic(q1=(0, 0b10), q2=(0, 1)), hyperbolic(), hyperbolic()])
         with pytest.raises(
@@ -778,10 +780,10 @@ class TestCombinationLimit:
         # bound 1 each of the six holds candidates, 31 in all
         counts, search = count_combinations(monkeypatch)
         form = direct_sum([hyperbolic(q1=(0, 0b10), q2=(0, 1)), hyperbolic()])
-        monkeypatch.setattr(linking, "MAX_SEARCH_COMBINATIONS", 31)
+        monkeypatch.setattr(lagrangian, "MAX_SEARCH_COMBINATIONS", 31)
         assert search(form, 1) is None
         assert counts == [31]
-        monkeypatch.setattr(linking, "MAX_SEARCH_COMBINATIONS", 30)
+        monkeypatch.setattr(lagrangian, "MAX_SEARCH_COMBINATIONS", 30)
         with pytest.raises(ValueError, match="more than 30 candidate combinations"):
             search(form, 1)
 

@@ -9,15 +9,17 @@ import pytest
 from tests.helpers_oracles import (
     arf_by_eval_bq,
     bareiss_det,
+    direct_sum,
     elementary_base_change,
     even_form_with_known_arf,
 )
 from tests.test_f2linalg import rand_unimodular
 from tests.test_linking import rand_form
-from unilcalc import linking
+from unilcalc import lagrangian
 from unilcalc.f2linalg import det, mat_mul
 from unilcalc.kernels import z4_neg
-from unilcalc.linking import LinkingForm, arf_even, direct_sum, eval_bq, find_lagrangian
+from unilcalc.lagrangian import find_lagrangian
+from unilcalc.linking import LinkingForm, arf_even, eval_bq
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -44,11 +46,11 @@ def test_slot_by_slot_q_equals_eval_bq(seed, k, even, bound):
     row = x + (1, 0)
     pivot = next(c for c, v in enumerate(row) if v)
     spans = [(v,) for v in row]
-    tables = linking._slot_tables(g, bound)
-    assert linking._q_zero_rows(tables, pivot, row[pivot], spans) == [row]
+    tables = lagrangian._slot_tables(g, bound)
+    assert lagrangian._q_zero_rows(tables, pivot, row[pivot], spans) == [row]
     # and a different V is not matched
     g2 = direct_sum([f, LinkingForm(2, ((lo, 1), (1, 0)), (z4_neg(lo, hi ^ 1), (0, 0)))])
-    assert linking._q_zero_rows(linking._slot_tables(g2, bound), pivot, row[pivot], spans) == []
+    assert lagrangian._q_zero_rows(lagrangian._slot_tables(g2, bound), pivot, row[pivot], spans) == []
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)

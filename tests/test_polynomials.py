@@ -16,8 +16,9 @@ from tests.helpers_oracles import (
     z4_coeffs,
     z4_pair,
 )
+from unilcalc.fixtures import witt_four_term_instance
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul
-from unilcalc.linking import Submodule, witt_four_term_instance
+from unilcalc.lagrangian import Submodule
 from unilcalc.polynomials import (
     Polynomial,
     _split_terms,

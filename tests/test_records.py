@@ -8,7 +8,8 @@ from unilcalc.classify import ClassificationTable, StructureSetDescriptor
 from unilcalc.cli import CommandResult
 from unilcalc.dihedral import DihedralElement
 from unilcalc.forms import QuadraticFormTheta, QuadResolution
-from unilcalc.linking import LinkingForm, Submodule
+from unilcalc.lagrangian import Submodule
+from unilcalc.linking import LinkingForm
 from unilcalc.polynomials import Polynomial
 from unilcalc.unil import TruncatedEnumeration, UNil2Element, UNil3Element
 
