@@ -12,9 +12,8 @@ import io
 import json
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from unilcalc._record import Record
 from unilcalc.polynomials import render
@@ -25,10 +24,10 @@ from unilcalc.unil import compact_literal, orbit_count, orbit_reps, unil3_litera
 # written a chunk at a time, so the limit bounds the time and the size of the
 # output, not memory.  On one core of a 2-vCPU x86_64 VM with CPython 3.11 a
 # row takes about 0.2 us as CSV and 0.4 us as JSON when its pair has thousands
-# of theta orbits (classify 8 --degree-cutoff 6), and about 1.1 and 2.0 us
-# when it has one (classify 7 --z-bound 249); at 50 bytes of CSV or 200 of
-# JSON a row, the largest admitted table takes up to about 4 s and writes up
-# to 400 MB.
+# of theta orbits (classify 8 --degree-cutoff 6), and about 0.8 and 1.1 us
+# when it has one (classify 7 --z-bound 249, with or without --bar); at 50
+# bytes of CSV or 200 of JSON a row, the largest admitted table takes up to
+# about 2.5 s and writes up to 400 MB.
 # The largest table the tests, README and benchmark use (classify 8
 # --degree-cutoff 5) has 152,064 rows.
 MAX_TABLE_ROWS = 2_000_000
@@ -94,18 +93,6 @@ def _negate_coord(desc, coord):
     if not desc.has_Z:
         return coord
     return coord[:-1] + (-coord[-1],)
-
-
-def bar_I(n, z_bound=0):
-    """Count and representatives of the unoriented quotient of I_n.
-
-    Negation acts trivially on the Z_2 summands, so only the Z
-    coordinate (when present) is folded by z ~ -z.
-    """
-    desc = structure_set_P(n)
-    elements = structure_set_elements(desc, z_bound)
-    reps = tuple(e for e in elements if not desc.has_Z or e[-1] >= 0)
-    return len(reps), reps
 
 
 def relevant_unil(n):
@@ -186,51 +173,35 @@ class TableRows:
         return texts, [index[_negate_coord(desc, e)] for e in elements]
 
     def _pairs(self):
-        """(i, j, identified_with) per pair of the table, in lexicographic
-        order: indices i <= j into the coordinates of _coords.
+        """(i, j, absorbed) per pair of the table, in lexicographic order:
+        indices i <= j into the coordinates of _coords, and the index pair
+        the row absorbed, or None.
 
         A folded table keeps a pair (i, j) when its negation, the negated
         indices in order, is not smaller, and names the negation when it
         differs: the pairs come in lexicographic order, so that is the pair
         the survivor absorbed.
         """
-        texts, neg = self._coords
-        folded = self.table.folded
-        for i, j in combinations_with_replacement(range(len(texts)), 2):
-            absorbed = ""
-            if folded:
-                ni, nj = neg[i], neg[j]
-                if ni > nj:
-                    ni, nj = nj, ni
-                if (ni, nj) < (i, j):
-                    continue
-                if (ni, nj) != (i, j):
-                    absorbed = f"{texts[ni]};{texts[nj]}"
-            yield i, j, absorbed
-
-    def _runs(self, orbits):
-        """(chunk, i, j, identified_with, start, stop) per run of rows: pair
-        (i, j) of _pairs crossed with the thetas start:stop of the
-        ``orbits``, all in the chunk numbered chunk.  A chunk holds
-        CHUNK_ROWS rows, so a pair's block of rows is cut into runs where a
-        chunk ends."""
-        row = 0
-        for i, j, absorbed in self._pairs():
-            start = 0
-            while start < orbits:
-                chunk, offset = divmod(row, CHUNK_ROWS)
-                stop = min(orbits, start + CHUNK_ROWS - offset)
-                yield chunk, i, j, absorbed, start, stop
-                row += stop - start
-                start = stop
+        neg = self._coords[1]
+        if not self.table.folded:
+            # every pair is then its own negation, and kept
+            neg = range(len(neg))
+        for i, j in combinations_with_replacement(range(len(neg)), 2):
+            ni, nj = neg[i], neg[j]
+            if ni > nj:
+                ni, nj = nj, ni
+            if ni < i or (ni == i and nj < j):
+                continue
+            yield i, j, (None if ni == i and nj == j else (ni, nj))
 
     def __iter__(self):
         thetas = list(self._thetas())
-        coords = self._coords[0]
+        texts = self._coords[0]
         for i, j, absorbed in self._pairs():
-            a, b = coords[i], coords[j]
+            a, b = texts[i], texts[j]
+            identified = "" if absorbed is None else f"{texts[absorbed[0]]};{texts[absorbed[1]]}"
             for theta, flag in thetas:
-                yield Row(a, b, theta, flag, absorbed)
+                yield Row(a, b, theta, flag, identified)
 
 
 class ClassificationTable(Record):
@@ -338,8 +309,9 @@ def table_to_csv(table):
     """The table as CSV text, in chunks of CHUNK_ROWS rows.
 
     The cells are rendered once each: a theta's per table, a pair's head
-    and tail per run, so that a pair's rows are one join of the theta
-    cells."""
+    and tail per pair.  A pair's rows are one join of the theta cells,
+    appended to the chunk being filled and cut where it reaches CHUNK_ROWS
+    rows."""
     return _csv_chunks(table)
 
 
@@ -357,23 +329,39 @@ def _csv_chunks(table):
         return buf.getvalue()
 
     thetas = [cells(theta, int(flag)) for theta, flag in rows._thetas()]
-    coords = [cells(c) for c in rows._coords[0]]
+    # coordinate text, [01]+ with an optional :-?\d+, and two of them joined
+    # by ";" never need quoting, so they are written as they are
+    coords = rows._coords[0]
     n = cells(table.n)
+    orbits = len(thetas)
+    parts = [cells(*_COLUMNS) + "\n"]
+    room = CHUNK_ROWS  # rows the chunk being filled has yet to take
 
-    def chunk(k, runs):
-        # a row is the pair's head, a theta cell and the pair's tail;
-        # csv.writer writes an empty last field as nothing, a lone one as ""
-        parts = [cells(*_COLUMNS) + "\n"] if k == 0 else []
-        for _, i, j, absorbed, start, stop in runs:
-            head = f"{n},{coords[i]},{coords[j]},"
-            tail = f",{cells(absorbed) if absorbed else ''}\n"
+    def chunk():
+        # the parts are freed before the chunk is yielded and written
+        text = "".join(parts)
+        parts.clear()
+        return text
+
+    for i, j, absorbed in rows._pairs():
+        # a row is the pair's head, a theta cell and the pair's tail, so a
+        # run of the pair's rows is one join of the theta cells; csv.writer
+        # writes an empty last field as nothing
+        head = f"{n},{coords[i]},{coords[j]},"
+        tail = ",\n" if absorbed is None else f",{coords[absorbed[0]]};{coords[absorbed[1]]}\n"
+        start = 0
+        while orbits - start >= room:
+            # the pair's rows from start on fill the chunk
+            stop = start + room
             parts.append(head + (tail + head).join(thetas[start:stop]) + tail)
-        return "".join(parts)
-
-    # a chunk is made by a call, so that its parts are freed before it is
-    # yielded and written
-    for k, runs in groupby(rows._runs(len(thetas)), itemgetter(0)):
-        yield chunk(k, runs)
+            start = stop
+            yield chunk()
+            room = CHUNK_ROWS
+        if start < orbits:
+            parts.append(head + (tail + head).join(thetas[start:]) + tail)
+            room -= orbits - start
+    if parts:
+        yield chunk()
 
 
 def table_to_json(table):
@@ -384,9 +372,10 @@ def table_to_json(table):
 
     ``indent`` turns off json's C encoder, so dumping a large table costs
     one pure-Python call per token; here the header keys still go through
-    json.dumps, each pair's fields and each theta's are encoded once, and a
-    row joins the two.  A table always has a row, so the list is never
-    empty.
+    json.dumps, each coordinate and each theta is escaped once per table, a
+    pair's fields are joined from those once per pair, and a row joins the
+    pair's fields and the theta's.  The rows go straight into the chunk
+    being filled.  A table always has a row, so the list is never empty.
     """
     return _json_chunks(table)
 
@@ -403,38 +392,54 @@ def _json_chunks(table):
     head, tail = json.dumps(doc, sort_keys=True, indent=2).split('"rows": []')
     rows = table.rows
     enc = encode_basestring_ascii
-    thetas, flags = [], []
-    for theta, flag in rows._thetas():
-        thetas.append(enc(theta))
-        flags.append("true" if flag else "false")
+    cells = [("true" if flag else "false", enc(theta) + "\n    }") for theta, flag in rows._thetas()]
     coords = [enc(c) for c in rows._coords[0]]
     n = str(table.n)
+    orbits = len(cells)
     # len(rows) is the closed-form count, so the last chunk, which closes
     # the document, is known before it is made
     last = (len(rows) - 1) // CHUNK_ROWS
+    lines, k = [], 0
+    append = lines.append
+    room = CHUNK_ROWS  # rows the chunk being filled has yet to take
 
-    def chunk(k, runs):
-        lines = []
-        for _, i, j, absorbed, start, stop in runs:
-            # a row of json.dumps(doc, sort_keys=True, indent=2), cut at its
-            # two fields that depend on the theta orbit
-            front = (
-                f'    {{\n      "identified_with": {enc(absorbed)},\n      "n": {n},\n'
-                f'      "not_connected_sum": '
-            )
-            middle = (
-                f',\n      "pair_coord_1": {coords[i]},\n      "pair_coord_2": {coords[j]},\n'
-                f'      "theta": '
-            )
-            lines += [
-                f"{front}{flag}{middle}{theta}\n    }}"
-                for flag, theta in zip(flags[start:stop], thetas[start:stop])
-            ]
+    def chunk(k):
+        # the chunk's lines, opened by the document's head or by the comma
+        # after the chunk before, and closed by the document's tail when k is
+        # the last chunk; they are freed before the chunk is yielded and
+        # written
         lines[0] = (f'{head}"rows": [\n' if k == 0 else ",\n") + lines[0]
         if k == last:
             lines[-1] += f"\n  ]{tail}\n"
-        return ",\n".join(lines)
+        text = ",\n".join(lines)
+        lines.clear()
+        return text
 
-    # as in _csv_chunks, a chunk's lines are freed before it is yielded
-    for k, runs in groupby(rows._runs(len(thetas)), itemgetter(0)):
-        yield chunk(k, runs)
+    for i, j, absorbed in rows._pairs():
+        # JSON escapes character by character, so the escape of "a;b" is
+        # that of a, then ";", then that of b
+        identified = '""' if absorbed is None else f"{coords[absorbed[0]][:-1]};{coords[absorbed[1]][1:]}"
+        # a row of json.dumps(doc, sort_keys=True, indent=2), cut at its two
+        # fields that depend on the theta orbit
+        front = (
+            f'    {{\n      "identified_with": {identified},\n      "n": {n},\n'
+            f'      "not_connected_sum": '
+        )
+        middle = (
+            f',\n      "pair_coord_1": {coords[i]},\n      "pair_coord_2": {coords[j]},\n'
+            f'      "theta": '
+        )
+        start = 0
+        while orbits - start >= room:
+            # the pair's rows from start on fill the chunk
+            stop = start + room
+            for flag, theta in cells[start:stop]:
+                append(f"{front}{flag}{middle}{theta}")
+            start = stop
+            yield chunk(k)
+            k, room = k + 1, CHUNK_ROWS
+        for flag, theta in cells[start:]:
+            append(f"{front}{flag}{middle}{theta}")
+        room -= orbits - start
+    if lines:
+        yield chunk(k)

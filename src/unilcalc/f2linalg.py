@@ -52,10 +52,22 @@ def _row_addmul(rows, dst, src, q):
 def hnf(M):
     """Hermite form of the row span.  Returns (H, U) with U*M = H and U
     unimodular; H is the canonical basis described in the module docstring."""
+    U = [list(row) for row in mat_identity(len(M))]
+    H = _hermite(M, U)
+    return H, tuple(tuple(row) for row in U)
+
+
+def hermite_form(M):
+    """The H of hnf(M) alone, for callers that need no U."""
+    return _hermite(M, None)
+
+
+def _hermite(M, U):
+    # the row moves that take M to its Hermite form H, made on U too when U
+    # is a list of rows
     m = len(M)
     n = len(M[0]) if m else 0
     H = [list(row) for row in M]
-    U = [list(row) for row in mat_identity(m)]
     r = 0
     for j in range(n):
         while True:
@@ -65,28 +77,30 @@ def hnf(M):
             i0 = min(cand, key=lambda i: gf2_deg(H[i][j]))
             if i0 != r:
                 H[r], H[i0] = H[i0], H[r]
-                U[r], U[i0] = U[i0], U[r]
+                if U is not None:
+                    U[r], U[i0] = U[i0], U[r]
             clean = True
             for i in range(r + 1, m):
                 if H[i][j]:
                     q, rem = gf2_divmod(H[i][j], H[r][j])
                     _row_addmul(H, i, r, q)
-                    _row_addmul(U, i, r, q)
+                    if U is not None:
+                        _row_addmul(U, i, r, q)
                     if rem:
                         clean = False
             if clean:
                 for i in range(r):
                     q, _ = gf2_divmod(H[i][j], H[r][j])
                     _row_addmul(H, i, r, q)
-                    _row_addmul(U, i, r, q)
+                    if U is not None:
+                        _row_addmul(U, i, r, q)
                 r += 1
                 break
-    return tuple(tuple(row) for row in H), tuple(tuple(row) for row in U)
+    return tuple(tuple(row) for row in H)
 
 
 def rank(M):
-    H, _ = hnf(M)
-    return sum(1 for row in H if any(row))
+    return sum(1 for row in hermite_form(M) if any(row))
 
 
 def divmod_rows(v, H):
@@ -112,8 +126,7 @@ def left_kernel(M):
     ker = [U[i] for i in range(len(H)) if not any(H[i])]
     if not ker:
         return ()
-    K, _ = hnf(ker)
-    return tuple(row for row in K if any(row))
+    return tuple(row for row in hermite_form(ker) if any(row))
 
 
 def mat_inverse(M):

@@ -22,7 +22,7 @@ import math
 from unilcalc._record import Record
 from unilcalc.f2linalg import (
     divmod_rows,
-    hnf,
+    hermite_form,
     left_kernel,
     mat_identity,
     mat_inverse,
@@ -61,8 +61,7 @@ class Submodule(Record):
                 raise ValueError("generator length does not match ambient rank")
         if not gens:
             return cls(ambient_rank, ())
-        H, _ = hnf(gens)
-        return cls(ambient_rank, tuple(row for row in H if any(row)))
+        return cls(ambient_rank, tuple(row for row in hermite_form(gens) if any(row)))
 
     @property
     def rank(self):

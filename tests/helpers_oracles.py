@@ -267,6 +267,20 @@ class ReferenceRow:
         return compact_literal(self.theta)
 
 
+def bar_I(n, z_bound=0):
+    """Count and representatives of the unoriented quotient of I_n.
+
+    Negation acts trivially on the Z_2 summands, so only the Z
+    coordinate (when present) is folded by z ~ -z.
+    """
+    from unilcalc.classify import structure_set_P, structure_set_elements
+
+    desc = structure_set_P(n)
+    elements = structure_set_elements(desc, z_bound)
+    reps = tuple(e for e in elements if not desc.has_Z or e[-1] >= 0)
+    return len(reps), reps
+
+
 def reference_rows(n, degree_cutoff, z_bound, bar=False):
     """Every row of classify n --degree-cutoff d --z-bound B [--bar] in one
     list: pairs of coordinates crossed with the orbit representatives, then,

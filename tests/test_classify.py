@@ -6,13 +6,12 @@ import pytest
 
 import unilcalc.classify
 
-from tests.helpers_oracles import reference_csv, reference_json, reference_rows
+from tests.helpers_oracles import bar_I, reference_csv, reference_json, reference_rows
 from unilcalc import cli
 from unilcalc.classify import (
     CHUNK_ROWS,
     MAX_TABLE_ROWS,
     Row,
-    bar_I,
     bar_J,
     coord_str,
     enumerate_J,
@@ -229,6 +228,24 @@ class TestThetas:
         assert text.count("\n") == table_row_count(8, 5) + 1
         assert len(calls) <= 255 + 31
 
+    def test_each_coordinate_and_theta_is_escaped_once(self, monkeypatch):
+        # the folded table has 164 coordinates, one theta and 6,810 rows, of
+        # which 6,720 name the pair they absorbed
+        escape = unilcalc.classify.encode_basestring_ascii
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return escape(text)
+
+        monkeypatch.setattr(unilcalc.classify, "encode_basestring_ascii", counted)
+        table = bar_J(7, enumerate_J(7, 0, 20))
+        text = "".join(table_to_json(table))
+        assert text.count('"pair_coord_1"') == len(table.rows) == 6810
+        assert sum(1 for row in table.rows if row.identified_with) == 6720
+        coords = [coord_str(table.desc, c) for c in structure_set_elements(table.desc, 20)]
+        assert sorted(calls) == sorted(coords + ["0"])
+
 
 class TestBarJ:
     def test_identity_away_from_three_mod_four(self):
@@ -308,6 +325,17 @@ class TestEmission:
         assert [c.count("\n") for c in chunks] == [CHUNK_ROWS + 1, len(t.rows) - CHUNK_ROWS]
         rows = [c.count('"pair_coord_1"') for c in table_to_json(t)]
         assert max(rows) == CHUNK_ROWS and sum(rows) == len(t.rows)
+
+    def test_folded_one_theta_table_cut_at_chunk_rows(self):
+        # 6,810 pairs of one theta each, so the default CHUNK_ROWS cuts the
+        # table between two pairs
+        table = bar_J(7, enumerate_J(7, 0, 20))
+        csv_chunks = list(table_to_csv(table))
+        json_chunks = list(table_to_json(table))
+        assert "".join(csv_chunks) == reference_csv(7, 0, 20, bar=True)
+        assert "".join(json_chunks) == reference_json(7, 0, 20, bar=True)
+        assert [c.count("\n") for c in csv_chunks] == [1 + 4096, 2714]
+        assert [c.count('"pair_coord_1"') for c in json_chunks] == [4096, 2714]
 
     @pytest.mark.parametrize("chunk_rows", [1, 5, 7])
     @pytest.mark.parametrize("n,cutoff,z_bound,bar", [(7, 0, 2, True), (8, 2, 0, False), (5, 3, 0, False)])

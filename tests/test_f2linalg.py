@@ -5,6 +5,7 @@ from tests.helpers_oracles import bareiss_det
 from unilcalc.f2linalg import (
     det,
     divmod_rows,
+    hermite_form,
     hnf,
     left_kernel,
     mat_identity,
@@ -111,6 +112,16 @@ class TestHermite:
             assert det(U) == 1
             self._assert_canonical(H)
             assert hnf(H)[0] == H
+
+    def test_hermite_form_is_the_h_of_hnf(self):
+        # hermite_form makes hnf's row moves on H alone
+        rng = random.Random(72)
+        assert hermite_form(()) == hnf(())[0] == ()
+        for _ in range(80):
+            m = rng.randint(1, 5)
+            M = rand_mat(rng, m, rng.randint(1, 4))
+            assert hermite_form(M) == hnf(M)[0]
+            assert hermite_form(M + M[:1]) == hnf(M + M[:1])[0]
 
     def test_row_span_invariant(self):
         rng = random.Random(73)
