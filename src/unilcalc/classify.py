@@ -10,14 +10,13 @@ bound on the Z coordinate make every table finite.
 import csv
 import io
 import json
-from collections import namedtuple
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
 
 from unilcalc._record import Record
 from unilcalc.polynomials import render
-from unilcalc.unil import compact_literal, orbit_count, orbit_reps, unil3_literal
+from unilcalc.unil import UNil2Element, compact_literal, orbit_count, orbit_reps, unil3_literal
 
 
 # enumerate_J refuses a table with more rows than this.  Rows are made and
@@ -112,17 +111,9 @@ def relevant_unil(n):
     return "Zero"
 
 
-Row = namedtuple(
-    "Row", ("pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
-)
-Row.__doc__ = """One table row as it is written: the pair's coordinates and the theta
-orbit as text, whether the class is not a connected sum, and the pair a
-folded row absorbed ("" when none)."""
-
-
 class TableRows:
-    """The rows of a table, made afresh on each iteration, so that no table
-    holds them; len() is the closed-form count.
+    """The parts the writers join a table's rows from, made afresh on each
+    call, so that no table holds its rows; len() is the closed-form count.
 
     A row is a pair of structure-set coordinates crossed with a theta
     orbit.  Each coordinate and each theta is rendered once per table.
@@ -139,7 +130,8 @@ class TableRows:
         """The text of each switch-orbit of the UNil group, and whether the
         orbit is nonzero, made afresh on each call.
 
-        On UNil_3 a theta's text is joined from its coordinates' text,
+        The representatives come as coordinates (unil.orbit_reps).  On
+        UNil_3 a theta's text is joined from its coordinates' text,
         rendered once each: the representatives come one x row at a time,
         so an x-coordinate is rendered when its row starts, and each of the
         2^d y-coordinates the first time it is met."""
@@ -149,18 +141,18 @@ class TableRows:
             return
         reps = orbit_reps(group, self.table.degree_cutoff)
         if group == "UNil2":
-            for theta in reps:
-                yield compact_literal(theta), not theta.is_zero()
+            for bits in reps:
+                yield compact_literal(UNil2Element(bits)), bits != 0
             return
         x, x_text, y_texts = None, "", {0: ""}
-        for theta in reps:
-            if theta.x != x:
-                x = theta.x
+        for rep_x, y in reps:
+            if rep_x != x:
+                x = rep_x
                 x_text = render(x, True) if any(x) else ""
-            y_text = y_texts.get(theta.y)
+            y_text = y_texts.get(y)
             if y_text is None:
-                y_text = y_texts[theta.y] = render(theta.y, True)
-            yield unil3_literal(x_text, y_text), not theta.is_zero()
+                y_text = y_texts[y] = render(y, True)
+            yield unil3_literal(x_text, y_text), y != 0 or any(x)
 
     @cached_property
     def _coords(self):
@@ -194,19 +186,10 @@ class TableRows:
                 continue
             yield i, j, (None if ni == i and nj == j else (ni, nj))
 
-    def __iter__(self):
-        thetas = list(self._thetas())
-        texts = self._coords[0]
-        for i, j, absorbed in self._pairs():
-            a, b = texts[i], texts[j]
-            identified = "" if absorbed is None else f"{texts[absorbed[0]]};{texts[absorbed[1]]}"
-            for theta, flag in thetas:
-                yield Row(a, b, theta, flag, identified)
-
 
 class ClassificationTable(Record):
-    """A classification table, named by its parameters; its rows are made
-    each time they are iterated."""
+    """A classification table, named by its parameters; table_to_csv and
+    table_to_json make its rows each time they write it."""
 
     _fields = ("n", "degree_cutoff", "z_bound", "folded")
 

@@ -92,7 +92,7 @@ def _cmd_witt_check(args):
     form = LinkingForm.from_json_dict(data["form"] if "form" in data else data)
     payload = {"rank": form.rank}
     if "sublagrangian" in data:
-        S = Submodule.from_json_dict(data["sublagrangian"], form.rank)
+        S = Submodule.from_json_dict(data["sublagrangian"], form)
         try:
             form = sublagrangian_reduce(form, S)
         except ValueError as exc:

@@ -87,11 +87,6 @@ class DihedralElement:
         self._terms = None
 
     @classmethod
-    def from_dict(cls, d):
-        """From a dict {(k, eps): c}."""
-        return _element(_checked_dict(d.items()))
-
-    @classmethod
     def zero(cls):
         return _element({})
 

@@ -3,7 +3,9 @@
 Matrices are sequences of rows; each entry is an int bitmask (bit k is the
 t^k coefficient).  Returned matrices are tuples of tuples.  Row spans are
 canonicalised by Hermite form: pivot columns strictly increase, every entry
-above a pivot has lower degree than the pivot, zero rows trail.
+above a pivot has lower degree than the pivot, zero rows trail.  smith
+returns a Smith form D of M with V^-1 of the column moves, not U or V:
+the reduction of a sublagrangian reads its quotient basis off V^-1.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ def mat_mul(Am, Bm):
                         acc[j] ^= gf2_mul(x, y)
         out.append(tuple(acc))
     return tuple(out)
-
-
-def vec_mat_mul(v, M):
-    out = mat_mul((tuple(v),), M)
-    return out[0] if out else ()
 
 
 def _row_addmul(rows, dst, src, q):
@@ -99,10 +96,6 @@ def _hermite(M, U):
     return tuple(tuple(row) for row in H)
 
 
-def rank(M):
-    return sum(1 for row in hermite_form(M) if any(row))
-
-
 def divmod_rows(v, H):
     """Divide v by the nonzero rows of a Hermite-form H, pivot by pivot:
     returns (coefficients, remainder) with v = sum coefficients[i] * H[i]
@@ -127,13 +120,6 @@ def left_kernel(M):
     if not ker:
         return ()
     return tuple(row for row in hermite_form(ker) if any(row))
-
-
-def mat_inverse(M):
-    H, U = hnf(M)
-    if H != mat_identity(len(M)):
-        raise ValueError("matrix is not unimodular over F2[t]")
-    return U
 
 
 def det(M):
@@ -165,28 +151,32 @@ def det(M):
 
 
 def smith(M):
-    """Smith form: returns (D, U, V) with U*M*V = D, D diagonal and each
-    diagonal entry dividing the next."""
+    """Smith form: returns (D, Vinv) with U*M*V = D for a unimodular U that
+    is not built, D diagonal with each diagonal entry dividing the next,
+    and Vinv the inverse of the unimodular V.
+
+    Row moves act on M alone.  A column move is M -> M*E, so V -> V*E and
+    V^-1 -> E^-1 * V^-1, which is the inverse row move on Vinv: adding q
+    times column src to column dst subtracts, which in characteristic 2
+    adds, q times row dst to row src, and swapping two columns swaps the
+    two rows.  V itself is never formed."""
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(row) for row in M]
-    U = [list(row) for row in mat_identity(m)]
-    V = [list(row) for row in mat_identity(n)]
+    Vinv = [list(row) for row in mat_identity(n)]
 
     def col_addmul(dst, src, q):
-        # A[:, dst] += q * A[:, src]; record on V
+        # A[:, dst] += q * A[:, src]; Vinv[src] += q * Vinv[dst]
         if not q:
             return
         for row in A:
             row[dst] ^= gf2_mul(q, row[src])
-        for row in V:
-            row[dst] ^= gf2_mul(q, row[src])
+        _row_addmul(Vinv, src, dst, q)
 
     def col_swap(c1, c2):
         for row in A:
             row[c1], row[c2] = row[c2], row[c1]
-        for row in V:
-            row[c1], row[c2] = row[c2], row[c1]
+        Vinv[c1], Vinv[c2] = Vinv[c2], Vinv[c1]
 
     for k in range(min(m, n)):
         while True:
@@ -200,7 +190,6 @@ def smith(M):
             i0, j0 = best
             if i0 != k:
                 A[k], A[i0] = A[i0], A[k]
-                U[k], U[i0] = U[i0], U[k]
             if j0 != k:
                 col_swap(k, j0)
             dirty = False
@@ -208,7 +197,6 @@ def smith(M):
                 if A[i][k]:
                     q, rem = gf2_divmod(A[i][k], A[k][k])
                     _row_addmul(A, i, k, q)
-                    _row_addmul(U, i, k, q)
                     if rem:
                         dirty = True
             for j in range(k + 1, n):
@@ -228,6 +216,5 @@ def smith(M):
             if bad is None:
                 break
             _row_addmul(A, k, bad, 1)
-            _row_addmul(U, k, bad, 1)
     D = tuple(tuple(row) for row in A)
-    return D, tuple(tuple(row) for row in U), tuple(tuple(row) for row in V)
+    return D, tuple(tuple(row) for row in Vinv)

@@ -242,13 +242,18 @@ def _forms_diff(lhs, rhs):
     return None
 
 
-def forms_equal(lhs, rhs):
-    """Equality as forms: lambda matrices identical, mu entries equal
-    modulo the quadratic indeterminacy."""
-    return _forms_diff(lhs, rhs) is None
-
-
 def _res_diff(lhs, rhs):
+    """None if equal as resolutions, else a short description of the first
+    divergent entry of d, then of psi0.
+
+    psi1 is never compared.  Off the diagonal it is pure indeterminacy, and
+    on it it is defined modulo {v - bar(v)}, which two checked resolutions
+    with equal d and psi0 always agree on: the difference X of their psi1
+    has X + X^* = -d*psi0 + d*psi0 = 0, so a diagonal entry x of X has
+    x + bar(x) = 0.  The involution permutes the group elements, fixing
+    exactly 1 and the t^k a, so x has coefficient 0 on those (2c = 0 in Z)
+    and opposite coefficients c, -c on each other pair g, g^-1; that is,
+    x is the sum of the c (g - bar(g)), which lies in {v - bar(v)}."""
     if lhs.epsilon != rhs.epsilon:
         raise ValueError("resolutions have different signs")
     if lhs.rank != rhs.rank:
@@ -262,16 +267,7 @@ def _res_diff(lhs, rhs):
             for j in range(lhs.rank):
                 if M[i][j] != N[i][j]:
                     return f"{name} entry ({i},{j}): {M[i][j]} vs {N[i][j]}"
-    # psi1 off-diagonal is pure indeterminacy; the diagonal is defined mod {v - vbar}
-    for i in range(lhs.rank):
-        x, y = lhs.psi1[i][i], rhs.psi1[i][i]
-        if x != y and not quad_indeterminacy_equal(x, y, 1):
-            return f"psi1 diagonal entry {i}: {x} vs {y}"
     return None
-
-
-def resolutions_equal(lhs, rhs):
-    return _res_diff(lhs, rhs) is None
 
 
 # ---------------------------------------------------------------------------

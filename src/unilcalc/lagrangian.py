@@ -4,9 +4,11 @@ and the bounded lagrangian search.
 A Submodule of F2[t]^k is held by its canonical Hermite basis (see
 f2linalg).  A sublagrangian S is checked by q on each generator, then by
 the Gram product of its generators, whose factor S * b_num also gives
-S-perp; the reduced form on (S-perp)/S has b on its basis as a Gram
-product too.  find_lagrangian searches the canonical echelon generator
-matrices with entries of bounded degree for L = L-perp with q|L = 0.
+S-perp.  The basis of (S-perp)/S is read off the V^-1 that f2linalg.smith
+returns with the Smith form, which builds neither U nor V, and the reduced
+form has b on that basis as a Gram product too.  find_lagrangian searches
+the canonical echelon generator matrices with entries of bounded degree
+for L = L-perp with q|L = 0.
 
 The forms and their values are linking's.  This module holds the code
 that needs f2linalg beyond an odd form's det, so that arf, which runs
@@ -25,13 +27,20 @@ from unilcalc.f2linalg import (
     hermite_form,
     left_kernel,
     mat_identity,
-    mat_inverse,
     mat_mul,
     mat_transpose,
     smith,
 )
 from unilcalc.kernels import gf2_deg, gf2_mul, z4_mul, z4_sq_lift
-from unilcalc.linking import Z4_ZERO, LinkingForm, _parse_polys, eval_bq, eval_q
+from unilcalc.linking import (
+    MAX_FORM_WORK,
+    Z4_ZERO,
+    LinkingForm,
+    _parse_polys,
+    entry_degree,
+    eval_bq,
+    eval_q,
+)
 from unilcalc.polynomials import parse_f2, render
 
 # find_lagrangian refuses a search whose q = 0 filter would test more rows
@@ -71,14 +80,45 @@ class Submodule(Record):
         return {"generators": [[render(x) for x in row] for row in self.basis]}
 
     @classmethod
-    def from_json_dict(cls, d, ambient_rank):
+    def from_json_dict(cls, d, form):
+        """The submodule of form's module that the generators of d span.
+        One whose reduction_work, at the form's rank and the largest degree
+        of an entry of the form or of a generator, is above MAX_FORM_WORK is
+        refused before its Hermite basis is built."""
         if not isinstance(d, dict) or not isinstance(d.get("generators"), list):
             raise ValueError("a submodule must be a JSON object with a generators list")
+        k = form.rank
         gens = [
-            _parse_polys(row, "generator", ambient_rank, parse_f2, f"generators[{i}]")
+            _parse_polys(row, "generator", k, parse_f2, f"generators[{i}]")
             for i, row in enumerate(d["generators"])
         ]
-        return cls.from_generators(gens, ambient_rank)
+        degree = max(entry_degree(form.b_num, form.q_num), entry_degree(gens, ()))
+        work = reduction_work(k, degree)
+        if work > MAX_FORM_WORK:
+            raise ValueError(
+                f"a submodule of a rank-{k} form with entries of degree up to {degree} is too "
+                f"large to reduce: its work estimate {work} is above the limit {MAX_FORM_WORK}"
+            )
+        return cls.from_generators(gens, k)
+
+
+def reduction_work(rank, degree):
+    """Estimated cost of sublagrangian_reduce on a form of this rank whose
+    entries, and the generators of whose submodule, have degree at most
+    degree, in linking.form_work's units of about 10 ns.
+
+    The Hermite basis of r generators of degree d has entries of degree up
+    to about r*d, and so do the coordinates C that smith takes.  Smith's
+    column moves are not reduced, so the entries of V^-1 grow further, on
+    some inputs to 35 times the degree of C, and the cost grows with the
+    square of the degree.  Fitted to the slowest of six random submodules
+    per shape, spanned by r = rank/2 - 1 or rank/2 generators of degree d
+    in the even slots of hyperbolic forms of rank 4-80, on one x86_64
+    core: about 1/30 of rank^4 * d^2 at ranks 12 and 16 (78 s at rank 16,
+    degree 2,000, estimated at 82 s), below that elsewhere (1.3 s at rank
+    80, degree 16, estimated at 3.7 s).  Single inputs that take longer
+    may exist."""
+    return rank**4 * (degree + 1) ** 2 // 32
 
 
 def full_module(k):
@@ -120,8 +160,13 @@ def _check_sublagrangian(form, S):
 def sublagrangian_reduce(form, S):
     """The induced form on (S-perp)/S.  S must be isotropic with q|S = 0 and
     a direct summand of its complement; the quotient basis comes from a
-    Smith decomposition of S inside S-perp.  b on the quotient basis is the
-    Gram matrix reps * b_num * reps^T and q is eval_q on each rep."""
+    Smith decomposition of S inside S-perp: smith(C) on the coordinates C
+    of S in the basis T of S-perp gives D and V^-1 with U*C*V = D, so when
+    the first r diagonal entries of D are 1 the rows of V^-1 * T are a
+    basis of S-perp whose first r rows span S and whose other rows are the
+    quotient basis reps.
+    b on reps is the Gram matrix reps * b_num * reps^T and q is eval_q on
+    each rep."""
     if S.ambient_rank != form.rank:
         raise ValueError("submodule ambient rank does not match form")
     if not S.basis:
@@ -129,11 +174,11 @@ def sublagrangian_reduce(form, S):
     # b vanishes on S, so S * SB^T = 0 and S lies in its complement
     T = _complement(_check_sublagrangian(form, S)).basis
     C = tuple(divmod_rows(row, T)[0] for row in S.basis)
-    D, _, V = smith(C)
+    D, Vinv = smith(C)
     r = len(S.basis)
     if any(D[i][i] != 1 for i in range(r)):
         raise ValueError("S is not a direct summand of its orthogonal complement")
-    reps = mat_mul(mat_inverse(V)[r:], T)
+    reps = mat_mul(Vinv[r:], T)
     b = mat_mul(mat_mul(reps, form.b_num), mat_transpose(reps))
     q = tuple(eval_q(form, row) for row in reps)
     return LinkingForm(len(reps), b, q)

@@ -57,6 +57,12 @@ def form_work(rank, degree):
     return rank**4 * (degree + 1) * (degree + 1024) // 1024
 
 
+def entry_degree(b_num, q_num):
+    """The largest degree of an entry of b_num or q_num; -1 when all are 0."""
+    bits = [x.bit_length() for row in b_num for x in row] + [(lo | hi).bit_length() for lo, hi in q_num]
+    return max(bits, default=0) - 1
+
+
 def _parse_polys(value, what, length, parse, name):
     """The polynomials of value, which must be a JSON list of length
     polynomial strings, each read by parse; a parse error is prefixed with
@@ -135,8 +141,7 @@ class LinkingForm(Record):
             for i, row in enumerate(rows)
         )
         q = tuple(_parse_polys(d["q_num"], "q_num", k, parse_z4, "q_num"))
-        bits = [x.bit_length() for row in b for x in row] + [(lo | hi).bit_length() for lo, hi in q]
-        degree = max(bits, default=0) - 1
+        degree = entry_degree(b, q)
         work = form_work(k, degree)
         if work > MAX_FORM_WORK:
             raise ValueError(

@@ -30,8 +30,7 @@ from operator import index
 from unilcalc._record import Record
 
 # the parsers refuse exponents above this before building anything from
-# them: parse_poly's dense tuple and the bitmasks of parse_f2 and parse_z4
-# grow with the largest exponent
+# them: the bitmasks of parse_f2 and parse_z4 grow with the largest exponent
 MAX_EXPONENT = 1 << 16
 # the parsers refuse a coefficient numerator or denominator with more digits
 # than this before converting it; it stays below Python's own default limit
@@ -269,12 +268,6 @@ def _parse_terms(text):
             raise ValueError(f"fractional coefficient at position {pos}")
         coeffs[e] = coeffs.get(e, 0) + c
     return coeffs
-
-
-def parse_poly(text):
-    """A Polynomial over Z from text."""
-    coeffs = _parse_terms(text)
-    return Polynomial(tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1)))
 
 
 def parse_f2(text):

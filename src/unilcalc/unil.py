@@ -47,6 +47,9 @@ class UNil2Element(Record):
         return cls(0)
 
     def __add__(self, other):
+        # an element of the other UNil group is refused with TypeError
+        if other.__class__ is not UNil2Element:
+            return NotImplemented
         # canonical representatives are closed under addition
         return UNil2Element(self.arf_bits ^ other.arf_bits)
 
@@ -90,6 +93,8 @@ class UNil3Element(Record):
         return cls(_ZERO_X, 0)
 
     def __add__(self, other):
+        if other.__class__ is not UNil3Element:
+            return NotImplemented
         return UNil3Element(versch_reduce(*z4_add(*self.x, *other.x)), self.y ^ other.y)
 
     def __neg__(self):
@@ -141,12 +146,6 @@ def j2(y):
     return UNil3Element(_ZERO_X, y)
 
 
-def unil_add(lhs, rhs):
-    if type(lhs) is not type(rhs):
-        raise TypeError("operands lie in different UNil groups")
-    return lhs + rhs
-
-
 def pi_map(x):
     """Reduce each coefficient of the canonical representative mod 2: the
     lo plane.
@@ -160,36 +159,8 @@ def switch_unil3(e):
     return UNil3Element(e.x, e.y ^ e.x[0])
 
 
-def switch_unil2(e):
-    return e
-
-
 def B_coords(e):
     return (e.x[0], e.y)
-
-
-def element_order(e):
-    """Additive order; always 1, 2, or 4."""
-    if e.is_zero():
-        return 1
-    d = e + e
-    if d.is_zero():
-        return 2
-    if not (d + d).is_zero():
-        raise RuntimeError(f"element {e} has additive order above 4")
-    return 4
-
-
-def is_multiple_of_two(e):
-    """Whether e = 2f for some f.
-
-    The relations 2(t^{2k} - t^k) never change a coefficient's parity,
-    so an x-class is a double exactly when pi(x) = 0; the y-coordinate
-    of any double is zero.
-    """
-    if isinstance(e, UNil2Element):
-        return e.is_zero()
-    return not (e.y | e.x[0])
 
 
 def _low_exponent(bits):
@@ -257,13 +228,6 @@ def n_class_combination(terms):
     return total
 
 
-def n_class_of_generator(p, g):
-    """UNil_3 coordinates of the linking-form generator [N_{p,g}]."""
-    if (p.coefficient(0) == 0) == (g.coefficient(0) == 0):
-        raise ValueError("exactly one of p(0) = 0, g(0) = 0 is required")
-    return n_class_combination([(1, p, g)])
-
-
 class TruncatedEnumeration(Record):
     _fields = ("elements", "orbit_reps", "total", "fixed", "orbits")
 
@@ -301,43 +265,46 @@ def _mask(cs):
 
 
 def _element_rows(group, d):
-    """Yield (make, coordinates, low) for the canonical elements supported
-    on exponents <= d, one row per x-coordinate on UNil_3 (one row in all on
-    UNil_2), in lexicographic coefficient order: make(c) builds and checks
-    the element of coordinate c of the row, and the switch-orbit
+    """Yield (x, coordinates, low) for the canonical elements supported on
+    exponents <= d, one row per x-coordinate on UNil_3 (one row in all on
+    UNil_2), in lexicographic coefficient order.  On UNil_3 x is the row's
+    x-coordinate and each coordinate c is a y, for the element (x, c); on
+    UNil_2 x is None and each c is an arf_bits.  The switch-orbit
     representatives are the elements whose coordinate c has c & low == 0.
     A row with low == 0 is fixed by the switch, element by element.
 
     The coordinates are listed in ``product`` order over the coefficients,
-    which is already the lexicographic order.  On UNil_3 the coordinate of
-    a row is y, and the orbit of (x, y) is {(x, y), (x, y + pi(x))}: a
-    fixed point when pi(x) = 0, and otherwise a pair whose two y's first
-    differ at the lowest exponent of pi(x), so the lex-least member is the
-    one with a 0 there; low is that exponent as a bitmask.
+    which is already the lexicographic order.  On UNil_3 the orbit of
+    (x, y) is {(x, y), (x, y + pi(x))}: a fixed point when pi(x) = 0, and
+    otherwise a pair whose two y's first differ at the lowest exponent of
+    pi(x), so the lex-least member is the one with a 0 there; low is that
+    exponent as a bitmask.
     """
     if d < 0:
         raise ValueError("degree cutoff must be >= 0")
     if group == "UNil2":
         ranges = [range(2) if k % 2 else range(1) for k in range(1, d + 1)]
         # the switch is the identity on UNil_2
-        yield UNil2Element, [_mask(cs) for cs in product(*ranges)], 0
+        yield None, [_mask(cs) for cs in product(*ranges)], 0
     elif group == "UNil3":
         ranges = [range(2) if k % 2 == 0 else range(4) for k in range(1, d + 1)]
         ys = [_mask(ymask) for ymask in product((0, 1), repeat=d)]
         for xcs in product(*ranges):
             x = (_mask(xcs), _mask(c >> 1 for c in xcs))
-            yield partial(UNil3Element, x), ys, x[0] & -x[0]
+            yield x, ys, x[0] & -x[0]
     else:
         raise ValueError("group must be 'UNil2' or 'UNil3'")
 
 
 def orbit_reps(group, degree_cutoff):
-    """Yield the switch-orbit representatives enumerate_truncated lists, in
-    its order, building and checking only them, one at a time."""
-    for make, coords, low in _element_rows(group, degree_cutoff):
+    """Yield the coordinates of the switch-orbit representatives that
+    enumerate_truncated lists, in its order: the arf_bits on UNil_2, the
+    (x, y) pair on UNil_3.  They are canonical by construction, so no
+    element is built or checked."""
+    for x, coords, low in _element_rows(group, degree_cutoff):
         for c in coords:
             if not c & low:
-                yield make(c)
+                yield c if x is None else (x, c)
 
 
 def enumerate_truncated(group, degree_cutoff):
@@ -351,7 +318,8 @@ def enumerate_truncated(group, degree_cutoff):
     elements = []
     reps = []
     fixed = 0
-    for make, coords, low in _element_rows(group, degree_cutoff):
+    for x, coords, low in _element_rows(group, degree_cutoff):
+        make = UNil2Element if x is None else partial(UNil3Element, x)
         row = [make(c) for c in coords]
         elements += row
         if low:

@@ -9,6 +9,7 @@ cannot share a bug with.
 import csv
 import io
 import json
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -320,6 +321,23 @@ def reference_rows(n, degree_cutoff, z_bound, bar=False):
     return out
 
 
+WrittenRow = namedtuple(
+    "WrittenRow", ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")
+)
+
+
+def written_rows(table):
+    """The rows of a classify table as the command writes them: the text
+    of table_to_csv read back by csv.reader, with not_connected_sum as 0 or
+    1 and the other fields as text.  The header must name the fields."""
+    from unilcalc.classify import table_to_csv
+
+    header, *rows = csv.reader(io.StringIO("".join(table_to_csv(table))))
+    if tuple(header) != WrittenRow._fields:
+        raise ValueError(f"unexpected CSV header {header}")
+    return [WrittenRow(*row[:4], int(row[4]), row[5]) for row in rows]
+
+
 def _reference_dicts(n, rows):
     from unilcalc.classify import coord_str, structure_set_P
 
@@ -358,6 +376,51 @@ def reference_json(n, degree_cutoff, z_bound, bar=False):
         "rows": list(_reference_dicts(n, reference_rows(n, degree_cutoff, z_bound, bar))),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def parse_poly(text):
+    """A Polynomial over Z from text, in the grammar of parse_f2 and
+    parse_z4 with the coefficients kept as integers."""
+    from unilcalc.polynomials import Polynomial, _parse_terms
+
+    coeffs = _parse_terms(text)
+    return Polynomial(tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1)))
+
+
+def element_order(e):
+    """Additive order of a UNil element, by repeated doubling; always 1, 2
+    or 4."""
+    if e.is_zero():
+        return 1
+    d = e + e
+    if d.is_zero():
+        return 2
+    if not (d + d).is_zero():
+        raise RuntimeError(f"element {e} has additive order above 4")
+    return 4
+
+
+def is_multiple_of_two(e):
+    """Whether e = 2f for some f.  The relations 2(t^{2k} - t^k) never
+    change a coefficient's parity, so an x-class is a double exactly when
+    pi(x) = 0, and the y-coordinate of any double is zero; UNil_2 has
+    exponent 2, so only its zero is a double."""
+    from unilcalc.unil import UNil2Element
+
+    if isinstance(e, UNil2Element):
+        return e.is_zero()
+    return not (e.y | e.x[0])
+
+
+def n_class_of_generator(p, g):
+    """UNil_3 coordinates of the linking-form generator [N_{p,g}], which
+    needs exactly one of p(0), g(0) to be 0: unil.n_class_combination of
+    the one term."""
+    from unilcalc.unil import n_class_combination
+
+    if (p.coefficient(0) == 0) == (g.coefficient(0) == 0):
+        raise ValueError("exactly one of p(0) = 0, g(0) = 0 is required")
+    return n_class_combination([(1, p, g)])
 
 
 def f2_divmod(a, b):
@@ -410,6 +473,18 @@ def check_sublagrangian_by_eval_bq(form, S):
                 raise ValueError(f"b({i},{j}) is nonzero on S: S is not isotropic")
 
 
+def mat_inverse(M):
+    """The inverse of a square matrix over F2[t], as the U of f2linalg.hnf:
+    U*M is the Hermite form, which is the identity exactly when M is
+    unimodular; otherwise ValueError."""
+    from unilcalc.f2linalg import hnf, mat_identity
+
+    H, U = hnf(M)
+    if H != mat_identity(len(M)):
+        raise ValueError("matrix is not unimodular over F2[t]")
+    return U
+
+
 def submodule_contains(big, small):
     """Whether every generator of the Submodule small reduces to zero modulo
     the Hermite basis of big."""
@@ -421,7 +496,7 @@ def submodule_contains(big, small):
 def sublagrangian_reduce_by_eval_bq(form, S):
     """Reference for lagrangian.sublagrangian_reduce: the same quotient basis,
     with b and q on it from one eval_bq call per entry."""
-    from unilcalc.f2linalg import divmod_rows, mat_inverse, mat_mul, smith
+    from unilcalc.f2linalg import divmod_rows, mat_mul, smith
     from unilcalc.lagrangian import orthogonal_complement
     from unilcalc.linking import LinkingForm, eval_bq
 
@@ -434,11 +509,11 @@ def sublagrangian_reduce_by_eval_bq(form, S):
         reps = T
     else:
         C = tuple(divmod_rows(row, T)[0] for row in S.basis)
-        D, _, V = smith(C)
+        D, Vinv = smith(C)
         r = len(S.basis)
         if any(D[i][i] != 1 for i in range(r)):
             raise ValueError("S is not a direct summand of its orthogonal complement")
-        reps = mat_mul(mat_inverse(V)[r:], T)
+        reps = mat_mul(Vinv[r:], T)
     k2 = len(reps)
     b = tuple(tuple(eval_bq(form, reps[i], reps[j])[0] for j in range(k2)) for i in range(k2))
     q = tuple(eval_bq(form, reps[i], reps[i])[1] for i in range(k2))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from unilcalc import cli
 from unilcalc.classify import MAX_TABLE_ROWS
 from unilcalc.cli import main
 from unilcalc.fixtures import witt_four_term_instance
-from unilcalc.lagrangian import MAX_SEARCH_ROWS
+from unilcalc.lagrangian import MAX_SEARCH_ROWS, Submodule, reduction_work
 from unilcalc.linking import MAX_FORM_WORK, LinkingForm, form_work
 from unilcalc.polynomials import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT, Polynomial
 
@@ -340,6 +341,67 @@ class TestFormWorkLimit:
         # the algebra benchmark's largest forms: rank 20, entries of degree
         # below 64
         assert 100 * form_work(20, 64) < MAX_FORM_WORK
+
+
+def short_sublagrangian(k, r, degree):
+    """witt-check input: the hyperbolic form of rank k with q = 0, and r
+    generators holding 0 in their odd slots and t^degree + t^x + t^y + t^z
+    + 1 in their even ones, x, y and z drawn by random.Random(5) below
+    degree in row order.  q vanishes on the span of the even slots, so the
+    generators pass the isotropy checks and the reduction runs."""
+    rng = random.Random(5)
+    doc = direct_sum([LinkingForm(2, ((0, 1), (1, 0)), ((0, 0), (0, 0)))] * (k // 2)).to_json_dict()
+    gens = [
+        [
+            "0" if c % 2 else f"t^{degree}+" + "+".join(f"t^{rng.randrange(degree)}" for _ in range(3)) + "+1"
+            for c in range(k)
+        ]
+        for _ in range(r)
+    ]
+    return {"form": doc, "sublagrangian": {"generators": gens}}
+
+
+class TestReductionWorkLimit:
+    @pytest.mark.parametrize("k, r, degree", [(8, 3, 16000), (12, 4, 8000)])
+    def test_short_sublagrangian_of_high_degree_is_refused_at_once(self, capsys, tmp_path, k, r, degree):
+        # without the limit the first took 140 s and the second more than
+        # 150 s, most of it in smith
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(short_sublagrangian(k, r, degree)))
+        assert path.stat().st_size < 2000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "witt-check", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: a submodule of a rank-{k} form with entries of degree up to {degree} is too "
+            f"large to reduce: its work estimate {reduction_work(k, degree)} is above the limit "
+            f"{MAX_FORM_WORK}"
+        ]
+
+    def test_submodule_just_below_the_limit_is_read(self):
+        k = 8
+        degree = next(d for d in range(MAX_EXPONENT) if reduction_work(k, d) > MAX_FORM_WORK) - 1
+        form = LinkingForm.from_json_dict(short_sublagrangian(k, 1, 1)["form"])
+        doc = {"generators": [[f"t^{degree}"] + ["0"] * (k - 1)]}
+        assert Submodule.from_json_dict(doc, form).basis == ((1 << degree,) + (0,) * (k - 1),)
+
+    def test_form_degree_counts(self):
+        # the form's entries bound the reduction's degrees as the
+        # generators' do
+        k = 8
+        degree = next(d for d in range(MAX_EXPONENT) if reduction_work(k, d) > MAX_FORM_WORK)
+        doc = TestFormWorkLimit.form_with_degree(k, degree)
+        form = LinkingForm.from_json_dict(doc)
+        with pytest.raises(ValueError, match=f"entries of degree up to {degree} is too large to reduce"):
+            Submodule.from_json_dict({"generators": [["1"] + ["0"] * (k - 1)]}, form)
+
+    def test_benchmark_sublagrangians_sit_far_below(self):
+        # the witt workload's rank-8 four-term instances have entries of
+        # degree below 16, the algebra workload's rank-16 to 20 forms and
+        # their generators below 64
+        assert 100 * reduction_work(8, 16) < MAX_FORM_WORK
+        assert 100 * reduction_work(20, 64) < MAX_FORM_WORK
 
 
 def test_json_position_counts_leading_blanks(capsys, tmp_path):

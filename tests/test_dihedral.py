@@ -26,7 +26,7 @@ def rand_elem(rng, nterms=3):
     for _ in range(rng.randint(0, nterms)):
         g = (rng.randint(-3, 3), rng.randint(0, 1))
         d[g] = d.get(g, 0) + rng.randint(-4, 4)
-    return DihedralElement.from_dict(d)
+    return DihedralElement(d)
 
 
 class TestGroupLaw:
@@ -66,7 +66,7 @@ class TestRepresentation:
             d = {(rng.randint(-3, 3), rng.randint(0, 1)): rng.randint(-4, 4) for _ in range(5)}
             shuffled = list(d.items())
             rng.shuffle(shuffled)
-            x, y = DihedralElement.from_dict(d), DihedralElement.from_dict(dict(shuffled))
+            x, y = DihedralElement(d), DihedralElement(dict(shuffled))
             assert x == y and hash(x) == hash(y)
             assert x.terms == tuple(sorted(x.terms, key=lambda it: (it[0][1], it[0][0])))
             assert all(c for _, c in x.terms)
@@ -92,12 +92,12 @@ class TestInputChecks:
         [
             lambda: DihedralElement([((0, 0), 1.5)]),
             lambda: DihedralElement([((0.5, 0), 1)]),
-            lambda: DihedralElement.from_dict({(0, 0): "1"}),
-            lambda: DihedralElement.from_dict({(1.0, 1): 1}),
+            lambda: DihedralElement({(0, 0): "1"}),
+            lambda: DihedralElement({(1.0, 1): 1}),
             lambda: DihedralElement.monomial(0, 0, c=1.5),
             lambda: DihedralElement.monomial(0.5, 0),
         ],
-        ids=["init-coefficient", "init-exponent", "from_dict-coefficient", "from_dict-exponent",
+        ids=["init-coefficient", "init-exponent", "dict-coefficient", "dict-exponent",
              "monomial-coefficient", "monomial-exponent"],
     )
     def test_non_integers_rejected(self, build):
@@ -111,9 +111,9 @@ class TestInputChecks:
             lambda: DihedralElement.monomial(1, -1),
             lambda: DihedralElement.monomial(0, 1.0),
             lambda: DihedralElement([((0, 2), 1)]),
-            lambda: DihedralElement.from_dict({(3, 5): 1}),
+            lambda: DihedralElement({(3, 5): 1}),
         ],
-        ids=["monomial-2", "monomial--1", "monomial-float", "init-2", "from_dict-5"],
+        ids=["monomial-2", "monomial--1", "monomial-float", "init-2", "dict-5"],
     )
     def test_a_exponent_must_be_0_or_1(self, build):
         with pytest.raises(ValueError, match="a-exponent must be 0 or 1"):
@@ -210,7 +210,7 @@ class TestParsing:
         "x,canon",
         [
             pytest.param(
-                DihedralElement.from_dict({(-1, 1): 2, (0, 0): 3}),
+                DihedralElement({(-1, 1): 2, (0, 0): 3}),
                 "3*t^0+2*t^-1*a",
                 id="2*t^-1*a + 3*t^0-3*t^0+2*t^-1*a",
             ),

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from tests.helpers_oracles import bareiss_det
+from tests.helpers_oracles import bareiss_det, mat_inverse
 from unilcalc.f2linalg import (
     det,
     divmod_rows,
@@ -9,11 +9,8 @@ from unilcalc.f2linalg import (
     hnf,
     left_kernel,
     mat_identity,
-    mat_inverse,
     mat_mul,
-    rank,
     smith,
-    vec_mat_mul,
 )
 from unilcalc.kernels import gf2_divmod, gf2_mul
 
@@ -137,7 +134,7 @@ class TestHermite:
             M = rand_mat(rng, 3, 4, deg=2)
             H, _ = hnf(M)
             coeffs = [rng.randrange(16) for _ in range(3)]
-            v = vec_mat_mul(tuple(coeffs), M)
+            (v,) = mat_mul((tuple(coeffs),), M)
             assert divmod_rows(v, H)[1] == (0, 0, 0, 0)
 
     def test_divmod_rows_invariant(self):
@@ -161,9 +158,9 @@ class TestKernel:
         for _ in range(80):
             M = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
             K = left_kernel(M)
-            for row in K:
-                assert not any(vec_mat_mul(row, M))
-            assert len(K) == len(M) - rank(M)
+            for row in mat_mul(K, M):
+                assert not any(row)
+            assert len(K) == len(M) - sum(1 for row in hermite_form(M) if any(row))
 
     def test_complete_small(self):
         # every bounded-degree kernel vector lies in the computed span
@@ -173,7 +170,7 @@ class TestKernel:
             K = left_kernel(M)
             KH = K if K else ((0, 0, 0),)
             for u in itertools.product(range(16), repeat=3):
-                if not any(vec_mat_mul(u, M)):
+                if not any(mat_mul((u,), M)[0]):
                     assert not any(divmod_rows(u, KH)[1])
 
 
@@ -194,13 +191,17 @@ class TestInverse:
 
 class TestSmith:
     def test_shape_and_transforms(self):
+        # smith returns D and V^-1 alone; U*M*V = D for a unimodular U
+        # exactly when M and D * V^-1 have the same row span, that is the
+        # same Hermite form
         rng = random.Random(101)
         for _ in range(80):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             M = rand_mat(rng, m, n, deg=2)
-            D, U, V = smith(M)
-            assert mat_mul(mat_mul(U, M), V) == D
-            assert det(U) == 1 and det(V) == 1
+            D, Vinv = smith(M)
+            assert len(D) == m and all(len(row) == n for row in D)
+            assert len(Vinv) == n and det(Vinv) == 1
+            assert hermite_form(M) == hermite_form(mat_mul(D, Vinv))
             diag = [D[i][i] for i in range(min(m, n))]
             for i in range(m):
                 for j in range(n):
@@ -214,3 +215,14 @@ class TestSmith:
                     assert not b
             if m == n:
                 assert det(D) == det(M)
+
+    def test_vinv_inverts_the_column_moves(self):
+        # with V the inverse of Vinv, M * V = U^-1 * D has the row span of D
+        rng = random.Random(103)
+        for _ in range(80):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            M = rand_mat(rng, m, n, deg=3)
+            D, Vinv = smith(M)
+            V = mat_inverse(Vinv)
+            assert mat_mul(V, Vinv) == mat_identity(n)
+            assert hermite_form(mat_mul(M, V)) == hermite_form(D)

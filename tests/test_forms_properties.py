@@ -3,8 +3,13 @@ identities the paper states over Z[t] hold exactly when their images
 induced into Z[D_inf] hold.  The Z[t] side is computed here with plain
 integer coefficient lists, independently of the package."""
 
+from itertools import product
+
 import pytest
 
+from tests.helpers_oracles import dihedral_conj_t, dihedral_matadd, dihedral_matmul, dihedral_matneg
+from tests.test_forms import res_diff_by_entry_walk
+from unilcalc import forms
 from unilcalc.dihedral import DihedralElement, quad_indeterminacy_equal
 from unilcalc.forms import QuadResolution
 
@@ -64,7 +69,7 @@ def mtrans(M):
 def induce(M, twist):
     """Entries q(t) -> q(t)*a when twist is 1, q(t) when it is 0."""
     return tuple(
-        tuple(DihedralElement.from_dict({(k, twist): c for k, c in enumerate(q)}) for q in row)
+        tuple(DihedralElement({(k, twist): c for k, c in enumerate(q)}) for q in row)
         for row in M
     )
 
@@ -113,3 +118,51 @@ def test_mu_indeterminacy_on_a_twisted_entries(p, q, eps):
     zt_equal = not diff if eps == 1 else all(c % 2 == 0 for c in diff)
     x, y = (induce([[r]], 1)[0][0] for r in (p, q))
     assert quad_indeterminacy_equal(x, y, eps) == zt_equal
+
+
+# an element of Z[D_inf] with at most three terms t^k a^eps, |k| <= 2
+small_elements = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(0, 1)), st.integers(-2, 2), max_size=3
+).map(DihedralElement)
+
+
+@st.composite
+def resolutions(draw):
+    """A resolution of rank 1 or 2 over Z[D_inf]: with N = d V d^*,
+    psi0 = (V + V^*) d^* and psi1 = -N + U - U^* satisfy
+    psi1 + psi1^* = -d*psi0."""
+    k = draw(st.integers(1, 2))
+    mats = st.lists(st.lists(small_elements, min_size=k, max_size=k), min_size=k, max_size=k)
+    d, V, U = (tuple(map(tuple, draw(mats))) for _ in range(3))
+    psi0 = dihedral_matmul(dihedral_matadd(V, dihedral_conj_t(V)), dihedral_conj_t(d))
+    N = dihedral_matmul(dihedral_matmul(d, V), dihedral_conj_t(d))
+    psi1 = dihedral_matadd(dihedral_matneg(N), dihedral_matadd(U, dihedral_matneg(dihedral_conj_t(U))))
+    return QuadResolution(d, psi0, psi1, 1)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(resolutions(), st.data())
+def test_psi1_diagonals_agree_when_d_and_psi0_do(a, data):
+    """forms._res_diff never compares psi1: two checked resolutions with
+    equal d and psi0 have psi1 diagonals equal modulo {v - bar(v)}.  Every
+    x with coefficients in {-1, 0, 1} on a few group elements is added to
+    one diagonal entry of psi1, and the resolution check alone decides
+    which of them keep psi1 + psi1^* = -d*psi0."""
+    i = data.draw(st.integers(0, a.rank - 1))
+    keys = data.draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4, unique=True))
+    kept = 0
+    for coeffs in product((-1, 0, 1), repeat=len(keys)):
+        # key g is the group element t^(g >> 1) a^(g & 1)
+        x = DihedralElement({(g >> 1, g & 1): c for g, c in zip(keys, coeffs)})
+        psi1 = tuple(
+            tuple(e + x if (r, s) == (i, i) else e for s, e in enumerate(row))
+            for r, row in enumerate(a.psi1)
+        )
+        try:
+            b = QuadResolution(a.d, a.psi0, psi1, 1)
+        except ValueError:
+            continue
+        kept += 1
+        assert quad_indeterminacy_equal(a.psi1[i][i], b.psi1[i][i], 1)
+        assert forms._res_diff(a, b) is None and res_diff_by_entry_walk(a, b) is None
+    assert kept >= 1  # x = 0

@@ -11,6 +11,7 @@ from tests.helpers_oracles import (
     even_form_with_known_arf,
     f2_bits,
     lagrangian_candidates_by_eval_bq,
+    mat_inverse,
     negate,
     sublagrangian_reduce_by_eval_bq,
     submodule_contains,
@@ -43,7 +44,7 @@ from unilcalc.linking import (
 )
 from unilcalc import forms
 from unilcalc.dihedral import ONE as DONE, DihedralElement
-from unilcalc.f2linalg import mat_inverse, mat_mul, mat_transpose
+from unilcalc.f2linalg import mat_mul, mat_transpose
 from unilcalc.forms import QuadResolution, standard_resolution
 from unilcalc.polynomials import Polynomial
 
@@ -474,12 +475,13 @@ def outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
-def killed_blocks_instance(rng, kills, keeps):
+def killed_blocks_instance(rng, kills, keeps, ops=None, deg=2):
     """A form with a known sublagrangian, on a random basis: hyperbolic
     blocks with q = (0, 2h), S spanned by the first vector of each, beside
     random rank-2 blocks, even or odd, that S leaves alone; then the basis
-    is the rows of a random unimodular U, on which b is U b U^T, q(e_i) is
-    q(U_i), and S has the coordinates S U^-1."""
+    is the rows of a random unimodular U, a product of ops moves (3 per
+    basis vector by default) of degree deg, on which b is U b U^T, q(e_i)
+    is q(U_i), and S has the coordinates S U^-1."""
     blocks = [hyperbolic(q2=(0, rng.randrange(8))) for _ in range(kills)]
     blocks += [rand_form(rng, 2, deg=2, even=rng.random() < 0.5) for _ in range(keeps)]
     rng.shuffle(blocks)
@@ -491,9 +493,55 @@ def killed_blocks_instance(rng, kills, keeps):
         if blk.q_num[0] == (0, 0) and blk.b_num == ((0, 1), (1, 0)):
             S.append(tuple(int(c == off) for c in range(k)))
         off += 2
-    U = rand_unimodular(rng, k, ops=3 * k, deg=2)
+    U = rand_unimodular(rng, k, ops=3 * k if ops is None else ops, deg=deg)
     g = LinkingForm(k, mat_mul(mat_mul(U, f.b_num), mat_transpose(U)), tuple(eval_q(f, u) for u in U))
     return g, Submodule.from_generators(mat_mul(S, mat_inverse(U)) if S else (), k)
+
+
+# sublagrangian_reduce's form on the quotient basis it reads off V^-1 of
+# smith, recorded when the basis came from the inverse of V: b_num and
+# q_num on witt_four_term_instance(p), with p the polynomial whose
+# coefficients are the bits of the key
+REDUCED_FOUR_TERM = {
+    0: (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), ((0, 2), (0, 0), (0, 0), (0, 1))),
+    1: (((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0), (0, 0), (0, 2), (0, 1))),
+    2: (((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), ((0, 2), (0, 4), (0, 2), (0, 1))),
+    3: (((0, 0, 3, 1), (0, 0, 2, 1), (3, 2, 0, 0), (1, 1, 0, 0)), ((0, 6), (0, 4), (0, 6), (0, 1))),
+    4: (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), ((0, 0), (0, 2), (0, 0), (0, 1))),
+    5: (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), ((0, 2), (0, 2), (0, 4), (0, 1))),
+    6: (((0, 2, 0, 1), (2, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)), ((0, 12), (0, 2), (0, 2), (0, 1))),
+    7: (((0, 3, 0, 1), (3, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)), ((0, 0), (0, 2), (0, 0), (0, 1))),
+    8: (((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), ((0, 2), (0, 16), (0, 8), (0, 1))),
+    9: (((0, 0, 9, 2), (0, 0, 4, 1), (9, 4, 0, 0), (2, 1, 0, 0)), ((0, 72), (0, 16), (0, 18), (0, 1))),
+    10: (((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), ((0, 2), (0, 28), (0, 14), (0, 1))),
+    11: (((0, 0, 11, 3), (0, 0, 6, 1), (11, 6, 0, 0), (3, 1, 0, 0)), ((0, 98), (0, 28), (0, 22), (0, 1))),
+    12: (((0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0)), ((0, 24), (0, 2), (0, 16), (0, 1))),
+    13: (((0, 3, 0, 2), (3, 0, 1, 0), (0, 1, 0, 1), (2, 0, 1, 0)), ((0, 114), (0, 2), (0, 30), (0, 1))),
+    14: (((0, 2, 0, 3), (2, 0, 1, 0), (0, 1, 0, 1), (3, 0, 1, 0)), ((0, 84), (0, 2), (0, 18), (0, 1))),
+    15: (((0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0)), ((0, 20), (0, 2), (0, 24), (0, 1))),
+}
+
+
+class TestReducedBasisPinned:
+    """The reduced forms sublagrangian_reduce returned when it inverted V,
+    which V^-1 read off smith must reproduce exactly: the witt-check
+    witness is written in the quotient basis."""
+
+    @pytest.mark.parametrize("bits", range(16))
+    def test_four_term_instances(self, bits):
+        G, S = witt_four_term_instance(Polynomial(tuple(bits >> k & 1 for k in range(4))))
+        red = sublagrangian_reduce(G, S)
+        assert (red.b_num, red.q_num) == REDUCED_FOUR_TERM[bits]
+
+    def test_rank_20_killed_blocks(self):
+        # nine hyperbolic blocks killed and one left, on a basis made by 80
+        # moves of degree <= 3, as in the benchmark's rank-20 witt-check
+        # forms: entries of degree up to 30
+        form, S = killed_blocks_instance(random.Random(2), 9, 1, ops=80, deg=3)
+        assert (form.rank, S.rank) == (20, 9)
+        red = sublagrangian_reduce(form, S)
+        assert red.b_num == ((282897, 37946), (37946, 4373))
+        assert red.q_num == ((282897, 859376), (4373, 14127))
 
 
 class TestAgainstEvalBqOracles:
@@ -795,4 +843,4 @@ class TestJson:
 
     def test_submodule_round_trip(self):
         G, S = witt_four_term_instance(T)
-        assert Submodule.from_json_dict(S.to_json_dict(), 8) == S
+        assert Submodule.from_json_dict(S.to_json_dict(), G) == S

@@ -11,6 +11,7 @@ from tests.helpers_oracles import (
     f2_bits,
     f2_coeffs,
     idem_relation_subgroup,
+    parse_poly,
     split_terms_by_concatenation,
     versch_relation_subgroup,
     z4_coeffs,
@@ -24,7 +25,6 @@ from unilcalc.polynomials import (
     _split_terms,
     idem_reduce,
     parse_f2,
-    parse_poly,
     parse_z4,
     render,
     versch_reduce,

@@ -9,6 +9,7 @@ from tests.helpers_oracles import (
     dense_versch_reduce,
     f2_bits,
     f2_coeffs,
+    parse_poly,
     z4_coeffs,
     z4_pair,
 )
@@ -16,7 +17,6 @@ from unilcalc.polynomials import (
     Polynomial,
     idem_reduce,
     parse_f2,
-    parse_poly,
     parse_z4,
     render,
     versch_reduce,
