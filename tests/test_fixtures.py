@@ -6,12 +6,16 @@ from unilcalc.polynomials import Polynomial, render
 
 
 def test_resolution_sweep_checks_every_instance(monkeypatch):
-    # start, mid and end of each chain, and the base change and the switch
-    # in verify_chain: five checked resolutions per chain, although each
-    # half is built once per polynomial; degree 1 has 4 x 4 chains
-    built, checked = [], []
+    # start, mid and end of each chain are built, and so checked, once each,
+    # although each half is built once per polynomial; verify_chain builds
+    # nothing more for a passing chain, since every state it compares is
+    # then mid or end itself.  A compared state that is not the record it is
+    # compared with must have been built, and so checked, in this sweep.
+    # Degree 1 has 4 x 4 chains
+    built, checked, compared = [], [], []
     post_init = forms.QuadResolution.__post_init__
     identity = forms.resolution_identity_holds
+    res_diff = forms._res_diff
 
     def counting_post_init(self):
         built.append(self)
@@ -21,11 +25,21 @@ def test_resolution_sweep_checks_every_instance(monkeypatch):
         checked.append(args)
         return identity(*args)
 
+    def recording_res_diff(state, record):
+        compared.append((state, record))
+        return res_diff(state, record)
+
     monkeypatch.setattr(forms.QuadResolution, "__post_init__", counting_post_init)
     monkeypatch.setattr(forms, "resolution_identity_holds", counting_identity)
+    monkeypatch.setattr(forms, "_res_diff", recording_res_diff)
     results = list(fixtures._fx_resolution_chain(1, False))
     assert len(results) == 16 and all(ok for _, ok, _ in results)
-    assert len(built) == len(checked) == 5 * 16
+    assert len(built) == len(checked) == 3 * 16
+    assert len(compared) == 2 * 16
+    built_ids = {id(r) for r in built}
+    assert all(state is record or id(state) in built_ids for state, record in compared)
+    # the records compared with are the mids and ends built for the chains
+    assert all(id(record) in built_ids for _, record in compared)
 
 
 def test_resolution_sweep_pairs_the_halves(monkeypatch):

@@ -252,12 +252,13 @@ class TestResolutionDictionary:
             resolution_to_linking(r)
 
     def test_resolution_chain_check_count(self, monkeypatch):
-        # start, mid and end are built once each, and the base change and
-        # the switch build one more each: five resolutions, each of which
-        # checks the resolution identity
-        built, checked = [], []
+        # start, mid and end are built once each, and each checks the
+        # resolution identity; the base change gives mid itself and the
+        # switch gives end itself, so verify_chain builds and checks nothing
+        built, checked, compared = [], [], []
         post_init = forms.QuadResolution.__post_init__
         identity = forms.resolution_identity_holds
+        res_diff = forms._res_diff
 
         def counting_post_init(self):
             built.append(self)
@@ -267,10 +268,18 @@ class TestResolutionDictionary:
             checked.append(args)
             return identity(*args)
 
+        def recording_res_diff(state, record):
+            compared.append((state, record))
+            return res_diff(state, record)
+
         monkeypatch.setattr(forms.QuadResolution, "__post_init__", counting_post_init)
         monkeypatch.setattr(forms, "resolution_identity_holds", counting_identity)
-        assert forms.verify_chain(*forms.resolution_switch_chain(T, ONE)) is None
-        assert len(built) == len(checked) == 5
+        monkeypatch.setattr(forms, "_res_diff", recording_res_diff)
+        start, P, mid, end = forms.resolution_switch_chain(T, ONE)
+        assert [id(r) for r in built] == [id(start), id(mid), id(end)] and len(checked) == 3
+        assert forms.verify_chain(start, P, mid, end) is None
+        assert len(built) == len(checked) == 3
+        assert [(s is r, r) for s, r in compared] == [(True, mid), (True, end)]
 
 
 class TestEven:
