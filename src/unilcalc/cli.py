@@ -116,8 +116,9 @@ def _cmd_witt_check(args):
 
 
 # verify-paper's sweeps run 2^(degree+1) instances each, so every degree
-# doubles the run: degree 12 takes 5.5-6.4 s on one core of a 2-vCPU x86_64
-# VM (Intel Xeon) with CPython 3.11.7, most of it in four_term_sublagrangian
+# doubles the run: degree 12 takes 4.4-4.7 s (the --report seconds of four
+# runs) on one core of a 2-vCPU x86_64 VM (Intel Xeon) with CPython 3.11.7,
+# most of it in four_term_sublagrangian
 MAX_VERIFY_DEGREE = 12
 
 

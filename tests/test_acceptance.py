@@ -24,7 +24,7 @@ from unilcalc.forms import (
     standard_resolution,
     verify_chain,
 )
-from unilcalc.fixtures import make_N, witt_four_term_instance
+from unilcalc.fixtures import _fx_resolution_chain, make_N, witt_four_term_instance
 from unilcalc.lagrangian import find_lagrangian, sublagrangian_reduce
 from unilcalc.linking import arf_even, is_even, resolution_to_linking
 from unilcalc.polynomials import Polynomial, idem_reduce, render, versch_reduce
@@ -67,10 +67,14 @@ def test_criterion_1_generator_switch_chains():
 
 def test_criterion_2_resolution_switch_chains():
     with criterion(2, "switch chain on the induced resolutions, deg <= 4"):
+        results = []
         for p in bit_polys(4):
             for g in bit_polys(4):
                 failure = verify_chain(*resolution_switch_chain(p, g))
                 assert failure is None, f"p={p} g={g}: {failure}"
+                results.append((f"p={render(p, compact=True)} g={render(g, compact=True)}", True, None))
+        # verify-paper's sweep runs only the half chains, yet reports the same
+        assert list(_fx_resolution_chain(4, False)) == results
 
 
 def test_criterion_3_four_term_witt_identity():
