@@ -3,9 +3,9 @@
 Matrices are sequences of rows; each entry is an int bitmask (bit k is the
 t^k coefficient).  Returned matrices are tuples of tuples.  Row spans are
 canonicalised by Hermite form: pivot columns strictly increase, every entry
-above a pivot has lower degree than the pivot, zero rows trail.  smith
-returns a Smith form D of M with V^-1 of the column moves, not U or V:
-the reduction of a sublagrangian reads its quotient basis off V^-1.
+above a pivot has lower degree than the pivot, zero rows trail.  hnf,
+hermite_form and unimodular_completion, which gives a sublagrangian
+reduction its quotient basis, share the one engine of those row moves.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ def hermite_form(M):
     return _hermite(M, None)
 
 
-def _hermite(M, U):
+def _hermite(M, U, W=None):
     # the row moves that take M to its Hermite form H, made on U too when U
-    # is a list of rows
+    # is a list of rows, and on W = (U^-1)^T when W is: row i += q * row r
+    # is U -> E*U with E its own inverse in characteristic 2, so W -> E^T*W,
+    # which is row r += q * row i; a swap swaps the same two rows of W
     m = len(M)
     n = len(M[0]) if m else 0
     H = [list(row) for row in M]
@@ -76,6 +78,8 @@ def _hermite(M, U):
                 H[r], H[i0] = H[i0], H[r]
                 if U is not None:
                     U[r], U[i0] = U[i0], U[r]
+                if W is not None:
+                    W[r], W[i0] = W[i0], W[r]
             clean = True
             for i in range(r + 1, m):
                 if H[i][j]:
@@ -83,6 +87,8 @@ def _hermite(M, U):
                     _row_addmul(H, i, r, q)
                     if U is not None:
                         _row_addmul(U, i, r, q)
+                    if W is not None:
+                        _row_addmul(W, r, i, q)
                     if rem:
                         clean = False
             if clean:
@@ -91,9 +97,26 @@ def _hermite(M, U):
                     _row_addmul(H, i, r, q)
                     if U is not None:
                         _row_addmul(U, i, r, q)
+                    if W is not None:
+                        _row_addmul(W, r, i, q)
                 r += 1
                 break
     return tuple(tuple(row) for row in H)
+
+
+def unimodular_completion(C):
+    """Rows Y with [C; Y] unimodular, for an r x m matrix C with 0 < r <= m,
+    or None when there are none, that is when the r x r minors of C have a
+    gcd other than 1.  The Hermite form of C^T is found with W = (U^-1)^T
+    tracked: U * C^T = [I; 0] exactly when its r pivots are 1, and then
+    U^-1 = [C^T | Y^T], so Y is the last m - r rows of W."""
+    r = len(C)
+    m = len(C[0])
+    W = [list(row) for row in mat_identity(m)]
+    H = _hermite(mat_transpose(C), None, W)
+    if any(H[i][i] != 1 for i in range(r)):
+        return None
+    return tuple(tuple(row) for row in W[r:])
 
 
 def divmod_rows(v, H):
@@ -148,73 +171,3 @@ def det(M):
         A[j], A[p] = A[p], A[j]
         d = gf2_mul(d, A[j][j])
     return d
-
-
-def smith(M):
-    """Smith form: returns (D, Vinv) with U*M*V = D for a unimodular U that
-    is not built, D diagonal with each diagonal entry dividing the next,
-    and Vinv the inverse of the unimodular V.
-
-    Row moves act on M alone.  A column move is M -> M*E, so V -> V*E and
-    V^-1 -> E^-1 * V^-1, which is the inverse row move on Vinv: adding q
-    times column src to column dst subtracts, which in characteristic 2
-    adds, q times row dst to row src, and swapping two columns swaps the
-    two rows.  V itself is never formed."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = [list(row) for row in M]
-    Vinv = [list(row) for row in mat_identity(n)]
-
-    def col_addmul(dst, src, q):
-        # A[:, dst] += q * A[:, src]; Vinv[src] += q * Vinv[dst]
-        if not q:
-            return
-        for row in A:
-            row[dst] ^= gf2_mul(q, row[src])
-        _row_addmul(Vinv, src, dst, q)
-
-    def col_swap(c1, c2):
-        for row in A:
-            row[c1], row[c2] = row[c2], row[c1]
-        Vinv[c1], Vinv[c2] = Vinv[c2], Vinv[c1]
-
-    for k in range(min(m, n)):
-        while True:
-            best = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if A[i][j] and (best is None or gf2_deg(A[i][j]) < gf2_deg(A[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            i0, j0 = best
-            if i0 != k:
-                A[k], A[i0] = A[i0], A[k]
-            if j0 != k:
-                col_swap(k, j0)
-            dirty = False
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    q, rem = gf2_divmod(A[i][k], A[k][k])
-                    _row_addmul(A, i, k, q)
-                    if rem:
-                        dirty = True
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    q, rem = gf2_divmod(A[k][j], A[k][k])
-                    col_addmul(j, k, q)
-                    if rem:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot divides the rest of the minor?  if not, fold the bad row in
-            bad = next(
-                (i for i in range(k + 1, m) for j in range(k + 1, n)
-                 if A[i][j] and gf2_divmod(A[i][j], A[k][k])[1]),
-                None,
-            )
-            if bad is None:
-                break
-            _row_addmul(A, k, bad, 1)
-    D = tuple(tuple(row) for row in A)
-    return D, tuple(tuple(row) for row in Vinv)

@@ -4,9 +4,10 @@ and the bounded lagrangian search.
 A Submodule of F2[t]^k is held by its canonical Hermite basis (see
 f2linalg).  A sublagrangian S is checked by q on each generator, then by
 the Gram product of its generators, whose factor S * b_num also gives
-S-perp.  The basis of (S-perp)/S is read off the V^-1 that f2linalg.smith
-returns with the Smith form, which builds neither U nor V, and the reduced
-form has b on that basis as a Gram product too.  find_lagrangian searches
+S-perp.  The basis of (S-perp)/S completes the coordinates of S in a
+basis of S-perp to a unimodular matrix, read off one Hermite form of
+their transpose (f2linalg.unimodular_completion), and the reduced form
+has b on that basis as a Gram product too.  find_lagrangian searches
 the canonical echelon generator matrices with entries of bounded degree
 for L = L-perp with q|L = 0.
 
@@ -29,7 +30,7 @@ from unilcalc.f2linalg import (
     mat_identity,
     mat_mul,
     mat_transpose,
-    smith,
+    unimodular_completion,
 )
 from unilcalc.kernels import gf2_deg, gf2_mul, z4_mul, z4_sq_lift
 from unilcalc.linking import (
@@ -108,16 +109,18 @@ def reduction_work(rank, degree):
     degree, in linking.form_work's units of about 10 ns.
 
     The Hermite basis of r generators of degree d has entries of degree up
-    to about r*d, and so do the coordinates C that smith takes.  Smith's
-    column moves are not reduced, so the entries of V^-1 grow further, on
-    some inputs to 35 times the degree of C, and the cost grows with the
-    square of the degree.  Fitted to the slowest of six random submodules
-    per shape, spanned by r = rank/2 - 1 or rank/2 generators of degree d
-    in the even slots of hyperbolic forms of rank 4-80, on one x86_64
-    core: about 1/30 of rank^4 * d^2 at ranks 12 and 16 (78 s at rank 16,
-    degree 2,000, estimated at 82 s), below that elsewhere (1.3 s at rank
-    80, degree 16, estimated at 3.7 s).  Single inputs that take longer
-    may exist."""
+    to about r*d, and so do the coordinates C of S in S-perp.  The formula
+    was fitted when the quotient basis came from a Smith form of C, whose
+    unreduced column moves grew on some inputs to 35 times the degree of
+    C: to the slowest of six random submodules per shape, spanned by r =
+    rank/2 - 1 or rank/2 generators of degree d in the even slots of
+    hyperbolic forms of rank 4-80, on one x86_64 core, about 1/30 of
+    rank^4 * d^2 at ranks 12 and 16 (78 s at rank 16, degree 2,000,
+    estimated at 82 s).  It is kept unchanged, so the same submodules are
+    refused.  The completion from one Hermite form of C^T costs far less:
+    three generators of degree 16,000 in a rank-8 hyperbolic form, refused
+    here, take about 3 s through sublagrangian_reduce where the Smith form
+    took 140 s.  Refitting the formula is left open."""
     return rank**4 * (degree + 1) ** 2 // 32
 
 
@@ -159,12 +162,12 @@ def _check_sublagrangian(form, S):
 
 def sublagrangian_reduce(form, S):
     """The induced form on (S-perp)/S.  S must be isotropic with q|S = 0 and
-    a direct summand of its complement; the quotient basis comes from a
-    Smith decomposition of S inside S-perp: smith(C) on the coordinates C
-    of S in the basis T of S-perp gives D and V^-1 with U*C*V = D, so when
-    the first r diagonal entries of D are 1 the rows of V^-1 * T are a
-    basis of S-perp whose first r rows span S and whose other rows are the
-    quotient basis reps.
+    a direct summand of its complement; the quotient basis completes S
+    inside S-perp: unimodular_completion(C) on the coordinates C of S in
+    the basis T of S-perp gives Y with [C; Y] unimodular, so the rows of
+    [C; Y] * T are a basis of S-perp whose first r rows are S and whose
+    other rows are the quotient basis reps = Y * T.  There is no such Y
+    when S is not a direct summand.
     b on reps is the Gram matrix reps * b_num * reps^T and q is eval_q on
     each rep."""
     if S.ambient_rank != form.rank:
@@ -174,11 +177,10 @@ def sublagrangian_reduce(form, S):
     # b vanishes on S, so S * SB^T = 0 and S lies in its complement
     T = _complement(_check_sublagrangian(form, S)).basis
     C = tuple(divmod_rows(row, T)[0] for row in S.basis)
-    D, Vinv = smith(C)
-    r = len(S.basis)
-    if any(D[i][i] != 1 for i in range(r)):
+    Y = unimodular_completion(C)
+    if Y is None:
         raise ValueError("S is not a direct summand of its orthogonal complement")
-    reps = mat_mul(Vinv[r:], T)
+    reps = mat_mul(Y, T)
     b = mat_mul(mat_mul(reps, form.b_num), mat_transpose(reps))
     q = tuple(eval_q(form, row) for row in reps)
     return LinkingForm(len(reps), b, q)

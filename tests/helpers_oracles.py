@@ -11,7 +11,7 @@ import io
 import json
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 
 def f2_span(gens):
@@ -493,10 +493,26 @@ def submodule_contains(big, small):
     return all(not any(divmod_rows(row, big.basis)[1]) for row in small.basis)
 
 
+def minors_gcd(C):
+    """The gcd of the r x r minors of an r x m matrix C over F2[t], r <= m,
+    each minor from bareiss_det; 0 when they all vanish.  C completes to a
+    unimodular matrix exactly when this is 1."""
+    g = 0
+    for cols in combinations(range(len(C[0])), len(C)):
+        a = bareiss_det([[row[j] for j in cols] for row in C])
+        while a:
+            g, a = a, f2_divmod(g, a)[1]
+    return g
+
+
 def sublagrangian_reduce_by_eval_bq(form, S):
-    """Reference for lagrangian.sublagrangian_reduce: the same quotient basis,
-    with b and q on it from one eval_bq call per entry."""
-    from unilcalc.f2linalg import divmod_rows, mat_mul, smith
+    """Reference for lagrangian.sublagrangian_reduce: S is a direct summand
+    of S-perp when the minors of its coordinates C in a basis T of S-perp
+    have gcd 1 (minors_gcd), and then the quotient basis reps = Y * T from
+    f2linalg.unimodular_completion(C) is checked to complete S to a basis of
+    S-perp: the Hermite form of S and reps is T.  b and q on reps come from
+    one eval_bq call per entry."""
+    from unilcalc.f2linalg import divmod_rows, hermite_form, mat_mul, unimodular_completion
     from unilcalc.lagrangian import orthogonal_complement
     from unilcalc.linking import LinkingForm, eval_bq
 
@@ -509,11 +525,15 @@ def sublagrangian_reduce_by_eval_bq(form, S):
         reps = T
     else:
         C = tuple(divmod_rows(row, T)[0] for row in S.basis)
-        D, Vinv = smith(C)
-        r = len(S.basis)
-        if any(D[i][i] != 1 for i in range(r)):
+        summand = minors_gcd(C) == 1
+        Y = unimodular_completion(C)
+        if summand != (Y is not None):
+            raise AssertionError("unimodular_completion disagrees with the gcd of the minors")
+        if not summand:
             raise ValueError("S is not a direct summand of its orthogonal complement")
-        reps = mat_mul(Vinv[r:], T)
+        reps = mat_mul(Y, T)
+        if hermite_form(S.basis + reps) != T:
+            raise AssertionError("S and the quotient basis are not a basis of S-perp")
     k2 = len(reps)
     b = tuple(tuple(eval_bq(form, reps[i], reps[j])[0] for j in range(k2)) for i in range(k2))
     q = tuple(eval_bq(form, reps[i], reps[i])[1] for i in range(k2))

@@ -364,8 +364,8 @@ def short_sublagrangian(k, r, degree):
 class TestReductionWorkLimit:
     @pytest.mark.parametrize("k, r, degree", [(8, 3, 16000), (12, 4, 8000)])
     def test_short_sublagrangian_of_high_degree_is_refused_at_once(self, capsys, tmp_path, k, r, degree):
-        # without the limit the first took 140 s and the second more than
-        # 150 s, most of it in smith
+        # without the limit the first takes about 3 s and the second about
+        # 5 s in sublagrangian_reduce
         path = tmp_path / "f.json"
         path.write_text(json.dumps(short_sublagrangian(k, r, degree)))
         assert path.stat().st_size < 2000

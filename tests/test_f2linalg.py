@@ -1,7 +1,9 @@
 import itertools
 import random
 
-from tests.helpers_oracles import bareiss_det, mat_inverse
+import pytest
+
+from tests.helpers_oracles import bareiss_det, mat_inverse, minors_gcd
 from unilcalc.f2linalg import (
     det,
     divmod_rows,
@@ -10,7 +12,7 @@ from unilcalc.f2linalg import (
     left_kernel,
     mat_identity,
     mat_mul,
-    smith,
+    unimodular_completion,
 )
 from unilcalc.kernels import gf2_divmod, gf2_mul
 
@@ -183,46 +185,41 @@ class TestInverse:
             assert mat_mul(U, mat_inverse(U)) == mat_identity(n)
 
     def test_rejects_nonunit(self):
-        import pytest
-
         with pytest.raises(ValueError):
             mat_inverse(((0b10,),))
 
 
-class TestSmith:
-    def test_shape_and_transforms(self):
-        # smith returns D and V^-1 alone; U*M*V = D for a unimodular U
-        # exactly when M and D * V^-1 have the same row span, that is the
-        # same Hermite form
-        rng = random.Random(101)
-        for _ in range(80):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            M = rand_mat(rng, m, n, deg=2)
-            D, Vinv = smith(M)
-            assert len(D) == m and all(len(row) == n for row in D)
-            assert len(Vinv) == n and det(Vinv) == 1
-            assert hermite_form(M) == hermite_form(mat_mul(D, Vinv))
-            diag = [D[i][i] for i in range(min(m, n))]
-            for i in range(m):
-                for j in range(n):
-                    if i != j:
-                        assert D[i][j] == 0
-            for a, b in zip(diag, diag[1:]):
-                if b:
-                    assert a and gf2_divmod(b, a)[1] == 0
-                # zero may only follow zero or anything; nonzero after zero is wrong
-                if not a:
-                    assert not b
-            if m == n:
-                assert det(D) == det(M)
+class TestUnimodularCompletion:
+    def test_completion_exists_exactly_when_the_minors_are_coprime(self):
+        # [C; Y] is unimodular for the Y returned, and None is returned
+        # exactly when the r x r minors of C have a gcd other than 1
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
 
-    def test_vinv_inverts_the_column_moves(self):
-        # with V the inverse of Vinv, M * V = U^-1 * D has the row span of D
-        rng = random.Random(103)
-        for _ in range(80):
-            m, n = rng.randint(1, 5), rng.randint(1, 5)
-            M = rand_mat(rng, m, n, deg=3)
-            D, Vinv = smith(M)
-            V = mat_inverse(Vinv)
-            assert mat_mul(V, Vinv) == mat_identity(n)
-            assert hermite_form(mat_mul(M, V)) == hermite_form(D)
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(data=st.data())
+        def prop(data):
+            m = data.draw(st.integers(1, 5))
+            r = data.draw(st.integers(1, m))
+            row = st.tuples(*[st.integers(0, 15)] * m)
+            C = tuple(data.draw(st.lists(row, min_size=r, max_size=r)))
+            Y = unimodular_completion(C)
+            assert (Y is None) == (minors_gcd(C) != 1)
+            if Y is not None:
+                assert len(Y) == m - r
+                assert bareiss_det(C + Y) == 1
+
+        prop()
+
+    def test_leading_rows_of_a_unimodular_matrix(self):
+        # a unimodular matrix's leading rows are completed by the rest of
+        # some unimodular matrix; a row times t is not completed
+        rng = random.Random(107)
+        for _ in range(40):
+            m = rng.randint(1, 6)
+            r = rng.randint(1, m)
+            C = rand_unimodular(rng, m, ops=4 * m, deg=3)[:r]
+            Y = unimodular_completion(C)
+            assert Y is not None and det(C + Y) == 1
+            C2 = (tuple(gf2_mul(0b10, x) for x in C[0]),) + C[1:]
+            assert unimodular_completion(C2) is None
