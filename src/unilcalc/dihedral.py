@@ -17,9 +17,7 @@ eps = g & 1.  The rules above become integer arithmetic on keys:
 
 Multiplying by one group element, on either side, permutes the group, so a
 product with a one-term factor relabels the other factor's keys and needs
-no summing; ``between`` relabels for a one-term factor on each side at
-once, which is the entry of a base change by units.  The ``terms`` view
-decodes keys back to (k, eps) pairs.
+no summing.  The ``terms`` view decodes keys back to (k, eps) pairs.
 """
 
 from __future__ import annotations
@@ -140,17 +138,7 @@ class DihedralElement:
         return _element({g: -c for g, c in self._d.items()})
 
     def __sub__(self, other):
-        # one pass, as __add__, instead of x + (-y), which builds -y first
-        if not isinstance(other, DihedralElement):
-            raise _not_an_element(other)
-        d = self._d.copy()
-        for g, c in other._d.items():
-            c = d.get(g, 0) - c
-            if c:
-                d[g] = c
-            else:
-                del d[g]
-        return _element(d)
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, DihedralElement):
@@ -195,30 +183,6 @@ class DihedralElement:
     def switch(self):
         """The automorphism exchanging a and b."""
         return _element({(4 - g if g & 1 else -g): c for g, c in self._d.items()})
-
-    def between(self, u, v):
-        """u * self * v for one-term factors u and v, as one relabelling of
-        self's keys with no intermediate element.
-
-        With g and k the keys of u and v, key h goes to m = g + h (g even)
-        or g - h (g odd), then to m + k (m even) or m - k (m odd); m is odd
-        exactly when g and h differ in parity, so the two offsets depend on
-        h & 1 alone."""
-        try:
-            ud, vd = u._d, v._d
-        except AttributeError:
-            raise _not_an_element(v if isinstance(u, DihedralElement) else u) from None
-        if len(ud) != 1 or len(vd) != 1:
-            if not ud or not vd:
-                return _element({})
-            raise ValueError(f"expected one-term factors, got {u} and {v}")
-        ((g, c1),), ((k, c2),) = ud.items(), vd.items()
-        c = c1 * c2
-        if g & 1:
-            off = (g - k, g + k)
-            return _element({off[h & 1] - h: c * x for h, x in self._d.items()})
-        off = (g + k, g - k)
-        return _element({h + off[h & 1]: c * x for h, x in self._d.items()})
 
     def __str__(self):
         if not self._d:

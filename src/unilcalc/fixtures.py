@@ -7,10 +7,8 @@ form and sublagrangian of the four-term relation among them."""
 
 from unilcalc.forms import (
     QuadraticFormTheta,
-    assemble_resolution_chain,
     generator_switch_chain,
-    resolution_chain_g_half,
-    resolution_chain_p_half,
+    resolution_switch_chain,
     verify_chain,
 )
 from unilcalc.kernels import gf2_mul, z4_neg
@@ -83,34 +81,35 @@ def _fx_generator_chain(degree, corrupt):
 def _fx_resolution_chain(degree, _corrupt):
     """Every pair (p, g) of degree at most n = min(degree, 4) is an
     instance, 4^(n+1) of them, 1,024 at degree 4.  verify_chain runs only
-    on their halves, chain(p, 0) and chain(0, g), 2 * 2^(n+1) - 1 distinct
-    chains, since chain(0, 0) is both.
+    on chain(p, 0) and chain(0, g), 2 * 2^(n+1) - 1 distinct chains, since
+    chain(0, 0) is both.
 
     Lemma: if chain(p, 0), chain(0, g) and chain(0, 0) pass, so does
     chain(p, g).  d = 2I and P = diag(b, a) are constant.  The base change
     relabels each entry and the switch is a ring automorphism applied entry
     by entry, so both are additive.  For a fixed d the resolution identity
     psi1 + psi1^* + d*psi0 = 0 is linear and homogeneous in (psi0, psi1),
-    and so are _res_diff's comparisons of d and psi0.  Every record is
-    built entrywise from a p half, a g half and constant off-diagonals, so
-    every state of chain(p, g) is state(p, 0) + state(0, g) - state(0, 0),
-    and a linear check that holds on those three holds on it.
+    and so are _res_diff's comparisons of d and psi0.  In every record,
+    psi1 = -psi0, psi0[0][0] is linear in p, psi0[1][1] is linear in g and
+    the off-diagonals are constant, so every state of chain(p, g) is
+    state(p, 0) + state(0, g) - state(0, 0), and a linear check that holds
+    on those three holds on it.
 
-    The half chains run in sweep order, chain(0, g) in the p = 0 row and
-    chain(p, 0) at the start of each later row, so the first pair whose
-    halves do not both pass is that failing half chain itself, and its
-    label and message are those of a sweep of full chains.
+    The chains run in sweep order, chain(0, g) in the p = 0 row and
+    chain(p, 0) at the start of each later row, so the first pair (p, g)
+    for which chain(p, 0) or chain(0, g) fails is the pair of that failing
+    chain itself, and its label and message are those of a sweep of full
+    chains.
 
     The cap at degree 4 stays because the printed count is part of the
     output."""
     polys = list(_bit_polys(min(degree, 4)))
     labels = [render(p, compact=True) for p in polys]
-    p_halves = [resolution_chain_p_half(p) for p in polys]
-    g_halves = [resolution_chain_g_half(g) for g in polys]
     # polys[0] is the zero polynomial, so g_failures[0] is chain(0, 0)'s
-    g_failures = [verify_chain(*assemble_resolution_chain(p_halves[0], g_half)) for g_half in g_halves]
-    for i, (p_half, p_label) in enumerate(zip(p_halves, labels)):
-        p_failure = verify_chain(*assemble_resolution_chain(p_half, g_halves[0])) if i else g_failures[0]
+    zero = polys[0]
+    g_failures = [verify_chain(*resolution_switch_chain(zero, g)) for g in polys]
+    for i, (p, p_label) in enumerate(zip(polys, labels)):
+        p_failure = verify_chain(*resolution_switch_chain(p, zero)) if i else g_failures[0]
         for g_label, g_failure in zip(labels, g_failures):
             failure = p_failure or g_failure
             yield f"p={p_label} g={g_label}", failure is None, failure

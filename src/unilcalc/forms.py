@@ -20,9 +20,9 @@ Such a P is unitary.  The involution sends a group element g to g^-1, so
 bar(u) u = u bar(u) = 1 for every unit u = +-g, and P* P = P P* = I.  So
 P^-1 = P*, the resolution rule d -> P* d (P^-1)* is the congruence
 d -> P* d P that theta, psi0 and psi1 get, and no inverse is formed.
-Nor is a product formed: multiplying by a unit on either side permutes
-the group elements up to a sign, so each entry bar(u_i) M[r_i][r_j] u_j is
-one relabelling of M[r_i][r_j]'s keys (DihedralElement.between).
+Multiplying by a unit on either side permutes the group elements up to a
+sign, so DihedralElement's product forms each entry bar(u_i) M[r_i][r_j] u_j
+as two relabellings of keys, with no summing.
 
 The paper's data lives over Z[t] and is induced into the group ring: theta
 and psi entries q(t) become q(t)*a, and d keeps its entries q(t).  The
@@ -42,27 +42,8 @@ indeterminacy {v - eps*v}.
 
 A switch chain is four records (start, P, mid, end), all forms or all
 resolutions, and verify_chain runs its four fixed steps: base change of
-start by P, comparison with mid, switch, comparison with end.  Each step's
-matrices are compared with the record they are checked against, mid after
-the base change and end after the switch, before a record is built.  When
-the sign and every matrix are equal, the state is that record itself: it
-was checked when it was built, and the checks (squareness, the sign, and
-for a resolution the identity, a function of d, psi0 and psi1 alone) read
-nothing else, so the equal fields would get the same verdict.  Otherwise
-the state is built, checked and compared as a new record, so every failure
-reads as it would without the reuse.  A passing resolution chain thus
-checks three resolutions, start, mid and end, where building every state
-would check five.
-
-In the resolution chain for (p, g), every resolution has d = 2I, the
-off-diagonal psi0 entries a or b, and psi1 = -psi0, so its only entries
-that vary are psi0[0][0], which depends on p alone, and psi0[1][1], which
-depends on g alone.  The chain is assembled from two halves:
-resolution_chain_p_half(p) holds psi0[0][0] of start, mid and end, each
-with its negation for psi1, and resolution_chain_g_half(g) holds
-psi0[1][1] the same way.  A sweep over pairs (p, g) builds each half
-once per polynomial; every assembled resolution is still a checked
-QuadResolution.
+start by P, comparison with mid, switch, comparison with end.  Each step
+builds, and so checks, a new record.
 """
 
 from __future__ import annotations
@@ -160,29 +141,20 @@ def generator_form(p, g):
     return QuadraticFormTheta(((_times_a(p), A), (_ZERO, _times_a(g))), -1)
 
 
-def _signed(x):
-    """x with its negation: a psi0 entry and the psi1 entry -psi0."""
-    return x, -x
-
-
 _D2 = ((_TWO, _ZERO), (_ZERO, _TWO))
-_SIGNED_A = _signed(A)
-_SIGNED_B = _signed(B)
 
 
 def _corner_resolution(x, off, y):
     """The checked resolution with d = 2I, psi0 = ((x, off), (off, y)) and
-    psi1 = -psi0, where x, off and y are (entry, -entry) pairs."""
-    return QuadResolution(
-        _D2, ((x[0], off[0]), (off[0], y[0])), ((x[1], off[1]), (off[1], y[1])), 1
-    )
+    psi1 = -psi0."""
+    return QuadResolution(_D2, ((x, off), (off, y)), ((-x, -off), (-off, -y)), 1)
 
 
 def standard_resolution(p, g):
     """The rank-2 complex over Z[t] with d = 2I, psi0 = [[p,1],[1,2g]],
     psi1 = -psi0, induced: psi entries pick up the factor a.  It resolves
     the linking form with parameters (p, g)."""
-    return _corner_resolution(_signed(_times_a(p)), _SIGNED_A, _signed(_times_a(g * 2)))
+    return _corner_resolution(_times_a(p), A, _times_a(g * 2))
 
 
 def _monomial_units(P):
@@ -203,58 +175,34 @@ def _monomial_units(P):
     return rows, units
 
 
-def _matrices(x):
-    """The matrix fields of a form, (theta,), or of a resolution,
-    (d, psi0, psi1)."""
-    if isinstance(x, QuadraticFormTheta):
-        return (x.theta,)
-    return (x.d, x.psi0, x.psi1)
-
-
-def _record_like(x, matrices, expected):
-    """The record of x's kind and sign with these matrices.  It is expected
-    itself when expected is such a record with these very fields: expected
-    was checked when it was built, and the checks read those fields alone.
-    Otherwise a new record is built, and so checked."""
-    if (
-        expected is not None
-        and expected.__class__ is x.__class__
-        and expected.epsilon == x.epsilon
-        and _matrices(expected) == matrices
-    ):
-        return expected
-    if isinstance(x, QuadraticFormTheta):
-        return QuadraticFormTheta(*matrices, x.epsilon)
-    return QuadResolution(*matrices, x.epsilon)
-
-
-def base_change(x, P, expected=None):
+def base_change(x, P):
     """The congruence M -> P* M P, applied to theta of a form and to each of
     d, psi0 and psi1 of a resolution.  P must be a monomial matrix of units
     (group elements up to sign); such a P is unitary, so this is also the
-    rule d -> P* d (P^-1)*.  Each entry is one relabelling, as the module
-    docstring describes.  A result equal to expected in every field is
-    expected itself."""
+    rule d -> P* d (P^-1)*.  The products are formed entry by entry, as
+    the module docstring describes."""
     rows, units = _monomial_units(P)
     left = [u.bar() for u in units]
 
     def congruence(M):
         return tuple(
-            tuple(M[r][s].between(u, v) for s, v in zip(rows, units))
-            for r, u in zip(rows, left)
+            tuple(u * M[r][s] * v for s, v in zip(rows, units)) for r, u in zip(rows, left)
         )
 
-    return _record_like(x, tuple(map(congruence, _matrices(x))), expected)
+    if isinstance(x, QuadraticFormTheta):
+        return QuadraticFormTheta(congruence(x.theta), x.epsilon)
+    return QuadResolution(congruence(x.d), congruence(x.psi0), congruence(x.psi1), x.epsilon)
 
 
-def switch_form(x, expected=None):
-    """Apply the switch automorphism to every matrix entry.  A result equal
-    to expected in every field is expected itself."""
+def switch_form(x):
+    """Apply the switch automorphism to every matrix entry."""
 
     def sw(M):
         return tuple(tuple(e.switch() for e in row) for row in M)
 
-    return _record_like(x, tuple(map(sw, _matrices(x))), expected)
+    if isinstance(x, QuadraticFormTheta):
+        return QuadraticFormTheta(sw(x.theta), x.epsilon)
+    return QuadResolution(sw(x.d), sw(x.psi0), sw(x.psi1), x.epsilon)
 
 
 def _forms_diff(lhs, rhs):
@@ -313,18 +261,16 @@ def verify_chain(start, P, mid, end):
     """Apply the base change P to start, compare the result with mid,
     switch it, and compare that with end.  Returns None when all four steps
     pass, else the first failure as ``step N <op>: ...`` (1 base_change,
-    2 assert_equal, 3 switch, 4 assert_equal).  A step whose result equals
-    mid, or end, in every field gives that record itself, already checked,
-    so a passing chain checks no record beyond start, mid and end."""
+    2 assert_equal, 3 switch, 4 assert_equal)."""
     diff = _forms_diff if isinstance(start, QuadraticFormTheta) else _res_diff
     step = "1 base_change"
     try:
-        state = base_change(start, P, mid)
+        state = base_change(start, P)
         step = "2 assert_equal"
         failure = diff(state, mid)
         if failure is None:
             step = "3 switch"
-            state = switch_form(state, end)
+            state = switch_form(state)
             step = "4 assert_equal"
             failure = diff(state, end)
     except ValueError as exc:
@@ -358,39 +304,9 @@ def generator_switch_chain(p):
     return generator_form(t * p, one), _DIAG_BA, mid, generator_form(p, t)
 
 
-def resolution_chain_p_half(p):
-    """psi0[0][0] of the resolution chain's start, mid and end for p, each
-    as an (entry, -entry) pair: tp*a, b*p and p*a."""
-    return (
-        _signed(_times_a(Polynomial.t() * p)),
-        _signed(_poly_times_b_on_left(p)),
-        _signed(_times_a(p)),
-    )
-
-
-def resolution_chain_g_half(g):
-    """psi0[1][1] of the resolution chain's start, mid and end for g, each
-    as an (entry, -entry) pair: 2g*a, 2a*g and 2tg*a."""
-    return (
-        _signed(_times_a(g * 2)),
-        _signed(_two_a_times_poly(g)),
-        _signed(_times_a(Polynomial.t() * g * 2)),
-    )
-
-
-def assemble_resolution_chain(p_half, g_half):
-    """The chain (start, P, mid, end) for (p, g) from the halves of p and
-    of g; start, mid and end are built, and so checked, here."""
-    (start_p, mid_p, end_p), (start_g, mid_g, end_g) = p_half, g_half
-    return (
-        _corner_resolution(start_p, _SIGNED_A, start_g),
-        _DIAG_BA,
-        _corner_resolution(mid_p, _SIGNED_B, mid_g),
-        _corner_resolution(end_p, _SIGNED_A, end_g),
-    )
-
-
 def resolution_switch_chain(p, g):
     """The chain (start, P, mid, end) certifying that the switch of the
     induced complex for (tp, g) equals the induced complex for (p, tg)."""
-    return assemble_resolution_chain(resolution_chain_p_half(p), resolution_chain_g_half(g))
+    t = Polynomial.t()
+    mid = _corner_resolution(_poly_times_b_on_left(p), B, _two_a_times_poly(g))
+    return standard_resolution(t * p, g), _DIAG_BA, mid, standard_resolution(p, t * g)

@@ -119,18 +119,6 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="a-exponent must be 0 or 1"):
             build()
 
-    def test_between_takes_one_term_factors(self):
-        x = T + A * 2
-        assert x.between(DihedralElement.zero(), B).is_zero()
-        assert x.between(B, DihedralElement.zero()).is_zero()
-        assert x.between(A * 3, T * -2) == (A * 3) * x * (T * -2)
-        with pytest.raises(ValueError, match="expected one-term factors"):
-            x.between(A + B, T)
-        with pytest.raises(TypeError, match="expected DihedralElement, got int"):
-            x.between(A, 1)
-        with pytest.raises(TypeError, match="expected DihedralElement, got str"):
-            x.between("a", T)
-
 
 def oracle_elem(rng, shape):
     """A random element of a given shape: zero, a single rotation t^k or

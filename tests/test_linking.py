@@ -251,36 +251,6 @@ class TestResolutionDictionary:
         with pytest.raises(ValueError, match=re.escape(f"psi0 entry (0,1) {entry} is not q(t)*a")):
             resolution_to_linking(r)
 
-    def test_resolution_chain_check_count(self, monkeypatch):
-        # start, mid and end are built once each, and each checks the
-        # resolution identity; the base change gives mid itself and the
-        # switch gives end itself, so verify_chain builds and checks nothing
-        built, checked, compared = [], [], []
-        post_init = forms.QuadResolution.__post_init__
-        identity = forms.resolution_identity_holds
-        res_diff = forms._res_diff
-
-        def counting_post_init(self):
-            built.append(self)
-            post_init(self)
-
-        def counting_identity(*args):
-            checked.append(args)
-            return identity(*args)
-
-        def recording_res_diff(state, record):
-            compared.append((state, record))
-            return res_diff(state, record)
-
-        monkeypatch.setattr(forms.QuadResolution, "__post_init__", counting_post_init)
-        monkeypatch.setattr(forms, "resolution_identity_holds", counting_identity)
-        monkeypatch.setattr(forms, "_res_diff", recording_res_diff)
-        start, P, mid, end = forms.resolution_switch_chain(T, ONE)
-        assert [id(r) for r in built] == [id(start), id(mid), id(end)] and len(checked) == 3
-        assert forms.verify_chain(start, P, mid, end) is None
-        assert len(built) == len(checked) == 3
-        assert [(s is r, r) for s, r in compared] == [(True, mid), (True, end)]
-
 
 class TestEven:
     def test_examples(self):
