@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 from unilcalc._record import Record
 from unilcalc.polynomials import render
-from unilcalc.unil import UNil2Element, compact_literal, orbit_count, orbit_reps, unil3_literal
+from unilcalc.unil import UNil2Element, orbit_count, orbit_reps, unil3_literal
 
 
 # enumerate_J refuses a table with more rows than this.  Rows are made and
@@ -142,7 +142,7 @@ class TableRows:
         reps = orbit_reps(group, self.table.degree_cutoff)
         if group == "UNil2":
             for bits in reps:
-                yield compact_literal(UNil2Element(bits)), bits != 0
+                yield UNil2Element(bits).literal(compact=True), bits != 0
             return
         x, x_text, y_texts = None, "", {0: ""}
         for rep_x, y in reps:

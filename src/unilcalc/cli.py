@@ -59,10 +59,10 @@ def _cmd_reduce(args):
 
 
 def _cmd_sw(args):
-    from unilcalc.unil import compact_literal, parse_unil3, switch_unil3
+    from unilcalc.unil import parse_unil3, switch_unil3
 
     e = parse_unil3(args.element)
-    out = compact_literal(switch_unil3(e))
+    out = switch_unil3(e).literal(compact=True)
     return CommandResult("value", {"input": args.element, "switched": out}, human=(out,))
 
 

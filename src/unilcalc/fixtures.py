@@ -3,7 +3,9 @@ from.  Each fixture is a generator taking (degree, corrupt) and yielding
 (instance label, ok, failure message or None) per instance; a fixture
 stops at its first failing instance.  make_N(p, g) is the rank-2 linking
 form of the generator N_{p,g}, and witt_four_term_instance(p) the rank-8
-form and sublagrangian of the four-term relation among them."""
+form and sublagrangian of the four-term relation among them.
+burnside_orbits checks the classify tables' orbit_reps and orbit_count
+against _canonical_elements, which shares no code with them."""
 
 from unilcalc.forms import (
     QuadraticFormTheta,
@@ -14,8 +16,17 @@ from unilcalc.forms import (
 from unilcalc.kernels import gf2_mul, z4_neg
 from unilcalc.lagrangian import Submodule, find_lagrangian, sublagrangian_reduce
 from unilcalc.linking import LinkingForm, arf_even, is_even
-from unilcalc.polynomials import Polynomial, render
-from unilcalc.unil import B_coords, enumerate_truncated, n_class_combination, pi_map, switch_unil3
+from unilcalc.polynomials import Polynomial, idem_reduce, render, versch_reduce
+from unilcalc.unil import (
+    B_coords,
+    UNil2Element,
+    UNil3Element,
+    n_class_combination,
+    orbit_count,
+    orbit_reps,
+    pi_map,
+    switch_unil3,
+)
 
 
 def _n_entries(p, g):
@@ -142,9 +153,20 @@ def _fx_lagrangian_search(degree, _corrupt):
         yield f"p={render(p, compact=True)}", ok, None if ok else "no lagrangian within degree bound 3"
 
 
+def _canonical_elements(group, d):
+    """Every canonical element of group supported on exponents <= d, by
+    brute force: the distinct images of every coefficient choice on t, ...,
+    t^d under idem_reduce (UNil_2) or versch_reduce (UNil_3's x), which
+    define the canonical representatives, in coordinate order."""
+    f2 = [bits << 1 for bits in range(1 << d)]
+    if group == "UNil2":
+        return [UNil2Element(a) for a in sorted(set(map(idem_reduce, f2)))]
+    xs = sorted({versch_reduce(lo, hi) for lo in f2 for hi in f2})
+    return [UNil3Element(x, y) for x in xs for y in f2]
+
+
 def _fx_switch_laws(_degree, _corrupt):
-    elements = enumerate_truncated("UNil3", 3).elements
-    for e in elements:
+    for e in _canonical_elements("UNil3", 3):
         label = str(e)
         se = switch_unil3(e)
         if switch_unil3(se) != e:
@@ -165,15 +187,23 @@ def _fx_switch_laws(_degree, _corrupt):
 
 
 def _fx_burnside(_degree, _corrupt):
-    for group, dmax in (("UNil2", 4), ("UNil3", 4)):
-        for d in range(dmax + 1):
-            out = enumerate_truncated(group, d)
-            orbits = {frozenset((e, switch_unil3(e))) for e in out.elements} if group == "UNil3" else {
-                frozenset((e,)) for e in out.elements
-            }
-            ok = out.orbits == len(orbits) and 2 * out.orbits == out.total + out.fixed
+    """At cutoffs d <= 4, orbit_reps gives one representative in each
+    switch-orbit of _canonical_elements, and orbit_count of them."""
+    for group in ("UNil2", "UNil3"):
+        for d in range(5):
+            elements = _canonical_elements(group, d)
+            # the coordinates orbit_reps yields for an element, to its orbit
+            if group == "UNil2":  # the switch is the identity
+                orbit_of = {e.arf_bits: e for e in elements}
+            else:
+                orbit_of = {(e.x, e.y): frozenset((e, switch_unil3(e))) for e in elements}
+            reps = list(orbit_reps(group, d))
+            hit = len({orbit_of.get(c) for c in reps} - {None})
+            count, orbits = orbit_count(group, d), len(set(orbit_of.values()))
+            ok = len(reps) == hit == count == orbits
             yield f"{group} d={d}", ok, None if ok else (
-                f"orbit count {out.orbits} vs brute force {len(orbits)}"
+                f"orbit_reps gives {len(reps)} representatives of {hit} orbits; "
+                f"orbit count {count} vs brute force {orbits}"
             )
             if not ok:
                 return

@@ -18,7 +18,6 @@ none of it, compiles none of it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -209,7 +208,6 @@ def search_rows(k, bound):
     return total
 
 
-@functools.lru_cache(maxsize=1)
 def _slot_tables(form, bound):
     """Per-slot tables for one search, indexed by coefficients of degree
     <= bound: sq[c][f] = f^2 q(e_c), and cross[(i, j)][a] = a b_ij for
@@ -262,12 +260,11 @@ def _q_zero_rows(tables, pivot, pval, spans):
     return rows
 
 
-def _lagrangian_candidates(form, pivots, bound):
+def _lagrangian_candidates(form, pivots, bound, tables):
     """Canonical-echelon candidate generators for one pivot pattern, with
-    rows pre-filtered by q(row) = 0."""
+    rows pre-filtered by q(row) = 0; tables is _slot_tables(form, bound)."""
     k = form.rank
     r = len(pivots)
-    tables = _slot_tables(form, bound)
     free_space = range(1 << (bound + 1))
     # the rows for row i depend only on its pivot value and on the degrees
     # of the later pivots, which bound the slots reduced mod those pivots
@@ -290,10 +287,10 @@ def _lagrangian_candidates(form, pivots, bound):
             yield from itertools.product(*per_row)
 
 
-def _search_pattern(form, pivots, bound, checked):
-    """The first lagrangian among one pattern's candidates, or None.
-    checked is an itertools.count shared by the patterns of one search."""
-    for combo in _lagrangian_candidates(form, pivots, bound):
+def _search_pattern(form, pivots, bound, tables, checked):
+    """The first lagrangian among one pattern's candidates, or None; tables
+    and checked, an itertools.count, are shared by one search's patterns."""
+    for combo in _lagrangian_candidates(form, pivots, bound, tables):
         if next(checked) >= MAX_SEARCH_COMBINATIONS:
             raise ValueError(
                 f"a lagrangian search of rank {form.rank} at degree bound {bound} "
@@ -342,9 +339,10 @@ def find_lagrangian(form, degree_bound):
             f"a lagrangian search of rank {k} at degree bound {degree_bound} "
             f"tests more than {MAX_SEARCH_ROWS} candidate rows"
         )
+    tables = _slot_tables(form, degree_bound)
     checked = itertools.count()
     for pivots in itertools.combinations(range(k), k // 2):
-        L = _search_pattern(form, pivots, degree_bound, checked)
+        L = _search_pattern(form, pivots, degree_bound, tables, checked)
         if L is not None:
             return L
     return None

@@ -16,7 +16,6 @@ render); a Polynomial over Z appears only as the parameters p and g of
 the generator dictionary.
 """
 
-from functools import partial
 from itertools import product
 
 from unilcalc._record import Record
@@ -228,20 +227,9 @@ def n_class_combination(terms):
     return total
 
 
-class TruncatedEnumeration(Record):
-    _fields = ("elements", "orbit_reps", "total", "fixed", "orbits")
-
-    def __init__(self, elements, orbit_reps, total, fixed, orbits):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "orbit_reps", orbit_reps)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "orbits", orbits)
-
-
 def orbit_count(group, degree_cutoff):
-    """The number of switch-orbits enumerate_truncated(group, degree_cutoff)
-    lists, in closed form.
+    """The number of switch-orbits orbit_reps(group, degree_cutoff) yields,
+    in closed form.
 
     With o odd and e even exponents in 1..d: UNil_2 has 2^o elements, all
     fixed; UNil_3 has 4^o * 2^e choices of x and 2^d of y, and (x, y) is
@@ -264,81 +252,35 @@ def _mask(cs):
     return sum((c & 1) << k for k, c in enumerate(cs, 1))
 
 
-def _element_rows(group, d):
-    """Yield (x, coordinates, low) for the canonical elements supported on
-    exponents <= d, one row per x-coordinate on UNil_3 (one row in all on
-    UNil_2), in lexicographic coefficient order.  On UNil_3 x is the row's
-    x-coordinate and each coordinate c is a y, for the element (x, c); on
-    UNil_2 x is None and each c is an arf_bits.  The switch-orbit
-    representatives are the elements whose coordinate c has c & low == 0.
-    A row with low == 0 is fixed by the switch, element by element.
+def orbit_reps(group, degree_cutoff):
+    """Yield the coordinates of the switch-orbit representatives of the
+    canonical elements supported on exponents <= degree_cutoff, each the
+    lex-least member of its orbit, in lexicographic coefficient order
+    (``product`` order): the arf_bits on UNil_2, where the switch is the
+    identity, and the (x, y) pair on UNil_3.  They are canonical by
+    construction, so no element is built or checked.
 
-    The coordinates are listed in ``product`` order over the coefficients,
-    which is already the lexicographic order.  On UNil_3 the orbit of
-    (x, y) is {(x, y), (x, y + pi(x))}: a fixed point when pi(x) = 0, and
-    otherwise a pair whose two y's first differ at the lowest exponent of
-    pi(x), so the lex-least member is the one with a 0 there; low is that
-    exponent as a bitmask.
+    On UNil_3 the orbit of (x, y) is {(x, y), (x, y + pi(x))}: a fixed
+    point when pi(x) = 0, and otherwise a pair whose two y's first differ
+    at the lowest exponent of pi(x), so the lex-least member has a 0 there.
     """
+    d = degree_cutoff
     if d < 0:
         raise ValueError("degree cutoff must be >= 0")
     if group == "UNil2":
         ranges = [range(2) if k % 2 else range(1) for k in range(1, d + 1)]
-        # the switch is the identity on UNil_2
-        yield None, [_mask(cs) for cs in product(*ranges)], 0
+        yield from map(_mask, product(*ranges))
     elif group == "UNil3":
         ranges = [range(2) if k % 2 == 0 else range(4) for k in range(1, d + 1)]
         ys = [_mask(ymask) for ymask in product((0, 1), repeat=d)]
         for xcs in product(*ranges):
             x = (_mask(xcs), _mask(c >> 1 for c in xcs))
-            yield x, ys, x[0] & -x[0]
+            low = x[0] & -x[0]  # the lowest exponent of pi(x), as a bitmask
+            for y in ys:
+                if not y & low:
+                    yield x, y
     else:
         raise ValueError("group must be 'UNil2' or 'UNil3'")
-
-
-def orbit_reps(group, degree_cutoff):
-    """Yield the coordinates of the switch-orbit representatives that
-    enumerate_truncated lists, in its order: the arf_bits on UNil_2, the
-    (x, y) pair on UNil_3.  They are canonical by construction, so no
-    element is built or checked."""
-    for x, coords, low in _element_rows(group, degree_cutoff):
-        for c in coords:
-            if not c & low:
-                yield c if x is None else (x, c)
-
-
-def enumerate_truncated(group, degree_cutoff):
-    """All canonical elements supported on exponents <= degree_cutoff.
-
-    Returns the elements in lexicographic coefficient order, the
-    switch-orbit representatives (the lex-least member of each orbit),
-    and the total / switch-fixed / orbit counts.  The orbit count is
-    checked against the Burnside value (total + fixed) / 2.
-    """
-    elements = []
-    reps = []
-    fixed = 0
-    for x, coords, low in _element_rows(group, degree_cutoff):
-        make = UNil2Element if x is None else partial(UNil3Element, x)
-        row = [make(c) for c in coords]
-        elements += row
-        if low:
-            reps += [e for e, c in zip(row, coords) if not c & low]
-        else:
-            reps += row
-            fixed += len(row)
-    orbits = len(reps)
-    if 2 * orbits != len(elements) + fixed:
-        raise RuntimeError(
-            f"Burnside check failed: {orbits} orbits, {len(elements)} elements, {fixed} fixed"
-        )
-    return TruncatedEnumeration(tuple(elements), tuple(reps), len(elements), fixed, orbits)
-
-
-def compact_literal(e):
-    """Element literal with compact polynomial rendering, e.g. 'j1[t] + j2[t^2]'
-    on UNil_3 and '[t]' on UNil_2."""
-    return e.literal(compact=True)
 
 
 def _moved(message, offset):

@@ -164,6 +164,23 @@ def switch_orbits(group, max_exp):
     return elements, reps, fixed
 
 
+def switch_orbit_elements(group, max_exp):
+    """switch_orbits(group, max_exp) with each coefficient tuple built as a
+    UNil2Element or UNil3Element: (elements, reps), in its order.  The
+    tuples are canonical coordinates, so the constructors accept them."""
+    from unilcalc.unil import UNil2Element, UNil3Element
+
+    n = max_exp + 1
+
+    def element(cs):
+        if group == "UNil2":
+            return UNil2Element(f2_bits(cs))
+        return UNil3Element(z4_pair(cs[:n]), f2_bits(cs[n:]))
+
+    elements, reps, _fixed = switch_orbits(group, max_exp)
+    return [element(cs) for cs in elements], [element(cs) for cs in reps]
+
+
 def f2_mul(a, b):
     """Shift-and-add product of bit-packed F2 polynomials, written out here
     so that the oracles share no kernel code with the library."""
@@ -261,11 +278,9 @@ class ReferenceRow:
         self.identified_with = identified_with
 
     def theta_str(self):
-        from unilcalc.unil import compact_literal
-
         if self.theta is None:
             return "0"
-        return compact_literal(self.theta)
+        return self.theta.literal(compact=True)
 
 
 def bar_I(n, z_bound=0):
@@ -284,15 +299,14 @@ def bar_I(n, z_bound=0):
 
 def reference_rows(n, degree_cutoff, z_bound, bar=False):
     """Every row of classify n --degree-cutoff d --z-bound B [--bar] in one
-    list: pairs of coordinates crossed with the orbit representatives, then,
+    list: pairs of coordinates crossed with switch_orbits' representatives, then,
     for --bar at n = 3 mod 4, folded with a dict from (pair, theta text) to
     the pair's coordinate texts and a set of the keys already seen."""
     from unilcalc.classify import coord_str, relevant_unil, structure_set_P, structure_set_elements
-    from unilcalc.unil import enumerate_truncated
 
     desc = structure_set_P(n)
     group = relevant_unil(n)
-    thetas = (None,) if group == "Zero" else enumerate_truncated(group, degree_cutoff).orbit_reps
+    thetas = (None,) if group == "Zero" else switch_orbit_elements(group, degree_cutoff)[1]
     rows = [
         ReferenceRow(pair, theta, theta is not None and not theta.is_zero())
         for pair in combinations_with_replacement(structure_set_elements(desc, z_bound), 2)

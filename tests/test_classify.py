@@ -6,7 +6,15 @@ import pytest
 
 import unilcalc.classify
 
-from tests.helpers_oracles import WrittenRow, bar_I, reference_csv, reference_json, reference_rows, written_rows
+from tests.helpers_oracles import (
+    WrittenRow,
+    bar_I,
+    reference_csv,
+    reference_json,
+    reference_rows,
+    switch_orbit_elements,
+    written_rows,
+)
 from unilcalc import cli
 from unilcalc.classify import (
     CHUNK_ROWS,
@@ -21,7 +29,6 @@ from unilcalc.classify import (
     table_to_csv,
     table_to_json,
 )
-from unilcalc.unil import compact_literal, enumerate_truncated
 
 
 def parse_coord(text):
@@ -197,8 +204,8 @@ class TestThetas:
     @pytest.mark.parametrize("n, group", [(8, "UNil3"), (5, "UNil2")])
     @pytest.mark.parametrize("d", range(7))
     def test_texts_are_the_compact_literals(self, n, group, d):
-        reps = enumerate_truncated(group, d).orbit_reps
-        expected = [(compact_literal(e), not e.is_zero()) for e in reps]
+        reps = switch_orbit_elements(group, d)[1]
+        expected = [(e.literal(compact=True), not e.is_zero()) for e in reps]
         assert list(enumerate_J(n, d).rows._thetas()) == expected
 
     @pytest.mark.parametrize("n", [6, 7])

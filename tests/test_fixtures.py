@@ -1,8 +1,13 @@
 """The resolution sweep of verify-paper certifies every instance (p, g)
 from the chains chain(p, 0) and chain(0, g), and still locates a failure
-with the message of the instance's full chain."""
+with the message of the instance's full chain.  The Burnside fixture
+checks unil.orbit_reps and orbit_count against brute-force orbits, and
+fails at the first cutoff where either is wrong."""
 
-from unilcalc import fixtures, forms
+import pytest
+
+from tests.helpers_oracles import switch_orbit_elements
+from unilcalc import fixtures, forms, unil
 from unilcalc.polynomials import Polynomial, render
 
 
@@ -88,3 +93,67 @@ def test_failure_in_a_g_half_is_located(monkeypatch):
     # a * (-2t*a) * a = -2t^-1*a against 2a*t = 2t^-1*a
     assert message == "step 2 assert_equal: psi0 entry (1,1): -2*t^-1*a vs 2*t^-1*a"
     assert message == forms.verify_chain(*corrupted_chain(Polynomial.zero(), t))
+
+
+BURNSIDE_LABELS = [f"{group} d={d}" for group in ("UNil2", "UNil3") for d in range(5)]
+
+
+@pytest.mark.parametrize("group", ["UNil2", "UNil3"])
+@pytest.mark.parametrize("d", range(5))
+def test_canonical_elements_are_the_oracles(group, d):
+    elements = fixtures._canonical_elements(group, d)
+    assert len(elements) == len(set(elements))
+    assert set(elements) == set(switch_orbit_elements(group, d)[0])
+
+
+def _assert_fails_at(label, message):
+    results = list(fixtures._fx_burnside(4, False))
+    i = BURNSIDE_LABELS.index(label)
+    assert results[:i] == [(passed, True, None) for passed in BURNSIDE_LABELS[:i]]
+    assert results[i:] == [(label, False, message)]
+
+
+def test_burnside_catches_a_dropped_representative(monkeypatch):
+    orbit_reps = unil.orbit_reps
+
+    def dropping(group, d):
+        reps = list(orbit_reps(group, d))
+        return reps[:-1] if (group, d) == ("UNil2", 3) else reps
+
+    monkeypatch.setattr(fixtures, "orbit_reps", dropping)
+    _assert_fails_at(
+        "UNil2 d=3",
+        "orbit_reps gives 3 representatives of 3 orbits; orbit count 4 vs brute force 4",
+    )
+
+
+def test_burnside_catches_two_representatives_of_one_orbit(monkeypatch):
+    orbit_reps = unil.orbit_reps
+
+    def doubling(group, d):
+        reps = list(orbit_reps(group, d))
+        if (group, d) == ("UNil3", 2):
+            # the last representative gives way to the switch partner of
+            # the first one the switch moves, so the count is kept
+            x, y = next((x, y) for x, y in reps if x[0])
+            reps[-1] = (x, y ^ x[0])
+        return reps
+
+    monkeypatch.setattr(fixtures, "orbit_reps", doubling)
+    _assert_fails_at(
+        "UNil3 d=2",
+        "orbit_reps gives 20 representatives of 19 orbits; orbit count 20 vs brute force 20",
+    )
+
+
+def test_burnside_catches_a_wrong_orbit_count(monkeypatch):
+    orbit_count = unil.orbit_count
+
+    def off_by_one(group, d):
+        return orbit_count(group, d) + ((group, d) == ("UNil3", 4))
+
+    monkeypatch.setattr(fixtures, "orbit_count", off_by_one)
+    _assert_fails_at(
+        "UNil3 d=4",
+        "orbit_reps gives 544 representatives of 544 orbits; orbit count 545 vs brute force 544",
+    )

@@ -688,7 +688,8 @@ class TestCandidateFilter:
     @staticmethod
     def assert_same_stream(form, bound, limit=200):
         for pivots in itertools.combinations(range(form.rank), form.rank // 2):
-            got = itertools.islice(lagrangian._lagrangian_candidates(form, pivots, bound), limit)
+            tables = lagrangian._slot_tables(form, bound)
+            got = itertools.islice(lagrangian._lagrangian_candidates(form, pivots, bound, tables), limit)
             want = itertools.islice(lagrangian_candidates_by_eval_bq(form, pivots, bound), limit)
             assert list(got) == list(want), (form, pivots, bound)
 
@@ -731,7 +732,6 @@ class TestCandidateFilter:
             return z4_mul(*args)
 
         monkeypatch.setattr(lagrangian, "z4_mul", counting)
-        lagrangian._slot_tables.cache_clear()
         assert find_lagrangian(red, 2) is None
         assert len(calls) <= red.rank << 3
 

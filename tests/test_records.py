@@ -11,7 +11,7 @@ from unilcalc.forms import QuadraticFormTheta, QuadResolution
 from unilcalc.lagrangian import Submodule
 from unilcalc.linking import LinkingForm
 from unilcalc.polynomials import Polynomial
-from unilcalc.unil import TruncatedEnumeration, UNil2Element, UNil3Element
+from unilcalc.unil import UNil2Element, UNil3Element
 
 ZERO = DihedralElement.zero()
 ONE = DihedralElement.monomial(0, 0)
@@ -44,11 +44,6 @@ RECORDS = {
     ),
     "UNil2Element": (lambda: UNil2Element(0b10), "arf_bits", (0b1000,)),
     "UNil3Element": (lambda: UNil3Element((0b10, 0), 0b10), "y", ((0b10, 0), 0b100)),
-    "TruncatedEnumeration": (
-        lambda: TruncatedEnumeration((UNil2Element(0),), (UNil2Element(0),), 1, 1, 1),
-        "total",
-        ((), (), 0, 0, 0),
-    ),
     "StructureSetDescriptor": (
         lambda: StructureSetDescriptor(8, 1, 4, 2, True),
         "has_Z",

@@ -10,6 +10,7 @@ from tests.helpers_oracles import (
     f2_coeffs,
     is_multiple_of_two,
     n_class_of_generator,
+    switch_orbit_elements,
     switch_orbits,
     unil_coefficient_tuple,
     z4_coeffs,
@@ -20,7 +21,6 @@ from unilcalc.unil import (
     B_coords,
     UNil2Element,
     UNil3Element,
-    enumerate_truncated,
     j1,
     j2,
     n_class_combination,
@@ -80,8 +80,8 @@ class TestUNil2:
     def test_switch_is_identity(self):
         # every element is its own switch-orbit
         for d in range(5):
-            out = enumerate_truncated("UNil2", d)
-            assert out.fixed == out.total and out.orbit_reps == out.elements
+            elements, _reps = switch_orbit_elements("UNil2", d)
+            assert list(orbit_reps("UNil2", d)) == [e.arf_bits for e in elements]
 
 
 class TestUNil3Basics:
@@ -137,7 +137,7 @@ class TestUNil3Basics:
 
     def test_enumerated_elements_accepted(self):
         # the constructor's check accepts every canonical element it is given
-        for e in enumerate_truncated("UNil3", 3).elements:
+        for e in switch_orbit_elements("UNil3", 3)[0]:
             assert UNil3Element(e.x, e.y) == e
 
 
@@ -179,7 +179,7 @@ class TestSwitch3:
             assert switch_unil3(e + f) == switch_unil3(e) + switch_unil3(f)
 
     def test_fixed_point_criterion_exhaustive(self):
-        for e in enumerate_truncated("UNil3", 2).elements:
+        for e in switch_orbit_elements("UNil3", 2)[0]:
             assert (switch_unil3(e) == e) == (pi_map(e.x) == 0)
 
     def test_moved_order_two_element_exists(self):
@@ -207,7 +207,7 @@ class TestBCoords:
 
     def test_surjective_and_kernel_under_truncation(self):
         for d in (1, 2, 3):
-            elements = enumerate_truncated("UNil3", d).elements
+            elements = switch_orbit_elements("UNil3", d)[0]
             image = set(map(B_coords, elements))
             assert len(image) == 4**d
             kernel = {e for e in elements if B_coords(e) == (0, 0)}
@@ -286,72 +286,56 @@ class TestDictionary:
 
 
 class TestEnumerate:
+    """orbit_reps and orbit_count against the brute-force switch_orbits."""
+
     def test_unil3_degree_one(self):
-        out = enumerate_truncated("UNil3", 1)
-        assert out.total == 8
-        assert out.fixed == 4
-        assert out.orbits == 6
-        assert len(out.orbit_reps) == 6
+        elements, reps, fixed = switch_orbits("UNil3", 1)
+        assert (len(elements), fixed, len(reps)) == (8, 4, 6)
+        assert len(list(orbit_reps("UNil3", 1))) == orbit_count("UNil3", 1) == 6
 
     def test_unil2_degree_two(self):
-        out = enumerate_truncated("UNil2", 2)
-        assert out.total == 2 and out.orbits == 2
-        assert {str(e) for e in out.elements} == {"[0]", "[1*t^1]"}
+        reps = list(orbit_reps("UNil2", 2))
+        assert reps == [0, 0b10] and orbit_count("UNil2", 2) == 2
+        assert [str(UNil2Element(bits)) for bits in reps] == ["[0]", "[1*t^1]"]
 
     def test_degree_zero(self):
-        out = enumerate_truncated("UNil3", 0)
-        assert out.total == 1 and out.orbits == 1
-        assert out.elements[0].is_zero()
+        assert list(orbit_reps("UNil3", 0)) == [((0, 0), 0)]
+        assert orbit_count("UNil3", 0) == 1
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            enumerate_truncated("UNil3", -1)
-        with pytest.raises(ValueError):
-            enumerate_truncated("UNil7", 1)
+        for f in (lambda *a: list(orbit_reps(*a)), orbit_count):
+            with pytest.raises(ValueError, match="degree cutoff"):
+                f("UNil3", -1)
+            with pytest.raises(ValueError, match="group must be"):
+                f("UNil7", 1)
 
     def test_orbit_count_closed_form(self):
         for group in ("UNil2", "UNil3"):
             for d in range(6):
-                assert orbit_count(group, d) == enumerate_truncated(group, d).orbits
-        with pytest.raises(ValueError):
-            orbit_count("UNil3", -1)
-        with pytest.raises(ValueError):
-            orbit_count("UNil7", 1)
+                assert orbit_count(group, d) == len(switch_orbits(group, d)[1])
 
     def test_burnside_against_brute_force(self):
+        # the switch's orbits on the oracle's elements, through switch_unil3
         for d in (1, 2, 3):
-            out = enumerate_truncated("UNil3", d)
-            orbits = {frozenset((e, switch_unil3(e))) for e in out.elements}
-            assert out.orbits == len(orbits)
-            assert 2 * out.orbits == out.total + out.fixed
+            elements = switch_orbit_elements("UNil3", d)[0]
+            orbits = {frozenset((e, switch_unil3(e))) for e in elements}
+            fixed = sum(1 for e in elements if switch_unil3(e) == e)
+            assert orbit_count("UNil3", d) == len(orbits)
+            assert 2 * len(orbits) == len(elements) + fixed
 
     def test_reps_are_lex_least(self):
-        out = enumerate_truncated("UNil3", 2)
-        assert out.total == 32 and out.fixed == 8 and out.orbits == 20
-        for e in out.orbit_reps:
+        reps = [UNil3Element(x, y) for x, y in orbit_reps("UNil3", 2)]
+        assert len(reps) == 20
+        for e in reps:
             assert unil_coefficient_tuple(e, 2) <= unil_coefficient_tuple(switch_unil3(e), 2)
 
     @pytest.mark.parametrize("group", ["UNil2", "UNil3"])
     @pytest.mark.parametrize("d", range(6))
     def test_against_orbit_oracle(self, group, d):
-        elements, reps, fixed = switch_orbits(group, d)
-        out = enumerate_truncated(group, d)
-        assert [unil_coefficient_tuple(e, d) for e in out.elements] == elements
-        assert [unil_coefficient_tuple(e, d) for e in out.orbit_reps] == reps
-        assert out.total == len(elements)
-        assert out.fixed == fixed
-        assert out.orbits == len(reps)
-
-    def test_elements_are_distinct(self):
-        out = enumerate_truncated("UNil3", 2)
-        assert len(set(out.elements)) == out.total
-
-    @pytest.mark.parametrize("group", ["UNil2", "UNil3"])
-    @pytest.mark.parametrize("d", range(6))
-    def test_orbit_reps_are_enumerate_truncateds(self, group, d):
-        reps = enumerate_truncated(group, d).orbit_reps
+        reps = switch_orbit_elements(group, d)[1]
         coords = [e.arf_bits for e in reps] if group == "UNil2" else [(e.x, e.y) for e in reps]
         assert list(orbit_reps(group, d)) == coords
+        assert orbit_count(group, d) == len(reps)
 
     def test_orbit_reps_builds_no_element(self, monkeypatch):
         built = []
@@ -369,7 +353,7 @@ class TestEnumerate:
 
 class TestOrderAndDivisibility:
     def test_order_against_brute_force(self):
-        for e in enumerate_truncated("UNil3", 2).elements:
+        for e in switch_orbit_elements("UNil3", 2)[0]:
             acc = e
             n = 1
             while not acc.is_zero():
@@ -378,7 +362,7 @@ class TestOrderAndDivisibility:
             assert element_order(e) == n
 
     def test_multiple_of_two_against_brute_force(self):
-        elements = enumerate_truncated("UNil3", 2).elements
+        elements = switch_orbit_elements("UNil3", 2)[0]
         doubles = {e.doubled() for e in elements}
         for e in elements:
             assert is_multiple_of_two(e) == (e in doubles)
@@ -390,7 +374,7 @@ class TestOrderAndDivisibility:
 
 class TestLiteralsAndJson:
     def test_round_trip(self):
-        for e in enumerate_truncated("UNil3", 2).elements:
+        for e in switch_orbit_elements("UNil3", 2)[0]:
             assert parse_unil3(str(e)) == e
             assert UNil3Element.from_json_dict(e.to_json_dict()) == e
 
@@ -430,7 +414,7 @@ class TestAgainstDenseReference:
     nonzero coefficient) and for a seeded sample of the other pairs."""
 
     def test_operations(self):
-        elements = enumerate_truncated("UNil3", 3).elements
+        elements = switch_orbit_elements("UNil3", 3)[0]
         dense = {e: (Polynomial(z4_coeffs(e.x)), Polynomial(f2_coeffs(e.y))) for e in elements}
 
         def x_of(p):
