@@ -16,6 +16,7 @@ from tests.helpers_oracles import (
     z4_coeffs,
     z4_pair,
 )
+from unilcalc import fixtures
 from unilcalc.polynomials import Polynomial, idem_reduce, versch_reduce
 from unilcalc.unil import (
     B_coords,
@@ -336,6 +337,21 @@ class TestEnumerate:
         coords = [e.arf_bits for e in reps] if group == "UNil2" else [(e.x, e.y) for e in reps]
         assert list(orbit_reps(group, d)) == coords
         assert orbit_count(group, d) == len(reps)
+
+    @pytest.mark.parametrize("group", ["UNil2", "UNil3"])
+    @pytest.mark.parametrize("d", range(6))
+    def test_orbit_reps_are_enumerate_truncateds(self, group, d):
+        # against the truncated enumeration verify-paper's Burnside fixture
+        # walks: the least member of each switch-orbit, in coefficient order
+        sw = (lambda e: e) if group == "UNil2" else switch_unil3
+
+        def key(e):
+            return unil_coefficient_tuple(e, d)
+
+        elements = fixtures._canonical_elements(group, d)
+        reps = sorted({min(e, sw(e), key=key) for e in elements}, key=key)
+        coords = [e.arf_bits for e in reps] if group == "UNil2" else [(e.x, e.y) for e in reps]
+        assert list(orbit_reps(group, d)) == coords
 
     def test_orbit_reps_builds_no_element(self, monkeypatch):
         built = []
