@@ -14,10 +14,6 @@ eps = g & 1.  The rules above become integer arithmetic on keys:
   odd (for odd g, 2(j - k) + (1 - eps) = g - h);
 * the involution sends an even g to -g and fixes an odd one;
 * the switch sends an even g to -g and an odd one to 4 - g.
-
-Multiplying by one group element, on either side, permutes the group, so a
-product with a one-term factor relabels the other factor's keys and needs
-no summing.  The ``terms`` view decodes keys back to (k, eps) pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ def _element(d):
     coefficients only; the dict is taken over, not copied."""
     x = object.__new__(DihedralElement)
     x._d = d
-    x._terms = None
     return x
 
 
@@ -78,13 +73,12 @@ class DihedralElement:
     {2k + eps: c} with nonzero coefficients only.  Instances are values:
     nothing mutates one after it is built."""
 
-    __slots__ = ("_d", "_terms")
+    __slots__ = ("_d",)
 
     def __init__(self, terms=()):
         """From ((k, eps), c) pairs, or a dict {(k, eps): c}; coefficients
         of a repeated group element are summed."""
         self._d = _checked_dict(terms.items() if isinstance(terms, dict) else terms)
-        self._terms = None
 
     @classmethod
     def zero(cls):
@@ -105,11 +99,7 @@ class DihedralElement:
     @property
     def terms(self):
         """The sorted view: a tuple of ((k, eps), coeff), ordered by (eps, k)."""
-        if self._terms is None:
-            self._terms = tuple(
-                ((g >> 1, g & 1), c) for g, c in sorted(self._d.items(), key=_term_key)
-            )
-        return self._terms
+        return tuple(((g >> 1, g & 1), c) for g, c in sorted(self._d.items(), key=_term_key))
 
     def __eq__(self, other):
         if not isinstance(other, DihedralElement):
@@ -147,19 +137,10 @@ class DihedralElement:
             if not other:
                 return _element({})
             return _element({g: c * other for g, c in self._d.items()})
-        left, right = self._d, other._d
-        if len(right) == 1:
-            ((h, c2),) = right.items()
-            return _element({(g - h if g & 1 else g + h): c * c2 for g, c in left.items()})
-        if len(left) == 1:
-            ((g, c1),) = left.items()
-            if g & 1:
-                return _element({g - h: c1 * c for h, c in right.items()})
-            return _element({g + h: c1 * c for h, c in right.items()})
         d = {}
         get = d.get
-        right = right.items()
-        for g, c1 in left.items():
+        right = other._d.items()
+        for g, c1 in self._d.items():
             if g & 1:
                 for h, c2 in right:
                     d[g - h] = get(g - h, 0) + c1 * c2
@@ -208,32 +189,17 @@ ONE = DihedralElement.monomial(0, 0)
 
 
 def resolution_identity_holds(d, psi0, psi1):
-    """Whether psi1 + psi1^* + d*psi0 = 0 for square matrices of one rank.
-
-    Entry (i, j) is psi1[i][j] + bar(psi1[j][i]) + sum_l d[i][l] psi0[l][j];
-    it is summed straight into one dict of keys, with no intermediate
-    elements, and must vanish.
-    """
+    """Whether psi1 + psi1^* + d*psi0 = 0 for square matrices of one rank:
+    whether every entry psi1[i][j] + bar(psi1[j][i]) + sum_l d[i][l] psi0[l][j]
+    vanishes."""
     n = len(d)
     for i in range(n):
-        terms = [(x._d.items(), row) for x, row in zip(d[i], psi0) if x._d]
+        terms = [(x, row) for x, row in zip(d[i], psi0) if not x.is_zero()]
         for j in range(n):
-            acc = psi1[i][j]._d.copy()
-            get = acc.get
-            for h, c in psi1[j][i]._d.items():
-                if not h & 1:
-                    h = -h
-                acc[h] = get(h, 0) + c
-            for left, row in terms:
-                right = row[j]._d.items()
-                for g, c1 in left:
-                    if g & 1:
-                        for h, c2 in right:
-                            acc[g - h] = get(g - h, 0) + c1 * c2
-                    else:
-                        for h, c2 in right:
-                            acc[g + h] = get(g + h, 0) + c1 * c2
-            if any(acc.values()):
+            acc = psi1[i][j] + psi1[j][i].bar()
+            for x, row in terms:
+                acc = acc + x * row[j]
+            if not acc.is_zero():
                 return False
     return True
 

@@ -92,37 +92,45 @@ def _fx_generator_chain(degree, corrupt):
 def _fx_resolution_chain(degree, _corrupt):
     """Every pair (p, g) of degree at most n = min(degree, 4) is an
     instance, 4^(n+1) of them, 1,024 at degree 4.  verify_chain runs only
-    on chain(p, 0) and chain(0, g), 2 * 2^(n+1) - 1 distinct chains, since
-    chain(0, 0) is both.
+    on chain(0, 0), chain(0, t^k) and chain(t^k, 0) for k <= n, 2n + 3
+    chains, 11 at degree 4.
 
-    Lemma: if chain(p, 0), chain(0, g) and chain(0, 0) pass, so does
-    chain(p, g).  d = 2I and P = diag(b, a) are constant.  The base change
-    relabels each entry and the switch is a ring automorphism applied entry
-    by entry, so both are additive.  For a fixed d the resolution identity
-    psi1 + psi1^* + d*psi0 = 0 is linear and homogeneous in (psi0, psi1),
-    and so are _res_diff's comparisons of d and psi0.  In every record,
-    psi1 = -psi0, psi0[0][0] is linear in p, psi0[1][1] is linear in g and
-    the off-diagonals are constant, so every state of chain(p, g) is
-    state(p, 0) + state(0, g) - state(0, 0), and a linear check that holds
-    on those three holds on it.
+    Lemma: if those chains pass, so does chain(p, g) for every p and g
+    over Z of degree at most n.  d = 2I and P = diag(b, a) are constant.
+    The base change relabels each entry and the switch is a ring
+    automorphism applied entry by entry, so both are additive.  For a fixed
+    d the resolution identity psi1 + psi1^* + d*psi0 = 0 is linear and
+    homogeneous in (psi0, psi1), and so are _res_diff's comparisons of d
+    and psi0.  In every record, psi1 = -psi0, psi0[0][0] is linear in p,
+    psi0[1][1] is linear in g and the off-diagonals are constant, so for
+    p = sum c_k t^k and g = sum e_k t^k every state of chain(p, g) is
+    state(0, 0) + sum c_k (state(t^k, 0) - state(0, 0))
+    + sum e_k (state(0, t^k) - state(0, 0)), and a linear check that holds
+    on the basis chains holds on it.
 
-    The chains run in sweep order, chain(0, g) in the p = 0 row and
-    chain(p, 0) at the start of each later row, so the first pair (p, g)
-    for which chain(p, 0) or chain(0, g) fails is the pair of that failing
-    chain itself, and its label and message are those of a sweep of full
-    chains.
+    A pair fails with chain(0, 0)'s failure, else that of the lowest
+    monomial of p whose chain fails, else that of g.  In sweep order every
+    p before t^k is a sum of lower monomials, so the first failing pair is
+    (0, 0), (0, t^k) or (t^k, 0), and its label and message are those of a
+    sweep of full chains.
 
     The cap at degree 4 stays because the printed count is part of the
     output."""
-    polys = list(_bit_polys(min(degree, 4)))
+    n = min(degree, 4)
+    polys = list(_bit_polys(n))
+    # polys[1 << k] is t^k
+    zero, monomials = polys[0], [polys[1 << k] for k in range(n + 1)]
+    base = verify_chain(*resolution_switch_chain(zero, zero))
+    g_failures = [verify_chain(*resolution_switch_chain(zero, m)) for m in monomials]
+    p_failures = [verify_chain(*resolution_switch_chain(m, zero)) for m in monomials]
+
+    def first(failures, bits):
+        return next((f for k, f in enumerate(failures) if bits >> k & 1 and f), None)
+
     labels = [render(p, compact=True) for p in polys]
-    # polys[0] is the zero polynomial, so g_failures[0] is chain(0, 0)'s
-    zero = polys[0]
-    g_failures = [verify_chain(*resolution_switch_chain(zero, g)) for g in polys]
-    for i, (p, p_label) in enumerate(zip(polys, labels)):
-        p_failure = verify_chain(*resolution_switch_chain(p, zero)) if i else g_failures[0]
-        for g_label, g_failure in zip(labels, g_failures):
-            failure = p_failure or g_failure
+    for p_bits, p_label in enumerate(labels):
+        for g_bits, g_label in enumerate(labels):
+            failure = base or first(p_failures, p_bits) or first(g_failures, g_bits)
             yield f"p={p_label} g={g_label}", failure is None, failure
             if failure is not None:
                 return

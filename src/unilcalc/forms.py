@@ -8,10 +8,7 @@ quadratic refinement mu is the diagonal of theta, compared modulo the
 indeterminacy {v - eps*vbar}.
 
 A resolution is a triple (d, psi0, psi1) of square matrices with
-psi1 + psi1^* = -d*psi0, checked on construction.  The check builds no
-matrices: dihedral.resolution_identity_holds sums each entry
-psi1[i][j] + bar(psi1[j][i]) + sum_l d[i][l] psi0[l][j] into one dict and
-asks that it vanish.
+psi1 + psi1^* = -d*psi0, checked on construction.
 
 Base change is by monomial matrices P of units (group elements up to
 sign), computed entry by entry rather than as matrix products: column j of
@@ -20,9 +17,6 @@ Such a P is unitary.  The involution sends a group element g to g^-1, so
 bar(u) u = u bar(u) = 1 for every unit u = +-g, and P* P = P P* = I.  So
 P^-1 = P*, the resolution rule d -> P* d (P^-1)* is the congruence
 d -> P* d P that theta, psi0 and psi1 get, and no inverse is formed.
-Multiplying by a unit on either side permutes the group elements up to a
-sign, so DihedralElement's product forms each entry bar(u_i) M[r_i][r_j] u_j
-as two relabellings of keys, with no summing.
 
 The paper's data lives over Z[t] and is induced into the group ring: theta
 and psi entries q(t) become q(t)*a, and d keeps its entries q(t).  The
@@ -169,7 +163,8 @@ def _monomial_units(P):
     rows, units = [0] * n, [None] * n
     for i, j in entries:
         u = P[i][j]
-        if len(u.terms) != 1 or u.terms[0][1] not in (1, -1):
+        terms = u.terms
+        if len(terms) != 1 or terms[0][1] not in (1, -1):
             raise ValueError(f"entry {u} is not a group-element unit")
         rows[j], units[j] = i, u
     return rows, units

@@ -75,7 +75,7 @@ def test_criterion_2_resolution_switch_chains():
                 failure = verify_chain(*resolution_switch_chain(p, g))
                 assert failure is None, f"p={p} g={g}: {failure}"
                 results.append((f"p={render(p, compact=True)} g={render(g, compact=True)}", True, None))
-        # verify-paper's sweep runs only the half chains, yet reports the same
+        # verify-paper's sweep runs only the monomial chains, yet reports the same
         assert list(_fx_resolution_chain(4, False)) == results
 
 

@@ -79,6 +79,24 @@ class TestDet:
                 M[rng.randrange(n)] = list(M[rng.randrange(n)])
             assert det(M) == bareiss_det(M), M
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_against_sympy_domain_matrix(self, n):
+        # sympy's DomainMatrix over GF(2)[t], an independent oracle
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        K = sympy.GF(2)[sympy.Symbol("t")]
+
+        def element(bits):
+            # from_list takes the coefficients leading first
+            return K.ring.from_list([int(c) for c in f"{bits:b}"])
+
+        rng = random.Random(79 + n)
+        for _ in range(20):
+            M = rand_mat(rng, n, n, rng.randint(0, 4))
+            d = DomainMatrix([[element(x) for x in row] for row in M], (n, n), K).det()
+            assert det(M) == int("".join(str(int(c) % 2) for c in d.to_dense()) or "0", 2), M
+
     def test_unimodular_matrices_have_det_one(self):
         rng = random.Random(73)
         for _ in range(40):

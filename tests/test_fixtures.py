@@ -1,8 +1,9 @@
 """The resolution sweep of verify-paper certifies every instance (p, g)
-from the chains chain(p, 0) and chain(0, g), and still locates a failure
-with the message of the instance's full chain.  The Burnside fixture
-checks unil.orbit_reps and orbit_count against brute-force orbits, and
-fails at the first cutoff where either is wrong."""
+from the monomial chains chain(0, 0), chain(0, t^k) and chain(t^k, 0),
+and still locates a failure with the message of the instance's full
+chain.  The Burnside fixture checks unil.orbit_reps and orbit_count
+against brute-force orbits, and fails at the first cutoff where either is
+wrong."""
 
 import pytest
 
@@ -22,9 +23,10 @@ def test_resolution_sweep_checks_every_instance():
 
 
 def test_resolution_sweep_pairs_the_halves(monkeypatch):
-    # the chains run are chain(0, g) for every g, then chain(p, 0) for
-    # every p other than 0, each resolution_switch_chain of that very pair,
-    # and every pair (p, g) is reported in sweep order
+    # the chains run are chain(0, 0), then chain(0, t^k) and then
+    # chain(t^k, 0) for k <= n = min(degree, 4), 2n + 3 of them (11 at
+    # degree 4), each resolution_switch_chain of that very pair, and every
+    # pair (p, g) is reported in sweep order
     chains = []
     verify_chain = forms.verify_chain
 
@@ -33,13 +35,20 @@ def test_resolution_sweep_pairs_the_halves(monkeypatch):
         return verify_chain(*chain)
 
     monkeypatch.setattr(fixtures, "verify_chain", recording_verify_chain)
-    results = list(fixtures._fx_resolution_chain(1, False))
-    polys = list(fixtures._bit_polys(1))
-    zero = polys[0]
-    assert chains == [forms.resolution_switch_chain(zero, g) for g in polys] + [
-        forms.resolution_switch_chain(p, zero) for p in polys[1:]
-    ]
-    assert results == [(_label(p, g), True, None) for p in polys for g in polys]
+    zero = Polynomial.zero()
+    for degree in (0, 1, 4, 12):
+        chains.clear()
+        results = list(fixtures._fx_resolution_chain(degree, False))
+        n = min(degree, 4)
+        monomials = [Polynomial((0,) * k + (1,)) for k in range(n + 1)]
+        assert len(chains) == 2 * n + 3
+        assert chains == (
+            [forms.resolution_switch_chain(zero, zero)]
+            + [forms.resolution_switch_chain(zero, m) for m in monomials]
+            + [forms.resolution_switch_chain(m, zero) for m in monomials]
+        )
+        polys = list(fixtures._bit_polys(n))
+        assert results == [(_label(p, g), True, None) for p in polys for g in polys]
 
 
 def _corrupting(p0, g0, i):

@@ -37,6 +37,27 @@ class TestF2:
         with pytest.raises(ZeroDivisionError):
             kernels.gf2_divmod(1, 0)
 
+    def test_mul_and_divmod_against_galoistools(self):
+        # sympy's galoistools, an independent oracle, holds F2[t] as dense
+        # coefficient lists, leading coefficient first
+        pytest.importorskip("sympy")
+        from sympy import ZZ
+        from sympy.polys.galoistools import gf_div, gf_mul
+
+        def dense(bits):
+            return [int(c) for c in f"{bits:b}"] if bits else []
+
+        def bits(coeffs):
+            return int("".join(str(c) for c in coeffs) or "0", 2)
+
+        rng = random.Random(17)
+        for _ in range(200):
+            a, b = rng.getrandbits(rng.randint(0, 301)), rng.getrandbits(rng.randint(0, 300))
+            b |= 1 << rng.randint(0, 300)
+            assert kernels.gf2_mul(a, b) == bits(gf_mul(dense(a), dense(b), 2, ZZ))
+            q, r = gf_div(dense(a), dense(b), 2, ZZ)
+            assert kernels.gf2_divmod(a, b) == (bits(q), bits(r))
+
     def test_spread_is_substitution(self):
         rng = random.Random(12)
         for _ in range(200):
