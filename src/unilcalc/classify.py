@@ -38,13 +38,6 @@ CHUNK_ROWS = 4096
 class StructureSetDescriptor(Record):
     _fields = ("n", "m", "ell", "z2_count", "has_Z")
 
-    def __init__(self, n, m, ell, z2_count, has_Z):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "z2_count", z2_count)
-        object.__setattr__(self, "has_Z", has_Z)
-
     def count(self, z_bound=0):
         if z_bound < 0:
             raise ValueError("z bound must be >= 0")
@@ -193,12 +186,6 @@ class ClassificationTable(Record):
 
     _fields = ("n", "degree_cutoff", "z_bound", "folded")
 
-    def __init__(self, n, degree_cutoff, z_bound, folded=False):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree_cutoff", degree_cutoff)
-        object.__setattr__(self, "z_bound", z_bound)
-        object.__setattr__(self, "folded", folded)
-
     @property
     def desc(self):
         return structure_set_P(self.n)
@@ -262,7 +249,7 @@ def enumerate_J(n, degree_cutoff=0, z_bound=0):
     rows = table_row_count(n, degree_cutoff, z_bound)
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"the table would have {rows} rows, above the limit {MAX_TABLE_ROWS}")
-    return ClassificationTable(n, degree_cutoff, z_bound)
+    return ClassificationTable(n, degree_cutoff, z_bound, False)
 
 
 def bar_J(n, table):
@@ -277,7 +264,7 @@ def bar_J(n, table):
         raise ValueError("dimension does not match the table")
     if n % 4 != 3:
         return table
-    return ClassificationTable(table.n, table.degree_cutoff, table.z_bound, folded=True)
+    return ClassificationTable(table.n, table.degree_cutoff, table.z_bound, True)
 
 
 _COLUMNS = ("n", "pair_coord_1", "pair_coord_2", "theta", "not_connected_sum", "identified_with")

@@ -29,11 +29,7 @@ class CommandResult(Record):
     _fields = ("status", "payload", "human", "notes", "streamed")
 
     def __init__(self, status, payload, human=(), notes=(), streamed=False):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "human", human)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "streamed", streamed)
+        super().__init__(status, payload, human, notes, streamed)
 
 
 def _read_json(source):
@@ -386,42 +382,24 @@ _COMMANDS = (
 )
 
 
-def _build_parser(argv):
-    """The parser for argv.  Each subcommand parser costs about 0.4 ms to
-    build, most of it argparse looking up the translations of its default
-    texts, so when argv starts with a command only that command's parser is
-    built; otherwise (--help, --version, an unknown or missing command) all
-    of them are."""
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="unilcalc",
         description="exact UNil / linking-form calculator for the infinite dihedral group",
     )
     parser.add_argument("--version", action="version", version=f"unilcalc {__version__}")
-    first = argv[0] if argv else None
-    named = [c for c in _COMMANDS if c[0] == first] or _COMMANDS
-    extra = {}
-    if len(named) == 1:
-        # the top-level usage, which "unrecognized arguments" prints, lists
-        # the commands as {reduce,sw,...}, from the choices unless a metavar
-        # is given; with the command given, no error names the metavar
-        extra["metavar"] = "{" + ",".join(name for name, _, _ in _COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, **extra)
-    for name, help_text, add_arguments in named:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _COMMANDS:
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         result = args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0

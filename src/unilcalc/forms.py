@@ -75,11 +75,6 @@ class QuadraticFormTheta(Record):
 
     _fields = ("theta", "epsilon")
 
-    def __init__(self, theta, epsilon):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "epsilon", epsilon)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
@@ -102,13 +97,6 @@ class QuadResolution(Record):
     """Resolution data (d, psi0, psi1); psi1 + psi1^* = -d*psi0 is enforced."""
 
     _fields = ("d", "psi0", "psi1", "epsilon")
-
-    def __init__(self, d, psi0, psi1, epsilon):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "psi0", psi0)
-        object.__setattr__(self, "psi1", psi1)
-        object.__setattr__(self, "epsilon", epsilon)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.epsilon not in (1, -1):

@@ -58,10 +58,6 @@ class Submodule(Record):
 
     _fields = ("ambient_rank", "basis")
 
-    def __init__(self, ambient_rank, basis):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "basis", basis)
-
     @classmethod
     def from_generators(cls, gens, ambient_rank):
         gens = tuple(tuple(row) for row in gens)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from unilcalc._record import Record
 from unilcalc.funcfield import symplectic_q2
 from unilcalc.kernels import gf2_mul, z4_add, z4_mul, z4_sq_lift
-from unilcalc.polynomials import idem_reduce, parse_f2, parse_z4, render
+from unilcalc.polynomials import idem_reduce, parse_f2, parse_z4, render, z4_from_terms
 
 Z4_ZERO = (0, 0)
 _SINGULAR = "b is singular: det(b_num) is not a unit in F2[t]"
@@ -82,12 +82,6 @@ def _parse_polys(value, what, length, parse, name):
 
 class LinkingForm(Record):
     _fields = ("rank", "b_num", "q_num")
-
-    def __init__(self, rank, b_num, q_num):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "b_num", b_num)
-        object.__setattr__(self, "q_num", q_num)
-        self.__post_init__()
 
     def __post_init__(self):
         k = self.rank
@@ -201,16 +195,9 @@ def resolution_to_linking(c):
                 # e.terms holds ((k, eps), coeff) for the group element t^k a^eps
                 if any(eps != 1 or k < 0 for (k, eps), _ in e.terms):
                     raise ValueError(f"{name} entry ({i},{j}) {e} is not q(t)*a with q in Z[t]")
-    b = tuple(tuple(sum(1 << k for (k, _), x in e.terms if x % 2) for e in row) for row in c.psi0)
-    q = []
-    for i in range(c.rank):
-        lo = hi = 0
-        for (k, _), x in c.psi1[i][i].terms:
-            v = -x % 4
-            lo |= (v & 1) << k
-            hi |= (v >> 1) << k
-        q.append((lo, hi))
-    return LinkingForm(c.rank, b, tuple(q))
+    b = tuple(tuple(z4_from_terms((k, x) for (k, _), x in e.terms)[0] for e in row) for row in c.psi0)
+    q = tuple(z4_from_terms((k, -x) for (k, _), x in c.psi1[i][i].terms) for i in range(c.rank))
+    return LinkingForm(c.rank, b, q)
 
 
 def is_even(form):

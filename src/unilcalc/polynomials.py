@@ -2,17 +2,19 @@
 Z4[t] bitmasks, and the two quotient normal forms the switch calculus runs
 on.
 
-Polynomial is the dense Z[t] type of the paper's parameters p and g.  F2[t]
-and Z4[t] polynomials are the bitmasks of unilcalc.kernels, an int for
-F2[t] and a (lo, hi) pair for Z4[t]; parse_f2 and parse_z4 read text
-straight into them, and render prints them, or a Polynomial.  The textual
-canonical form is ``coeff*t^exp`` terms joined by ``+`` with exponents
-descending, e.g. ``3*t^2+2*t^1+1*t^0``, and render's compact form drops
-unit coefficients and ``^1``, e.g. ``3*t^2+2*t+1``.  The parsers
-additionally accept the shorthands ``t``, ``t^k``, bare integers and
-signed coefficients, and a coefficient written as a fraction a/b when its
-value is an integer; parse_f2 and parse_z4 reduce the integer coefficients
-mod 2 and mod 4.
+Polynomial is the dense Z[t] type of the paper's parameters p and g.
+F2[t] and Z4[t] polynomials are the bitmasks of unilcalc.kernels, an int
+for F2[t] and a (lo, hi) pair for Z4[t]; parse_f2 and parse_z4 read text
+straight into them, and render prints them, or a Polynomial.  The one
+packer of coefficients into bits is z4_from_terms: it turns (exponent,
+integer coefficient) pairs into a Z4[t] pair, whose lo plane is their
+F2[t] bitmask.  The textual canonical form is ``coeff*t^exp`` terms joined
+by ``+`` with exponents descending, e.g. ``3*t^2+2*t^1+1*t^0``, and
+render's compact form drops unit coefficients and ``^1``, e.g.
+``3*t^2+2*t+1``.  The parsers additionally accept the shorthands ``t``,
+``t^k``, bare integers and signed coefficients, and a coefficient written
+as a fraction a/b when its value is an integer; parse_f2 and parse_z4
+reduce the integer coefficients mod 2 and mod 4.
 
 * idem_reduce: F2[t] modulo the subgroup {f^2 - f}.  Confluent rewrite
   t^(2k) -> t^k for k >= 1; canonical representatives are supported on
@@ -44,9 +46,9 @@ class Polynomial(Record):
 
     _fields = ("coeffs",)
 
-    def __init__(self, coeffs):
+    def __post_init__(self):
         cs = []
-        for k, c in enumerate(coeffs):
+        for k, c in enumerate(self.coeffs):
             try:
                 cs.append(index(c))
             except TypeError:
@@ -83,7 +85,7 @@ class Polynomial(Record):
     def mod4(self):
         """p mod 4 as a Z4[t] (lo, hi) pair; lo alone is p mod 2 as an F2[t]
         bitmask."""
-        return _z4(enumerate(self.coeffs))
+        return z4_from_terms(enumerate(self.coeffs))
 
     def _check(self, other):
         if not isinstance(other, Polynomial):
@@ -121,9 +123,11 @@ class Polynomial(Record):
     __repr__ = __str__
 
 
-def _z4(terms):
+def z4_from_terms(terms):
     """The Z4[t] (lo, hi) pair of (exponent, integer coefficient) pairs,
-    each exponent at most once."""
+    each exponent at most once; a coefficient is read mod 4, a negative one
+    too, since its low two bits are those of its residue.  lo alone is the
+    F2[t] bitmask of the coefficients mod 2."""
     lo = hi = 0
     for e, c in terms:
         lo |= (c & 1) << e
@@ -277,7 +281,7 @@ def parse_f2(text):
 
 def parse_z4(text):
     """A Z4[t] (lo, hi) pair from text, the coefficients reduced mod 4."""
-    return _z4(_parse_terms(text).items())
+    return z4_from_terms(_parse_terms(text).items())
 
 
 def idem_reduce(bits):

@@ -20,7 +20,7 @@ from itertools import product
 
 from unilcalc._record import Record
 from unilcalc.kernels import gf2_mul, z4_add, z4_neg
-from unilcalc.polynomials import idem_reduce, parse_f2, parse_z4, render, versch_reduce
+from unilcalc.polynomials import idem_reduce, parse_f2, parse_z4, render, versch_reduce, z4_from_terms
 
 _ZERO_X = (0, 0)
 
@@ -30,10 +30,6 @@ class UNil2Element(Record):
     on construction."""
 
     _fields = ("arf_bits",)
-
-    def __init__(self, arf_bits):
-        object.__setattr__(self, "arf_bits", arf_bits)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.arf_bits & 1:
@@ -72,11 +68,6 @@ class UNil3Element(Record):
     F2[t] bitmask.  Both are checked on construction."""
 
     _fields = ("x", "y")
-
-    def __init__(self, x, y):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.y & 1:
@@ -247,11 +238,6 @@ def orbit_count(group, degree_cutoff):
     raise ValueError("group must be 'UNil2' or 'UNil3'")
 
 
-def _mask(cs):
-    """The F2[t] bitmask of the parities of cs, cs[i] the coefficient of t^(i+1)."""
-    return sum((c & 1) << k for k, c in enumerate(cs, 1))
-
-
 def orbit_reps(group, degree_cutoff):
     """Yield the coordinates of the switch-orbit representatives of the
     canonical elements supported on exponents <= degree_cutoff, each the
@@ -268,13 +254,14 @@ def orbit_reps(group, degree_cutoff):
     if d < 0:
         raise ValueError("degree cutoff must be >= 0")
     if group == "UNil2":
+        # cs[i] is the coefficient of t^(i+1); a bitmask is the lo plane
         ranges = [range(2) if k % 2 else range(1) for k in range(1, d + 1)]
-        yield from map(_mask, product(*ranges))
+        yield from (z4_from_terms(enumerate(cs, 1))[0] for cs in product(*ranges))
     elif group == "UNil3":
         ranges = [range(2) if k % 2 == 0 else range(4) for k in range(1, d + 1)]
-        ys = [_mask(ymask) for ymask in product((0, 1), repeat=d)]
+        ys = [z4_from_terms(enumerate(cs, 1))[0] for cs in product((0, 1), repeat=d)]
         for xcs in product(*ranges):
-            x = (_mask(xcs), _mask(c >> 1 for c in xcs))
+            x = z4_from_terms(enumerate(xcs, 1))
             low = x[0] & -x[0]  # the lowest exponent of pi(x), as a bitmask
             for y in ys:
                 if not y & low:

@@ -2,13 +2,11 @@
 --help, an unknown or missing command, and the usage errors of each
 subcommand and of the top level.
 
-cli.main builds only the subcommand parser that argv names.  Each case is
-checked twice: against the same command line parsed by a parser with every
-subcommand built, and, on the Python minor version they were recorded with,
-against the bytes in tests/parser_output.json, which were recorded from the
-parser that built all six subcommand parsers for every command line.
-argparse's wording changes between Python versions, which is why the
-recording is compared on its own version only.
+Each case is checked twice: against the same command line parsed by
+cli._build_parser's parser outside cli.main, and, on the Python minor
+version they were recorded with, against the bytes in
+tests/parser_output.json.  argparse's wording changes between Python
+versions, which is why the recording is compared on its own version only.
 """
 
 import json
@@ -85,7 +83,7 @@ def test_parser_output(capsys, name):
     argv = CASES[name]
     got = _outcome(capsys, cli.main, argv)
     assert got["code"] is not None, "the case ran a command"
-    full = _outcome(capsys, lambda a: cli._build_parser([]).parse_args(a), argv)
+    full = _outcome(capsys, lambda a: cli._build_parser().parse_args(a), argv)
     assert got == full
     if RECORDED["python"] == "%d.%d" % sys.version_info[:2]:
         case = RECORDED["cases"][name]
@@ -95,22 +93,3 @@ def test_parser_output(capsys, name):
 
 def test_recording_covers_the_cases():
     assert sorted(RECORDED["cases"]) == sorted(CASES)
-
-
-def test_only_the_named_parser_is_built(monkeypatch):
-    built = []
-
-    def recording(name, add_arguments):
-        def add(p):
-            built.append(name)
-            add_arguments(p)
-
-        return add
-
-    commands = tuple((name, text, recording(name, add)) for name, text, add in cli._COMMANDS)
-    monkeypatch.setattr(cli, "_COMMANDS", commands)
-    cli._build_parser(["sw", "0"])
-    assert built == ["sw"]
-    built.clear()
-    cli._build_parser(["-h"])
-    assert built == [name for name, _, _ in commands]

@@ -1,6 +1,6 @@
 """Value semantics of the package's immutable records: equality and hashing
-by field values, no assignment after construction, and the checks each
-constructor makes."""
+by field values, no assignment after construction, one value per field,
+and the checks each constructor makes, run once by every construction."""
 
 import pytest
 
@@ -49,7 +49,7 @@ RECORDS = {
         "has_Z",
         (8, 1, 4, 2, False),
     ),
-    "ClassificationTable": (lambda: ClassificationTable(8, 5, 0), "folded", (8, 5, 0, True)),
+    "ClassificationTable": (lambda: ClassificationTable(8, 5, 0, False), "folded", (8, 5, 0, True)),
 }
 # a CommandResult holds its JSON payload as a dict, so it has no hash
 HASHABLE = sorted(set(RECORDS) - {"CommandResult"})
@@ -94,8 +94,41 @@ def test_fields_cannot_be_assigned(name):
     assert getattr(a, field) is before
 
 
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_wrong_value_count_raises(name):
+    make, _, _ = RECORDS[name]
+    a = make()
+    cls, values = type(a), a._astuple()
+    # CommandResult's last three fields have defaults
+    fewest = 2 if name == "CommandResult" else len(values)
+    with pytest.raises(TypeError):
+        cls(*values[: fewest - 1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+
+
+def test_wrong_value_count_names_the_fields():
+    with pytest.raises(TypeError, match=r"^UNil3Element\(x, y\) takes 2 values, got 1$"):
+        UNil3Element((0, 0))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_construction_runs_post_init_once(name, monkeypatch):
+    make, _, _ = RECORDS[name]
+    cls = type(make())
+    check, built = cls.__post_init__, []
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted, raising=False)
+    a = make()
+    assert len(built) == 1 and built[0] is a
+
+
 def test_classification_table_rows_are_cached():
-    table = ClassificationTable(4, 1, 0)
+    table = ClassificationTable(4, 1, 0, False)
     assert table.rows is table.rows
 
 
